@@ -24,6 +24,7 @@ from .two_sensor import (
     TwoSensorParams,
     average_aoi_equal_service,
     average_aoi_general,
+    average_aoi_grid,
     average_aoi_symmetric,
     build_two_sensor_chain,
     stationary_closed_form,
@@ -55,6 +56,7 @@ __all__ = [
     "average_age",
     "average_aoi_equal_service",
     "average_aoi_general",
+    "average_aoi_grid",
     "average_aoi_symmetric",
     "build_model",
     "build_two_sensor_chain",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,24 +40,6 @@ _SIMULATE_HEADER = (
 
 class UsageError(ValueError):
     """Bad flag combination or parameter value; exits with code 2."""
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Parsed run settings shared by all subcommands."""
-
-    mode: str
-    output_format: str
-    out_path: str | None
-    sim: des_sim.SimConfig
-    ranges: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, (start, stop, count) in self.ranges.items():
-            if count < 1:
-                raise UsageError(f"{name}: grid count must be >= 1, got {count}")
-            if start <= 0 or stop <= 0:
-                raise UsageError(f"{name}: grid endpoints must be positive")
 
 
 @dataclass(frozen=True)
@@ -196,6 +178,8 @@ def _json(payload) -> str:
 
 
 def _grid(spec, name: str) -> list[float]:
+    if not float(spec[2]).is_integer():
+        raise UsageError(f"{name}: grid count must be an integer, got {spec[2]!r}")
     start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
     if count < 1:
         raise UsageError(f"{name}: grid count must be >= 1, got {count}")
@@ -232,6 +216,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _cmd_theory(args) -> str:
+    for flag in ("l1", "l2", "m1", "m2", "m"):
+        value = getattr(args, flag)
+        _require(value is None or np.isfinite(value),
+                 f"--{flag} must be finite, got {value!r}")
     m1, m2 = _service_rates(args)
     l1, l2 = args.l1, args.l2
     method = args.method
@@ -261,6 +249,12 @@ def _cmd_theory(args) -> str:
                 "average_aoi": breakdown.average_aoi,
                 "stationary": breakdown.stationary.probs.tolist(),
                 "correlations": breakdown.correlations.vectors.tolist(),
+                "diagnostics": {
+                    "stationary_condition": breakdown.stationary_condition,
+                    "stationary_residual": breakdown.stationary_residual,
+                    "correlation_condition": breakdown.correlation_condition,
+                    "correlation_residual": breakdown.correlation_residual,
+                },
             })
         rows = [
             (q, breakdown.stationary.probs[q], *breakdown.correlations.vectors[q],
@@ -338,48 +332,37 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_sweep_fig3(args) -> str:
-    spec = RunSpec(
-        mode="sweep",
-        output_format=args.format,
-        out_path=args.out,
-        sim=_sim_config(args),
-        ranges={"grid-l1": tuple(args.grid_l1), "grid-m2": tuple(args.grid_m2)},
-    )
-    l1_grid = _grid(args.grid_l1, "grid-l1")
-    m2_grid = _grid(args.grid_m2, "grid-m2")
+    config = _sim_config(args)
+    points = [
+        (l1, args.l2, args.m1, m2)
+        for l1 in _grid(args.grid_l1, "--grid-l1")
+        for m2 in _grid(args.grid_m2, "--grid-m2")
+    ]
+    theory = two_sensor.average_aoi_grid(points).tolist()
     rows = []
-    for l1 in l1_grid:
-        for m2 in m2_grid:
-            params = two_sensor.TwoSensorParams(l1, args.l2, args.m1, m2)
-            theory = two_sensor.average_aoi_general(params).average_aoi
-            if args.simulate:
-                result = des_sim.simulate_two_sensor(params, spec.sim)
-                sim_mean, sim_ci = result.mean_aoi, result.ci95_halfwidth
-            else:
-                sim_mean = sim_ci = None
-            rows.append((l1, args.l2, args.m1, m2, theory, sim_mean, sim_ci))
-    if spec.output_format == "json":
+    for point, value in zip(points, theory):
+        if args.simulate:
+            result = des_sim.simulate_two_sensor(two_sensor.TwoSensorParams(*point), config)
+            sim_mean, sim_ci = result.mean_aoi, result.ci95_halfwidth
+        else:
+            sim_mean = sim_ci = None
+        rows.append((*point, value, sim_mean, sim_ci))
+    if args.format == "json":
         keys = _FIG3_HEADER.split(",")
         return _json([dict(zip(keys, row)) for row in rows])
     return _csv(_FIG3_HEADER, rows)
 
 
 def _cmd_compare_fig4(args) -> str:
-    spec = RunSpec(
-        mode="compare",
-        output_format=args.format,
-        out_path=args.out,
-        sim=_sim_config(args),
-        ranges={"grid-lambda": tuple(args.grid_lambda)},
-    )
+    config = _sim_config(args)
     mu = args.m
     rows = []
-    for lam in _grid(args.grid_lambda, "grid-lambda"):
+    for lam in _grid(args.grid_lambda, "--grid-lambda"):
         # the two-sensor column splits the arrival rate across the sensors
         params = two_sensor.TwoSensorParams(lam / 2, lam / 2, mu, mu)
-        two = des_sim.simulate_two_sensor(params, spec.sim)
-        one = des_sim.simulate_mm11(lam, mu, spec.sim)
-        pre = des_sim.simulate_mm2_preemptive(lam, mu, spec.sim)
+        two = des_sim.simulate_two_sensor(params, config)
+        one = des_sim.simulate_mm11(lam, mu, config)
+        pre = des_sim.simulate_mm2_preemptive(lam, mu, config)
         rows.append(ComparisonRow(
             arrival_rate=lam,
             theory_two_sensor=two_sensor.average_aoi_symmetric(lam / 2, mu),
@@ -395,7 +378,7 @@ def _cmd_compare_fig4(args) -> str:
          r.sim_mm11, r.ci_mm11, r.sim_mm2p, r.ci_mm2p)
         for r in rows
     ]
-    if spec.output_format == "json":
+    if args.format == "json":
         keys = _FIG4_HEADER.split(",")
         return _json([dict(zip(keys, row)) for row in cells])
     return _csv(_FIG4_HEADER, cells)

@@ -21,10 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shs_core import (
+# solve_stationary, solve_correlation and average_age are not called here but
+# stay importable from this module, next to build_model, for callers that
+# reach the solver through it
+from .shs_core import (  # noqa: F401
     CorrelationVectors,
     ShsModel,
     StationaryDistribution,
+    _compile_chain,
+    _solve,
     average_age,
     build_model,
     solve_correlation,
@@ -37,6 +42,9 @@ MONITOR_COMPONENT = 0
 NUM_STATES = 9
 NUM_COMPONENTS = 3
 
+#: Order of the rates in a rate vector, and in each row of a rate grid.
+_RATE_NAMES = ("lambda1", "lambda2", "mu1", "mu2")
+
 
 @dataclass(frozen=True)
 class TwoSensorParams:
@@ -48,22 +56,30 @@ class TwoSensorParams:
     mu2: float
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "mu1", "mu2"):
+        for name in _RATE_NAMES:
             value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be strictly positive and finite, got {value!r}"
-                )
+            _require_positive(**{name: value})
             object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class AoiBreakdown:
-    """Average monitor age plus the per-state solver output it came from."""
+    """Average monitor age plus the per-state solver output it came from.
+
+    The diagnostics are the 2-norm condition estimates and the largest
+    absolute residuals of the stationary and correlation solves; the solver
+    rejects condition estimates above ``shs_core.CONDITION_LIMIT`` and
+    residuals above ``shs_core.BALANCE_RESIDUAL_TOL`` and
+    ``shs_core.CORRELATION_RESIDUAL_TOL``.
+    """
 
     average_aoi: float
     stationary: StationaryDistribution
     correlations: CorrelationVectors
+    stationary_condition: float
+    stationary_residual: float
+    correlation_condition: float
+    correlation_residual: float
 
 
 # Transition table of the nine-state chain. Each row is
@@ -114,17 +130,21 @@ def _reset_map(kept) -> np.ndarray:
     return amap
 
 
+_CHAIN = _compile_chain(
+    NUM_STATES,
+    NUM_COMPONENTS,
+    [(frm, to, _RATE_NAMES.index(name), _reset_map(kept))
+     for (frm, to, name, kept) in _TRANSITIONS],
+    _SLOPES,
+    len(_RATE_NAMES),
+)
+
+
 def build_two_sensor_chain(params: TwoSensorParams) -> ShsModel:
     """Instantiate the nine-state, eighteen-transition chain for ``params``."""
-    rates = {
-        "lambda1": params.lambda1,
-        "lambda2": params.lambda2,
-        "mu1": params.mu1,
-        "mu2": params.mu2,
-    }
+    rates = [getattr(params, name) for name in _RATE_NAMES]
     transitions = [
-        (frm, to, rates[rate_name], _reset_map(kept))
-        for (frm, to, rate_name, kept) in _TRANSITIONS
+        (frm, to, rates[symbol], amap) for (frm, to, symbol, amap) in _CHAIN.transitions
     ]
     return build_model(NUM_STATES, NUM_COMPONENTS, transitions, _SLOPES)
 
@@ -158,15 +178,49 @@ def stationary_closed_form(params: TwoSensorParams) -> StationaryDistribution:
 
 
 def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
-    """Average monitor age for arbitrary positive rates, via the generic solver."""
-    model = build_two_sensor_chain(params)
-    pi = solve_stationary(model)
-    v = solve_correlation(model, pi)
+    """Average monitor age for arbitrary positive rates, via the generic solver.
+
+    Solved as a grid of one point; the breakdown adds the per-state solver
+    output and its diagnostics to the value :func:`average_aoi_grid` returns.
+    """
+    solution = _solve(_CHAIN, np.array([[getattr(params, name) for name in _RATE_NAMES]]))
     return AoiBreakdown(
-        average_aoi=average_age(v, MONITOR_COMPONENT),
-        stationary=pi,
-        correlations=v,
+        average_aoi=float(_monitor_ages(solution)[0]),
+        stationary=StationaryDistribution(probs=solution.probs[0]),
+        correlations=CorrelationVectors(vectors=solution.vectors[0]),
+        stationary_condition=float(solution.stationary_condition[0]),
+        stationary_residual=float(solution.stationary_residual[0]),
+        correlation_condition=float(solution.correlation_condition[0]),
+        correlation_residual=float(solution.correlation_residual[0]),
     )
+
+
+def average_aoi_grid(rates) -> np.ndarray:
+    """Average monitor ages of many rate points, via the generic solver.
+
+    ``rates`` has shape (N, 4), one row ``(lambda1, lambda2, mu1, mu2)`` per
+    point, N >= 1. Returns the N average ages, each bit-identical to
+    :func:`average_aoi_general` at that point. A point that fails a solver
+    guard raises ``IllConditionedSystemError`` naming its index and rates.
+    """
+    rates = np.array(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] != len(_RATE_NAMES):
+        raise ValueError(
+            f"rates must have shape (N, {len(_RATE_NAMES)}) with N >= 1, "
+            f"got {rates.shape}"
+        )
+    bad = ~(np.isfinite(rates) & (rates > 0.0))
+    if bad.any():
+        point, column = np.argwhere(bad)[0]
+        raise ValueError(
+            f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
+            f"and finite, got {float(rates[point, column])!r}"
+        )
+    return _monitor_ages(_solve(_CHAIN, rates))
+
+
+def _monitor_ages(solution) -> np.ndarray:
+    return solution.vectors[:, :, MONITOR_COMPONENT].sum(axis=1)
 
 
 def average_aoi_equal_service(lambda1: float, lambda2: float, mu: float) -> float:

@@ -1,10 +1,23 @@
+import hashlib
 import json
 
 import pytest
 
 from aoi_shs.cli import ComparisonRow, main
-from aoi_shs.shs_core import model_from_json, solve_correlation, solve_stationary, average_age
+from aoi_shs.shs_core import (
+    BALANCE_RESIDUAL_TOL,
+    CONDITION_LIMIT,
+    CORRELATION_RESIDUAL_TOL,
+    average_age,
+    model_from_json,
+    solve_correlation,
+    solve_stationary,
+)
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
+
+# sha256 of the default sweep-fig3 CSV, produced by the per-point solver
+# before grids were solved in batches
+FIG3_DEFAULT_SHA256 = "596526c2f8c55376a6963cf2d1737c8d9f5eeef7c8817193776260aac9b05f91"
 
 FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
@@ -39,6 +52,16 @@ class TestTheory:
         expected = average_aoi_general(TwoSensorParams(0.5, 0.8, 1.0, 1.4)).average_aoi
         assert doc["average_aoi"] == pytest.approx(expected, rel=1e-15)
 
+    def test_general_json_diagnostics(self, capsys):
+        code, out, _ = run(capsys, "theory", "--l1", "0.5", "--l2", "0.8",
+                           "--m1", "1", "--m2", "1.4", "--method", "general")
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert 1 <= diagnostics["stationary_condition"] < CONDITION_LIMIT
+        assert 1 <= diagnostics["correlation_condition"] < CONDITION_LIMIT
+        assert 0 <= diagnostics["stationary_residual"] < BALANCE_RESIDUAL_TOL
+        assert 0 <= diagnostics["correlation_residual"] < CORRELATION_RESIDUAL_TOL
+
     def test_general_csv_breakdown(self, capsys):
         code, out, _ = run(capsys, "theory", "--l1", "0.5", "--l2", "0.8",
                            "--m1", "1", "--m2", "1.4", "--method", "general",
@@ -63,6 +86,13 @@ class TestTheory:
                            "--m", "1", "--method", "eq17")
         assert code == 2
         assert "--l1 == --l2" in err
+
+    @pytest.mark.parametrize("method", ["eq16", "eq17"])
+    def test_nan_rate_named_before_equality_checks(self, capsys, method):
+        code, _, err = run(capsys, "theory", "--l1", "1", "--l2", "1",
+                           "--m", "nan", "--method", method)
+        assert code == 2
+        assert "--m must be finite, got nan" in err
 
     def test_missing_rates_usage_error(self, capsys):
         code, _, err = run(capsys, "theory", "--method", "general")
@@ -181,10 +211,26 @@ class TestSweep:
         assert rows[0]["lambda1"] == 0.3
         assert rows[0]["sim_mean"] is None
 
+    def test_default_csv_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "sweep-fig3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FIG3_DEFAULT_SHA256
+
     def test_zero_count_grid_rejected(self, capsys):
         code, _, err = run(capsys, "sweep-fig3", "--grid-l1", "0.3", "0.5", "0")
         assert code == 2
         assert "count" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-fig3", "--grid-l1", "0.1", "0.9", "2.5"),
+        ("sweep-fig3", "--grid-m2", "1", "1.8", "nan"),
+        ("compare-fig4", "--grid-lambda", "0.2", "5", "1.5"),
+    ])
+    def test_non_integer_count_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{argv[1]}: grid count must be an integer" in err
 
 
 class TestCompare:

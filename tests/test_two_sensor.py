@@ -3,12 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_shs.shs_core import average_age, model_from_json, model_to_json, solve_correlation, solve_stationary
+from aoi_shs.shs_core import (
+    BATCH_BLOCK,
+    IllConditionedSystemError,
+    average_age,
+    model_from_json,
+    model_to_json,
+    solve_correlation,
+    solve_stationary,
+)
 from aoi_shs.two_sensor import (
     MONITOR_COMPONENT,
     TwoSensorParams,
     average_aoi_equal_service,
     average_aoi_general,
+    average_aoi_grid,
     average_aoi_symmetric,
     build_two_sensor_chain,
     stationary_closed_form,
@@ -158,6 +167,35 @@ class TestAverageAge:
         ])
         assert (np.diff(surface, axis=0) < 0).all()
         assert (np.diff(surface, axis=1) < 0).all()
+
+
+class TestGrid:
+    @pytest.mark.parametrize("size", [1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 500])
+    def test_matches_single_points_bit_for_bit(self, size):
+        rng = np.random.default_rng(46)
+        rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(size, 4)))
+        singles = [average_aoi_general(TwoSensorParams(*row)).average_aoi for row in rates]
+        assert average_aoi_grid(rates).tolist() == singles
+
+    def test_failing_point_is_named(self):
+        rates = np.ones((BATCH_BLOCK + 10, 4))
+        rates[BATCH_BLOCK + 3] = (1e6, 1e6, 1e-6, 1e-6)
+        with pytest.raises(IllConditionedSystemError,
+                           match=rf"point {BATCH_BLOCK + 3} \(rates \[1000000.0, "
+                                 r"1000000.0, 1e-06, 1e-06\]\): .*ill-conditioned"):
+            average_aoi_grid(rates)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_rate_is_named(self, bad):
+        rates = np.ones((5, 4))
+        rates[2, 3] = bad
+        with pytest.raises(ValueError, match="point 2: mu2 must be strictly positive"):
+            average_aoi_grid(rates)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 4), (3, 3)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            average_aoi_grid(np.ones(shape))
 
 
 class TestClosedForms:
