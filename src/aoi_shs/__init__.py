@@ -31,7 +31,6 @@ from .two_sensor import (
     zero_wait_limit,
 )
 from .des_sim import (
-    MonitorState,
     SimConfig,
     SimResult,
     simulate_mm11,
@@ -46,7 +45,6 @@ __all__ = [
     "AoiBreakdown",
     "CorrelationVectors",
     "IllConditionedSystemError",
-    "MonitorState",
     "ShsModel",
     "SimConfig",
     "SimResult",

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,30 +36,11 @@ _SIMULATE_HEADER = (
     "model,l1,l2,m1,m2,horizon,trials,seed,warmup,"
     "mean_aoi,stderr,ci95_halfwidth,events_processed"
 )
+_RATE_FLAGS = ("l1", "l2", "m1", "m2", "m")
 
 
 class UsageError(ValueError):
     """Bad flag combination or parameter value; exits with code 2."""
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One comparison-table row; gap is relative to the theory value."""
-
-    arrival_rate: float
-    theory_two_sensor: float | None
-    sim_two_sensor: float
-    ci_two_sensor: float
-    sim_mm11: float
-    ci_mm11: float
-    sim_mm2p: float
-    ci_mm2p: float
-
-    @property
-    def relative_gap(self) -> float | None:
-        if self.theory_two_sensor is None:
-            return None
-        return abs(self.sim_two_sensor - self.theory_two_sensor) / self.theory_two_sensor
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,6 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _DISPATCH[args.command]
     try:
+        _check_rate_flags(args)
         text = handler(args)
         _emit(text, args.out)
     except ValueError as exc:
@@ -177,14 +159,24 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _table(fmt: str, header: str, rows) -> str:
+    """CSV under ``header``, or a JSON list of objects keyed by its columns."""
+    if fmt == "json":
+        keys = header.split(",")
+        return _json([dict(zip(keys, row)) for row in rows])
+    return _csv(header, rows)
+
+
 def _grid(spec, name: str) -> list[float]:
     if not float(spec[2]).is_integer():
         raise UsageError(f"{name}: grid count must be an integer, got {spec[2]!r}")
     start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
     if count < 1:
         raise UsageError(f"{name}: grid count must be >= 1, got {count}")
-    if start <= 0 or stop <= 0:
-        raise UsageError(f"{name}: grid endpoints must be positive")
+    if not (0 < start < math.inf and 0 < stop < math.inf):
+        raise UsageError(
+            f"{name}: grid endpoints must be positive and finite, got {start!r} and {stop!r}"
+        )
     if count == 1:
         return [start]
     return [float(x) for x in np.linspace(start, stop, count)]
@@ -212,14 +204,19 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _check_rate_flags(args) -> None:
+    """Every rate flag the subcommand has must be positive and finite."""
+    for flag in _RATE_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            _require(math.isfinite(value), f"--{flag} must be finite, got {value!r}")
+            _require(value > 0, f"--{flag} must be positive, got {value!r}")
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_theory(args) -> str:
-    for flag in ("l1", "l2", "m1", "m2", "m"):
-        value = getattr(args, flag)
-        _require(value is None or np.isfinite(value),
-                 f"--{flag} must be finite, got {value!r}")
     m1, m2 = _service_rates(args)
     l1, l2 = args.l1, args.l2
     method = args.method
@@ -347,10 +344,7 @@ def _cmd_sweep_fig3(args) -> str:
         else:
             sim_mean = sim_ci = None
         rows.append((*point, value, sim_mean, sim_ci))
-    if args.format == "json":
-        keys = _FIG3_HEADER.split(",")
-        return _json([dict(zip(keys, row)) for row in rows])
-    return _csv(_FIG3_HEADER, rows)
+    return _table(args.format, _FIG3_HEADER, rows)
 
 
 def _cmd_compare_fig4(args) -> str:
@@ -363,25 +357,13 @@ def _cmd_compare_fig4(args) -> str:
         two = des_sim.simulate_two_sensor(params, config)
         one = des_sim.simulate_mm11(lam, mu, config)
         pre = des_sim.simulate_mm2_preemptive(lam, mu, config)
-        rows.append(ComparisonRow(
-            arrival_rate=lam,
-            theory_two_sensor=two_sensor.average_aoi_symmetric(lam / 2, mu),
-            sim_two_sensor=two.mean_aoi,
-            ci_two_sensor=two.ci95_halfwidth,
-            sim_mm11=one.mean_aoi,
-            ci_mm11=one.ci95_halfwidth,
-            sim_mm2p=pre.mean_aoi,
-            ci_mm2p=pre.ci95_halfwidth,
+        rows.append((
+            lam, two_sensor.average_aoi_symmetric(lam / 2, mu),
+            two.mean_aoi, two.ci95_halfwidth,
+            one.mean_aoi, one.ci95_halfwidth,
+            pre.mean_aoi, pre.ci95_halfwidth,
         ))
-    cells = [
-        (r.arrival_rate, r.theory_two_sensor, r.sim_two_sensor, r.ci_two_sensor,
-         r.sim_mm11, r.ci_mm11, r.sim_mm2p, r.ci_mm2p)
-        for r in rows
-    ]
-    if args.format == "json":
-        keys = _FIG4_HEADER.split(",")
-        return _json([dict(zip(keys, row)) for row in cells])
-    return _csv(_FIG4_HEADER, cells)
+    return _table(args.format, _FIG4_HEADER, rows)
 
 
 def _cmd_export_model(args) -> str:

@@ -10,25 +10,31 @@ update that has ever been delivered):
   servers, and an arrival that finds both busy replaces whichever in-service
   update was generated earlier.
 
+Each system is a list of channels run by one trial runner: the two-sensor
+system has two blocking channels, the single queue one, and the preemptive
+pair is a single channel holding both servers.
+
 Reproducibility contract: every random quantity comes from a PCG64 generator
-seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Stream 2k is
-the arrival process and stream 2k+1 the service process of queue k (the
-preemptive system uses streams 0 and 1). Results are therefore bit-identical
-across runs on one platform, and each trial's value is independent of how
-many trials run alongside it. Simultaneous events have probability zero;
-for determinism, due departures are processed before an arrival carrying the
-same timestamp, lower-indexed queue first.
+seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
+draws its arrival process from stream 2k and its service process from stream
+2k+1. Results are therefore bit-identical across runs on one platform, and
+each trial's value is independent of how many trials run alongside it.
+Simultaneous events have probability zero; for determinism, due departures
+are processed before an arrival carrying the same timestamp, lower-indexed
+server first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .two_sensor import TwoSensorParams
+from .two_sensor import TwoSensorParams, _require_positive
 
 DEFAULT_SEED = 12345
 
@@ -72,41 +78,6 @@ class SimResult:
     stderr: float
     ci95_halfwidth: float
     events_processed: int
-
-
-@dataclass
-class MonitorState:
-    """Running sawtooth state of the staleness-filtering monitor.
-
-    The instantaneous age is ``clock - last_accepted_generation_time``; it
-    grows at unit rate between accepted deliveries and drops to the delivered
-    update's age when a fresher update comes in.
-    """
-
-    last_accepted_generation_time: float = 0.0
-    age_integral: float = 0.0
-    clock: float = 0.0
-
-    @property
-    def age(self) -> float:
-        return self.clock - self.last_accepted_generation_time
-
-    def advance(self, t: float) -> None:
-        if t < self.clock:
-            raise ValueError("monitor clock must not run backwards")
-        span = t - self.clock
-        self.age_integral += span * (
-            0.5 * (t + self.clock) - self.last_accepted_generation_time
-        )
-        self.clock = t
-
-    def deliver(self, t: float, generation_time: float) -> bool:
-        """Advance to ``t`` and apply the staleness filter; True if accepted."""
-        self.advance(t)
-        if generation_time > self.last_accepted_generation_time:
-            self.last_accepted_generation_time = generation_time
-            return True
-        return False
 
 
 def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
@@ -159,16 +130,20 @@ def simulate_two_sensor(
         params = TwoSensorParams(*params)
     total_rate = params.lambda1 + params.lambda2 + params.mu1 + params.mu2
     _check_event_budget(config.horizon, total_rate)
-    queues = ((params.lambda1, params.mu1), (params.lambda2, params.mu2))
-    return _run_trials(queues, config, trace_dir)
+    channels = (
+        partial(_blocking_channel, params.lambda1, params.mu1, config.horizon, 1),
+        partial(_blocking_channel, params.lambda2, params.mu2, config.horizon, 2),
+    )
+    return _run_trials(config, trace_dir, channels)
 
 
 def simulate_mm11(lam: float, mu: float, config: SimConfig, trace_dir=None) -> SimResult:
     """Single blocking channel; deliveries arrive in generation order, so the
     staleness filter never rejects anything."""
-    _check_rates(lam=lam, mu=mu)
+    _require_positive(lam=lam, mu=mu)
     _check_event_budget(config.horizon, lam + mu)
-    return _run_trials(((lam, mu),), config, trace_dir)
+    channel = partial(_blocking_channel, lam, mu, config.horizon, 1)
+    return _run_trials(config, trace_dir, (channel,))
 
 
 def simulate_mm2_preemptive(
@@ -180,29 +155,13 @@ def simulate_mm2_preemptive(
     in-service update with the older generation time (the replaced update is
     lost). Service times are drawn at service start.
     """
-    _check_rates(lam=lam, mu=mu)
+    _require_positive(lam=lam, mu=mu)
     _check_event_budget(config.horizon, lam + 2 * mu)
-    values = []
-    events = 0
-    for trial in range(config.num_trials):
-        trace = [] if trace_dir is not None else None
-        deps, gens, n_events = _preemptive_pair_trial(
-            lam, mu, config.horizon, config.seed, trial, trace
-        )
-        values.append(_windowed_average([deps], [gens], config))
-        events += n_events
-        if trace is not None:
-            _write_trace(trace_dir, trial, trace)
-    return _summarize(values, events)
+    channel = partial(_preemptive_pair, lam, mu, config.horizon)
+    return _run_trials(config, trace_dir, (channel,))
 
 
 # -- internals ---------------------------------------------------------------
-
-
-def _check_rates(**rates: float) -> None:
-    for name, value in rates.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
 
 def _check_event_budget(horizon: float, total_rate: float) -> None:
@@ -220,21 +179,23 @@ def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     )
 
 
-def _run_trials(queues, config: SimConfig, trace_dir) -> SimResult:
+def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
+    """Run every channel of every trial and average the merged deliveries.
+
+    A channel is a callable ``(arrival_rng, service_rng, trace) ->
+    (deliveries, generations, arrivals)``; channel k gets streams 2k and
+    2k+1. Events processed are arrivals plus deliveries.
+    """
     values = []
     events = 0
     for trial in range(config.num_trials):
         trace = [] if trace_dir is not None else None
         dep_lists, gen_lists = [], []
-        for k, (lam, mu) in enumerate(queues):
-            deps, gens, n_arrivals = _blocking_queue_trial(
-                lam,
-                mu,
-                config.horizon,
+        for k, channel in enumerate(channels):
+            deps, gens, n_arrivals = channel(
                 _rng(config.seed, trial, 2 * k),
                 _rng(config.seed, trial, 2 * k + 1),
                 trace,
-                sensor=k + 1,
             )
             dep_lists.append(deps)
             gen_lists.append(gens)
@@ -245,129 +206,104 @@ def _run_trials(queues, config: SimConfig, trace_dir) -> SimResult:
     return _summarize(values, events)
 
 
-def _blocking_queue_trial(lam, mu, horizon, arrival_rng, service_rng, trace, sensor):
-    """Scan one channel's arrival stream; returns (deliveries, generations,
-    arrivals seen). Deliveries completing past the horizon are dropped."""
-    arr_scale = 1.0 / lam
-    svc_scale = 1.0 / mu
+def _arrival_times(rng: np.random.Generator, lam: float):
+    """Poisson arrival instants, drawn lazily in blocks of ``_DRAW_BLOCK``."""
+
+    def blocks():
+        base = 0.0
+        while True:
+            block = rng.exponential(1.0 / lam, _DRAW_BLOCK)
+            np.cumsum(block, out=block)
+            block += base
+            base = float(block[-1])
+            yield block.tolist()
+
+    return chain.from_iterable(blocks())
+
+
+def _service_times(rng: np.random.Generator, mu: float):
+    """Exponential service times, drawn lazily in blocks of ``_DRAW_BLOCK``."""
+    scale = 1.0 / mu
+    return chain.from_iterable(
+        iter(lambda: rng.exponential(scale, _DRAW_BLOCK).tolist(), None)
+    )
+
+
+def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace):
+    """Scan one channel's arrival stream; deliveries completing past the
+    horizon are dropped."""
+    services = _service_times(service_rng, mu)
     deps: list[float] = []
     gens: list[float] = []
-    svc_buf: list[float] = []
-    svc_i = 0
     n_arrivals = 0
     free_at = 0.0
-    base = 0.0
-    while True:
-        block = arrival_rng.exponential(arr_scale, _DRAW_BLOCK)
-        np.cumsum(block, out=block)
-        block += base
-        base = float(block[-1])
-        for a in block.tolist():
-            if a > horizon:
-                if trace is not None:
-                    trace.extend(
-                        (d, "delivery", sensor, g) for d, g in zip(deps, gens)
-                    )
-                return deps, gens, n_arrivals
-            n_arrivals += 1
-            if a < free_at:
-                if trace is not None:
-                    trace.append((a, "blocked", sensor, a))
-                continue
-            if svc_i == len(svc_buf):
-                svc_buf = service_rng.exponential(svc_scale, _DRAW_BLOCK).tolist()
-                svc_i = 0
-            dep = a + svc_buf[svc_i]
-            svc_i += 1
-            free_at = dep
+    for a in _arrival_times(arrival_rng, lam):
+        if a > horizon:
+            break
+        n_arrivals += 1
+        if a < free_at:
             if trace is not None:
-                trace.append((a, "arrival", sensor, a))
-            if dep <= horizon:
-                deps.append(dep)
-                gens.append(a)
+                trace.append((a, "blocked", sensor, a))
+            continue
+        free_at = dep = a + next(services)
+        if trace is not None:
+            trace.append((a, "arrival", sensor, a))
+        if dep <= horizon:
+            deps.append(dep)
+            gens.append(a)
+    if trace is not None:
+        trace.extend((d, "delivery", sensor, g) for d, g in zip(deps, gens))
+    return deps, gens, n_arrivals
 
 
-def _preemptive_pair_trial(lam, mu, horizon, seed, trial, trace):
-    """One source feeding two preemptive servers; returns (deliveries,
-    generations, events processed). Delivery order is nondecreasing."""
-    arrival_rng = _rng(seed, trial, 0)
-    service_rng = _rng(seed, trial, 1)
-    arr_scale = 1.0 / lam
-    svc_scale = 1.0 / mu
+def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
+    """One source feeding two preemptive servers; delivery order is
+    nondecreasing."""
+    services = _service_times(service_rng, mu)
     deps: list[float] = []
     gens: list[float] = []
-    svc_buf: list[float] = []
-    svc_i = 0
     n_arrivals = 0
     dep0 = dep1 = _INF
     gen0 = gen1 = 0.0
-    base = 0.0
-    finished = False
-    while not finished:
-        block = arrival_rng.exponential(arr_scale, _DRAW_BLOCK)
-        np.cumsum(block, out=block)
-        block += base
-        base = float(block[-1])
-        for a in block.tolist():
-            if a > horizon:
-                finished = True
-                break
-            # departures due up to this arrival happen first
-            while True:
-                if dep0 <= dep1:
-                    if dep0 > a or dep0 > horizon:
-                        break
-                    deps.append(dep0)
-                    gens.append(gen0)
-                    if trace is not None:
-                        trace.append((dep0, "delivery", 1, gen0))
-                    dep0 = _INF
-                else:
-                    if dep1 > a or dep1 > horizon:
-                        break
-                    deps.append(dep1)
-                    gens.append(gen1)
-                    if trace is not None:
-                        trace.append((dep1, "delivery", 2, gen1))
-                    dep1 = _INF
-            n_arrivals += 1
-            if svc_i == len(svc_buf):
-                svc_buf = service_rng.exponential(svc_scale, _DRAW_BLOCK).tolist()
-                svc_i = 0
-            service = svc_buf[svc_i]
-            svc_i += 1
-            if dep0 == _INF:
-                kind, server = "arrival", 1
-                gen0, dep0 = a, a + service
-            elif dep1 == _INF:
-                kind, server = "arrival", 2
-                gen1, dep1 = a, a + service
-            elif gen0 <= gen1:
-                kind, server = "preempt", 1
-                gen0, dep0 = a, a + service
+    for a in _arrival_times(arrival_rng, lam):
+        # departures due up to this arrival, or up to the horizon once the
+        # arrivals have passed it, happen first
+        until = a if a <= horizon else horizon
+        while True:
+            if dep0 <= dep1:
+                if dep0 > until:
+                    break
+                deps.append(dep0)
+                gens.append(gen0)
+                if trace is not None:
+                    trace.append((dep0, "delivery", 1, gen0))
+                dep0 = _INF
             else:
-                kind, server = "preempt", 2
-                gen1, dep1 = a, a + service
-            if trace is not None:
-                trace.append((a, kind, server, a))
-    while True:
-        if dep0 <= dep1:
-            if dep0 > horizon:
-                break
-            deps.append(dep0)
-            gens.append(gen0)
-            if trace is not None:
-                trace.append((dep0, "delivery", 1, gen0))
-            dep0 = _INF
+                if dep1 > until:
+                    break
+                deps.append(dep1)
+                gens.append(gen1)
+                if trace is not None:
+                    trace.append((dep1, "delivery", 2, gen1))
+                dep1 = _INF
+        if a > horizon:
+            return deps, gens, n_arrivals
+        n_arrivals += 1
+        service = next(services)
+        if dep0 == _INF:
+            kind, server = "arrival", 1
+            gen0, dep0 = a, a + service
+        elif dep1 == _INF:
+            kind, server = "arrival", 2
+            gen1, dep1 = a, a + service
+        elif gen0 <= gen1:
+            kind, server = "preempt", 1
+            gen0, dep0 = a, a + service
         else:
-            if dep1 > horizon:
-                break
-            deps.append(dep1)
-            gens.append(gen1)
-            if trace is not None:
-                trace.append((dep1, "delivery", 2, gen1))
-            dep1 = _INF
-    return deps, gens, n_arrivals + len(deps)
+            kind, server = "preempt", 2
+            gen1, dep1 = a, a + service
+        if trace is not None:
+            trace.append((a, kind, server, a))
 
 
 def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
@@ -395,17 +331,16 @@ def _summarize(values, events: int) -> SimResult:
 
 
 def _write_trace(trace_dir, trial: int, events) -> None:
-    """Dump one trial's event trace as CSV, with the post-event monitor age
-    recomputed by a direct sawtooth walk."""
+    """Dump one trial's event trace as CSV. The post-event monitor age is
+    ``t`` minus the running maximum of delivered generation times, the
+    filter rule :func:`time_average_age` integrates."""
     events.sort(key=lambda row: row[0])
-    monitor = MonitorState()
+    held = 0.0
     lines = [_TRACE_HEADER]
     for t, kind, sensor, gen in events:
-        if kind == "delivery":
-            monitor.deliver(t, gen)
-        else:
-            monitor.advance(t)
-        lines.append(f"{t!r},{kind},{sensor},{gen!r},{monitor.age!r}")
+        if kind == "delivery" and gen > held:
+            held = gen
+        lines.append(f"{t!r},{kind},{sensor},{gen!r},{t - held!r}")
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)
     (path / f"trial_{trial:03d}.csv").write_text("\n".join(lines) + "\n")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aoi_shs.cli import ComparisonRow, main
+from aoi_shs.cli import main
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
     CONDITION_LIMIT,
@@ -232,6 +232,18 @@ class TestSweep:
         assert out == ""
         assert f"{argv[1]}: grid count must be an integer" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("sweep-fig3", "--grid-l1", "1", "inf", "3"),
+        ("sweep-fig3", "--grid-m2", "nan", "1.8", "2"),
+        ("compare-fig4", "--grid-lambda", "0.2", "inf", "2"),
+    ])
+    def test_non_finite_grid_endpoint_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{argv[1]}: grid endpoints must be positive and finite" in err
+
 
 class TestCompare:
     def test_pinned_header_and_shape(self, capsys):
@@ -260,12 +272,6 @@ class TestCompare:
         row = json.loads(out)[0]
         assert row["theory_two_sensor"] == pytest.approx(677 / 324, rel=1e-14)
 
-    def test_comparison_row_relative_gap(self):
-        row = ComparisonRow(1.0, 2.0, 2.1, 0.01, 2.5, 0.01, 1.8, 0.01)
-        assert row.relative_gap == pytest.approx(0.05)
-        no_theory = ComparisonRow(1.0, None, 2.1, 0.01, 2.5, 0.01, 1.8, 0.01)
-        assert no_theory.relative_gap is None
-
 
 class TestExportModel:
     def test_round_trip_into_solver(self, capsys, tmp_path):
@@ -282,6 +288,31 @@ class TestExportModel:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("theory", "--l1", "inf", "--l2", "1", "--m", "1"),
+                     "--l1 must be finite, got inf", id="theory-l1-inf"),
+        pytest.param(("theory", "--l1", "1", "--l2", "1", "--m1", "1", "--m2", "-2"),
+                     "--m2 must be positive, got -2.0", id="theory-m2-negative"),
+        pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "nan"),
+                     "--m must be finite, got nan", id="simulate-m-nan"),
+        pytest.param(("simulate", "--model", "two_sensor", "--l1", "1", "--l2", "0",
+                      "--m", "1"),
+                     "--l2 must be positive, got 0.0", id="simulate-l2-zero"),
+        pytest.param(("sweep-fig3", "--l2", "inf"),
+                     "--l2 must be finite, got inf", id="sweep-l2-inf"),
+        pytest.param(("sweep-fig3", "--m1", "-1"),
+                     "--m1 must be positive, got -1.0", id="sweep-m1-negative"),
+        pytest.param(("compare-fig4", "--m", "nan"),
+                     "--m must be finite, got nan", id="compare-m-nan"),
+        pytest.param(("export-model", "--l1", "1", "--l2", "1", "--m1", "inf", "--m2", "1"),
+                     "--m1 must be finite, got inf", id="export-m1-inf"),
+    ])
+    def test_bad_rate_flag_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"
         code, _, err = run(capsys, "theory", "--m", "1", "--method", "zero_wait",
