@@ -8,6 +8,11 @@ Subcommands
     compare-fig4  three-way comparison table over an arrival-rate grid
     export-model  JSON dump of the nine-state chain for given rates
 
+Which rate flags each theory method, simulate model and subcommand reads is
+declared once, in ``_READS``. ``--m`` sets ``--m1`` and ``--m2``; where one
+service rate is read, ``--m1`` is an alias of ``--m``. A rate flag the
+variant does not read is a usage error, not silently dropped.
+
 Every output is schema-stable (fixed column order and field names) and fully
 determined by the flags plus --seed; see the README for the schemas.
 Exit codes: 0 success, 2 usage error, 1 runtime error.
@@ -16,6 +21,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -36,7 +42,18 @@ _SIMULATE_HEADER = (
     "model,l1,l2,m1,m2,horizon,trials,seed,warmup,"
     "mean_aoi,stderr,ci95_halfwidth,events_processed"
 )
-_RATE_FLAGS = ("l1", "l2", "m1", "m2", "m")
+
+#: The rate flags each theory method, simulate model and subcommand reads;
+#: ``m`` is one service rate (``--m``, or ``--m1`` as its alias).
+_READS = {
+    **dict.fromkeys(("general", "eq16", "eq17", "two_sensor", "export-model"),
+                    ("l1", "l2", "m1", "m2")),
+    "zero_wait": ("m",),
+    "mm11": ("l1", "m"),
+    "mm2p": ("l1", "m"),
+    "sweep-fig3": ("l2", "m1"),
+    "compare-fig4": ("m",),
+}
 
 
 class UsageError(ValueError):
@@ -114,18 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _DISPATCH[args.command]
     try:
-        _check_rate_flags(args)
-        text = handler(args)
-        _emit(text, args.out)
+        _emit(_DISPATCH[args.command](args, _rates(args)), args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except shs_core.IllConditionedSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (shs_core.IllConditionedSystemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -182,14 +193,6 @@ def _grid(spec, name: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
-def _service_rates(args):
-    if args.m is not None:
-        if args.m1 is not None or args.m2 is not None:
-            raise UsageError("pass either --m or --m1/--m2, not both")
-        return args.m, args.m
-    return args.m1, args.m2
-
-
 def _sim_config(args) -> des_sim.SimConfig:
     return des_sim.SimConfig(
         horizon=args.horizon,
@@ -204,45 +207,51 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _check_rate_flags(args) -> None:
-    """Every rate flag the subcommand has must be positive and finite."""
-    for flag in _RATE_FLAGS:
+def _rates(args) -> dict:
+    """The ``{l1, l2, m1, m2}`` rates the command's variant reads, None where
+    it reads none; one service rate is reported as ``m1``.
+
+    Every typed rate flag must be finite, then positive; ``--m`` excludes
+    ``--m1``/``--m2``; then a typed flag the variant does not read and a
+    flag it reads but was not given are usage errors.
+    """
+    variant = getattr(args, "method", None) or getattr(args, "model", None) or args.command
+    label = {"theory": "method ", "simulate": "model "}.get(args.command, "") + variant
+    typed = {}
+    for flag in ("l1", "l2", "m1", "m2", "m"):
         value = getattr(args, flag, None)
         if value is not None:
             _require(math.isfinite(value), f"--{flag} must be finite, got {value!r}")
             _require(value > 0, f"--{flag} must be positive, got {value!r}")
+            typed[flag] = value
+    reads = _READS[variant]
+    if "m" in typed:
+        _require("m1" not in typed and "m2" not in typed,
+                 "pass either --m or --m1/--m2, not both")
+        if "m" not in reads:
+            typed["m1"] = typed["m2"] = typed.pop("m")
+    elif "m" in reads and "m1" in typed:
+        typed["m"] = typed.pop("m1")
+    unread = ", ".join(f"--{flag}" for flag in typed if flag not in reads)
+    _require(not unread, f"{label} does not read {unread}")
+    missing = ", ".join(f"--{flag}" for flag in reads if flag not in typed)
+    _require(not missing, f"{label} requires {missing}")
+    return {"l1": typed.get("l1"), "l2": typed.get("l2"),
+            "m1": typed.get("m1", typed.get("m")), "m2": typed.get("m2")}
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_theory(args) -> str:
-    m1, m2 = _service_rates(args)
-    l1, l2 = args.l1, args.l2
+def _cmd_theory(args, rates) -> str:
     method = args.method
-
-    if method == "zero_wait":
-        _require(m1 is not None or m2 is not None,
-                 "method zero_wait requires --m (or --m1/--m2)")
-        _require(m1 is None or m2 is None or m1 == m2,
-                 "method zero_wait requires equal service rates: --m1 == --m2 (or use --m)")
-        mu = m1 if m1 is not None else m2
-        value = two_sensor.zero_wait_limit(mu)
-        return _theory_scalar(args, method, None, None, mu, mu, value)
-
-    _require(l1 is not None and l2 is not None,
-             f"method {method} requires --l1 and --l2")
-    _require(m1 is not None and m2 is not None,
-             f"method {method} requires service rates (--m1/--m2 or --m)")
-
+    l1, l2, m1, m2 = rates.values()
     if method == "general":
-        breakdown = two_sensor.average_aoi_general(
-            two_sensor.TwoSensorParams(l1, l2, m1, m2)
-        )
+        breakdown = two_sensor.average_aoi_general(two_sensor.TwoSensorParams(l1, l2, m1, m2))
         if args.format == "json":
             return _json({
                 "method": method,
-                "params": {"l1": l1, "l2": l2, "m1": m1, "m2": m2},
+                "params": rates,
                 "average_aoi": breakdown.average_aoi,
                 "stationary": breakdown.stationary.probs.tolist(),
                 "correlations": breakdown.correlations.vectors.tolist(),
@@ -260,7 +269,10 @@ def _cmd_theory(args) -> str:
         ]
         return _csv(_THEORY_BREAKDOWN_HEADER, rows)
 
-    if method == "eq16":
+    if method == "zero_wait":
+        rates["m2"] = m1  # the limit holds for two channels of one service rate
+        value = two_sensor.zero_wait_limit(m1)
+    elif method == "eq16":
         _require(m1 == m2,
                  "method eq16 requires equal service rates: --m1 == --m2 (or use --m)")
         value = two_sensor.average_aoi_equal_service(l1, l2, m1)
@@ -269,50 +281,27 @@ def _cmd_theory(args) -> str:
         _require(m1 == m2,
                  "method eq17 requires equal service rates: --m1 == --m2 (or use --m)")
         value = two_sensor.average_aoi_symmetric(l1, m1)
-    return _theory_scalar(args, method, l1, l2, m1, m2, value)
-
-
-def _theory_scalar(args, method, l1, l2, m1, m2, value) -> str:
     if args.format == "json":
-        return _json({
-            "method": method,
-            "params": {"l1": l1, "l2": l2, "m1": m1, "m2": m2},
-            "average_aoi": value,
-        })
-    return _csv(_THEORY_SCALAR_HEADER, [(l1, l2, m1, m2, method, value)])
+        return _json({"method": method, "params": rates, "average_aoi": value})
+    return _csv(_THEORY_SCALAR_HEADER, [(*rates.values(), method, value)])
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args, rates) -> str:
     config = _sim_config(args)
-    m1, m2 = _service_rates(args)
     model = args.model
     if model == "two_sensor":
-        _require(args.l1 is not None and args.l2 is not None,
-                 "model two_sensor requires --l1 and --l2")
-        _require(m1 is not None and m2 is not None,
-                 "model two_sensor requires service rates (--m1/--m2 or --m)")
-        params = {"l1": args.l1, "l2": args.l2, "m1": m1, "m2": m2}
         result = des_sim.simulate_two_sensor(
-            two_sensor.TwoSensorParams(args.l1, args.l2, m1, m2),
-            config, args.trace_dir,
+            two_sensor.TwoSensorParams(*rates.values()), config, args.trace_dir
         )
     else:
-        _require(args.l1 is not None, f"model {model} requires --l1 (arrival rate)")
-        _require(m1 is not None, f"model {model} requires --m (service rate)")
-        params = {"l1": args.l1, "l2": None, "m1": m1, "m2": None}
         runner = des_sim.simulate_mm11 if model == "mm11" else des_sim.simulate_mm2_preemptive
-        result = runner(args.l1, m1, config, args.trace_dir)
+        result = runner(rates["l1"], rates["m1"], config, args.trace_dir)
 
     if args.format == "json":
         return _json({
             "model": model,
-            "params": params,
-            "config": {
-                "horizon": config.horizon,
-                "num_trials": config.num_trials,
-                "seed": config.seed,
-                "warmup": config.warmup,
-            },
+            "params": rates,
+            "config": dataclasses.asdict(config),
             "mean_aoi": result.mean_aoi,
             "trial_values": list(result.trial_values),
             "stderr": result.stderr,
@@ -320,18 +309,17 @@ def _cmd_simulate(args) -> str:
             "events_processed": result.events_processed,
         })
     row = (
-        model, params["l1"], params["l2"], params["m1"], params["m2"],
-        config.horizon, config.num_trials, config.seed, config.warmup,
+        model, *rates.values(), config.horizon, config.num_trials, config.seed, config.warmup,
         result.mean_aoi, result.stderr, result.ci95_halfwidth,
         result.events_processed,
     )
     return _csv(_SIMULATE_HEADER, [row])
 
 
-def _cmd_sweep_fig3(args) -> str:
+def _cmd_sweep_fig3(args, rates) -> str:
     config = _sim_config(args)
     points = [
-        (l1, args.l2, args.m1, m2)
+        (l1, rates["l2"], rates["m1"], m2)
         for l1 in _grid(args.grid_l1, "--grid-l1")
         for m2 in _grid(args.grid_m2, "--grid-m2")
     ]
@@ -347,9 +335,9 @@ def _cmd_sweep_fig3(args) -> str:
     return _table(args.format, _FIG3_HEADER, rows)
 
 
-def _cmd_compare_fig4(args) -> str:
+def _cmd_compare_fig4(args, rates) -> str:
     config = _sim_config(args)
-    mu = args.m
+    mu = rates["m1"]
     rows = []
     for lam in _grid(args.grid_lambda, "--grid-lambda"):
         # the two-sensor column splits the arrival rate across the sensors
@@ -366,15 +354,8 @@ def _cmd_compare_fig4(args) -> str:
     return _table(args.format, _FIG4_HEADER, rows)
 
 
-def _cmd_export_model(args) -> str:
-    m1, m2 = _service_rates(args)
-    _require(args.l1 is not None and args.l2 is not None,
-             "export-model requires --l1 and --l2")
-    _require(m1 is not None and m2 is not None,
-             "export-model requires service rates (--m1/--m2 or --m)")
-    model = two_sensor.build_two_sensor_chain(
-        two_sensor.TwoSensorParams(args.l1, args.l2, m1, m2)
-    )
+def _cmd_export_model(args, rates) -> str:
+    model = two_sensor.build_two_sensor_chain(two_sensor.TwoSensorParams(*rates.values()))
     return shs_core.model_to_json(model)
 
 

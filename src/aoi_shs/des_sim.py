@@ -83,22 +83,25 @@ class SimResult:
 def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     """Exact time average of the sawtooth age over ``window = (t0, t1)``.
 
-    ``times`` are delivery instants sorted ascending, ``gens`` the matching
-    generation timestamps. Deliveries at or before ``t0`` only precondition
-    the filter state; deliveries past ``t1`` are ignored. ``initial_age`` is
-    the monitor age that would hold at ``t0`` had no listed delivery occurred.
-    Stale deliveries contribute nothing, matching the monitor discipline.
+    ``times`` are finite delivery instants sorted ascending, ``gens`` the
+    matching finite generation timestamps. Deliveries at or before ``t0``
+    only precondition the filter state; deliveries past ``t1`` are ignored.
+    ``initial_age`` is the finite monitor age that would hold at ``t0`` had
+    no listed delivery occurred. Stale deliveries contribute nothing,
+    matching the monitor discipline.
     """
     t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0:
-        raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
-    if initial_age < 0:
-        raise ValueError(f"initial_age must be nonnegative, got {initial_age!r}")
+    if not -_INF < t0 < t1 < _INF:
+        raise ValueError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
+    if not 0 <= initial_age < _INF:
+        raise ValueError(f"initial_age must be nonnegative and finite, got {initial_age!r}")
     times = np.asarray(times, dtype=float)
     gens = np.asarray(gens, dtype=float)
     if times.shape != gens.shape or times.ndim != 1:
         raise ValueError("times and gens must be 1-d arrays of equal length")
     if times.size:
+        if not (np.isfinite(times).all() and np.isfinite(gens).all()):
+            raise ValueError("delivery and generation times must be finite")
         if np.any(np.diff(times) < 0):
             raise ValueError("delivery times must be sorted ascending")
         if np.any(gens > times):
@@ -335,12 +338,12 @@ def _write_trace(trace_dir, trial: int, events) -> None:
     ``t`` minus the running maximum of delivered generation times, the
     filter rule :func:`time_average_age` integrates."""
     events.sort(key=lambda row: row[0])
-    held = 0.0
-    lines = [_TRACE_HEADER]
-    for t, kind, sensor, gen in events:
-        if kind == "delivery" and gen > held:
-            held = gen
-        lines.append(f"{t!r},{kind},{sensor},{gen!r},{t - held!r}")
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / f"trial_{trial:03d}.csv").write_text("\n".join(lines) + "\n")
+    held = 0.0
+    with open(path / f"trial_{trial:03d}.csv", "w") as out:
+        out.write(_TRACE_HEADER + "\n")
+        for t, kind, sensor, gen in events:
+            if kind == "delivery" and gen > held:
+                held = gen
+            out.write(f"{t!r},{kind},{sensor},{gen!r},{t - held!r}\n")

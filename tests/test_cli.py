@@ -22,6 +22,64 @@ FIG3_DEFAULT_SHA256 = "596526c2f8c55376a6963cf2d1737c8d9f5eeef7c8817193776260aac
 FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
 
+SIM_SHORT = ("--horizon", "300", "--trials", "2")
+
+# sha256 of the stdout of valid invocations, recorded before the rate flags
+# each variant reads were declared in one table
+PINNED_OUTPUTS = [
+    pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
+                  "--method", "general", "--format", "csv"),
+                 "f17f29ba9814f497da04d43d7d28c9e6a8a17b8e096833865090cfda9c5b47f2",
+                 id="theory-general-csv"),
+    pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
+                  "--method", "general"),
+                 "ddfa8fb51424a69c01b0e5d5020e5425f9dc562c948421f8daafcabeef0cbe40",
+                 id="theory-general-json"),
+    pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m", "1.2", "--method", "eq16"),
+                 "dfa74edc5a69f8d7e30b25f4aa539a0ead3479466d2f9c06bed2808521b5daed",
+                 id="theory-eq16"),
+    pytest.param(("theory", "--l1", "0.7", "--l2", "0.7", "--m1", "1.1", "--m2", "1.1",
+                  "--method", "eq17"),
+                 "fea18c477df8f1190231672e05d1977eef37ace03bde940fe146fc88c4a30b95",
+                 id="theory-eq17"),
+    pytest.param(("theory", "--method", "zero_wait", "--m", "1"),
+                 "415475a8193954ff3e62791d899e6fe96585d418e3495531591d563782161366",
+                 id="theory-zero-wait-m"),
+    pytest.param(("theory", "--method", "zero_wait", "--m1", "2"),
+                 "0781fcb29c065b16c6915bad45c2b6fe6a87b8434873b0665ccc598c6d9b3fda",
+                 id="theory-zero-wait-m1"),
+    pytest.param(("simulate", "--model", "two_sensor", "--l1", "0.5", "--l2", "0.8",
+                  "--m1", "1", "--m2", "1.4", *SIM_SHORT, "--format", "csv"),
+                 "e375bdb29f93fd0b7c4f115f47f95f9f81f6fc34debd58d2e65cc069885cf7cf",
+                 id="simulate-two_sensor-csv"),
+    pytest.param(("simulate", "--model", "two_sensor", "--l1", "0.5", "--l2", "0.8",
+                  "--m1", "1", "--m2", "1.4", *SIM_SHORT, "--format", "json"),
+                 "54b0f5742f697f2d7f2ec26b5f8664e2c03d97727e5eb4456ffa6da7ff06129a",
+                 id="simulate-two_sensor-json"),
+    pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
+                  "--format", "csv"),
+                 "df7c861e8b08e8c1ab81cba13b130725c5cc1448b9519d447d5180d29bc4b066",
+                 id="simulate-mm11-csv"),
+    pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
+                  "--format", "json"),
+                 "4845ff61014f237d438c014d4b69c997d8cc377bfda0e546fd3d22854774fe28",
+                 id="simulate-mm11-json"),
+    pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
+                  "--format", "csv"),
+                 "8aa8a60dcd0063c07a90b6609c40c041dc718893aac9769d2c95ccb8d850a8ef",
+                 id="simulate-mm2p-csv"),
+    pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
+                  "--format", "json"),
+                 "4264124c88d64dc65c41488e2b34b3b2a30b90351e7fc05f0a1cbd6d0380d5f9",
+                 id="simulate-mm2p-json"),
+    pytest.param(("export-model", "--l1", "0.4", "--l2", "1.1", "--m1", "0.9", "--m2", "1.6"),
+                 "7dc0fa3daa48950f327dcb465648c83d7825903a64970d8f8524f9de1fee6d7e",
+                 id="export-model"),
+    pytest.param(("compare-fig4", "--grid-lambda", "0.5", "2", "2", *SIM_SHORT),
+                 "2d9ae7a8323faf971a3429d360f2202f4a295d3a42a99a58cd4b2d38d8edb28a",
+                 id="compare-fig4"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -313,6 +371,23 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv, flag, variant", [
+        pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--l2", "7",
+                      "--m1", "1", "--m2", "5"), "--l2", "mm11", id="simulate-mm11-l2-m2"),
+        pytest.param(("simulate", "--model", "mm2p", "--l1", "1", "--m1", "1", "--m2", "2"),
+                     "--m2", "mm2p", id="simulate-mm2p-m2"),
+        pytest.param(("theory", "--method", "zero_wait", "--l1", "3", "--m", "1"),
+                     "--l1", "zero_wait", id="theory-zero-wait-l1"),
+        pytest.param(("theory", "--method", "zero_wait", "--m1", "1", "--m2", "1"),
+                     "--m2", "zero_wait", id="theory-zero-wait-m2"),
+    ])
+    def test_unread_rate_flag_rejected(self, capsys, argv, flag, variant):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert variant in err
+
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"
         code, _, err = run(capsys, "theory", "--m", "1", "--method", "zero_wait",
@@ -324,3 +399,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS)
+    def test_stdout_is_pinned(self, capsys, argv, sha256):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256

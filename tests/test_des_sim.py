@@ -104,6 +104,27 @@ class TestTimeAverageAge:
         with pytest.raises(ValueError, match="initial_age"):
             time_average_age([], [], (0.0, 1.0), initial_age=-0.1)
 
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            time_average_age([1.0], [0.5], window)
+
+    @pytest.mark.parametrize("initial_age", [math.nan, math.inf])
+    def test_non_finite_initial_age_rejected(self, initial_age):
+        with pytest.raises(ValueError, match="initial_age"):
+            time_average_age([], [], (0.0, 1.0), initial_age=initial_age)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delivery_time_rejected(self, bad):
+        # a nan delivery time used to pass the sort check
+        with pytest.raises(ValueError, match="finite"):
+            time_average_age([1.0, bad], [0.5, 0.2], (0.0, 3.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_generation_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            time_average_age([1.0, 2.0], [0.5, bad], (0.0, 3.0))
+
     @settings(max_examples=120, deadline=None)
     @given(case=delivery_sequences())
     def test_matches_scalar_walk(self, case):
