@@ -14,19 +14,32 @@ Each system is a list of channels run by one trial runner: the two-sensor
 system has two blocking channels, the single queue one, and the preemptive
 pair is a single channel holding both servers.
 
+A blocking channel runs in renewal form. Arrivals are memoryless, so after
+each departure the wait for the next *accepted* arrival is Exp(lambda), and
+the accepted updates' generation and delivery instants are the running sum
+of alternating waits and services. The arrivals blocked while the channel is
+busy form a Poisson process on the busy time; they change nothing at the
+monitor and are only counted (and, in a trace, placed). This is exact in
+distribution and walks no blocked arrival.
+
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
-draws its arrival process from stream 2k and its service process from stream
-2k+1. Results are therefore bit-identical across runs on one platform, and
-each trial's value is independent of how many trials run alongside it.
-Simultaneous events have probability zero; for determinism, due departures
-are processed before an arrival carrying the same timestamp, lower-indexed
-server first.
+draws from streams 2k and 2k+1. A blocking channel's stream 2k holds the
+accepted-arrival waits, then its blocked count, then the draws only a trace
+uses; stream 2k+1 holds its service times. The preemptive pair draws its
+arrival instants from stream 0 and its service times from stream 1. Results
+are therefore bit-identical across runs on one platform, a traced run gives
+the values of an untraced one, and each trial's value is independent of how
+many trials run alongside it. Simultaneous events have probability zero; for
+determinism, due departures are processed before an arrival carrying the
+same timestamp, lower-indexed server first.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -41,12 +54,22 @@ DEFAULT_SEED = 12345
 #: Exponential variates drawn per generator refill.
 _DRAW_BLOCK = 1 << 14
 
-#: A run is rejected when horizon times the summed rates exceeds this cap.
-MAX_EXPECTED_EVENTS = 5e8
+#: A run is rejected when horizon times the summed rates, the expected
+#: events of one trial, exceeds this cap. Trials run one after another, so
+#: memory follows one trial. Measured peak RSS growth per expected event of
+#: one trial: at most 23 B for the two-sensor system and 25 B for the single
+#: queue, 46 B for the preemptive pair (its worst load, lambda/mu = 2), and
+#: 61 B for that pair with a trace directory. 2e7 * 61 B = 1.2 GB, so every
+#: model stays under 2 GB at the cap with room for the interpreter.
+MAX_EXPECTED_EVENTS = 2e7
 
 _INF = math.inf
 
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
+
+#: Trace row kinds; a trace holds each row's kind as its index here.
+_KINDS = ("arrival", "blocked", "delivery", "preempt")
+_ARRIVAL, _BLOCKED, _DELIVERY = range(3)
 
 
 @dataclass(frozen=True)
@@ -61,12 +84,16 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials!r}")
+        if not (_is_int(self.num_trials) and self.num_trials >= 1):
+            raise ValueError(f"num_trials must be an integer >= 1, got {self.num_trials!r}")
         if not 0 <= self.warmup < 1:
             raise ValueError(f"warmup must lie in [0, 1), got {self.warmup!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,9 +152,9 @@ def simulate_two_sensor(
 ) -> SimResult:
     """Simulate the two-sensor blocking system and average the monitor age.
 
-    Each sensor scans its full Poisson arrival stream; arrivals finding the
-    channel busy are discarded, accepted ones hold the channel for an
-    exponential service time and are delivered to the monitor at completion.
+    Each sensor feeds its own blocking channel: arrivals finding the channel
+    busy are discarded, accepted ones hold the channel for an exponential
+    service time and are delivered to the monitor at completion.
     """
     if not isinstance(params, TwoSensorParams):
         params = TwoSensorParams(*params)
@@ -187,7 +214,9 @@ def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
 
     A channel is a callable ``(arrival_rng, service_rng, trace) ->
     (deliveries, generations, arrivals)``; channel k gets streams 2k and
-    2k+1. Events processed are arrivals plus deliveries.
+    2k+1. ``trace`` is None, or a list to which the channel appends its rows
+    as one column chunk ``(times, kind codes, sensors, generation times)``.
+    Events processed are arrivals plus deliveries.
     """
     values = []
     events = 0
@@ -233,36 +262,52 @@ def _service_times(rng: np.random.Generator, mu: float):
 
 
 def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace):
-    """Scan one channel's arrival stream; deliveries completing past the
-    horizon are dropped."""
-    services = _service_times(service_rng, mu)
-    deps: list[float] = []
-    gens: list[float] = []
-    n_arrivals = 0
-    free_at = 0.0
-    for a in _arrival_times(arrival_rng, lam):
-        if a > horizon:
-            break
-        n_arrivals += 1
-        if a < free_at:
-            if trace is not None:
-                trace.append((a, "blocked", sensor, a))
-            continue
-        free_at = dep = a + next(services)
-        if trace is not None:
-            trace.append((a, "arrival", sensor, a))
-        if dep <= horizon:
-            deps.append(dep)
-            gens.append(a)
+    """One blocking channel in renewal form: accepted updates are the running
+    sum of alternating Exp(lam) waits and Exp(mu) services; deliveries
+    completing past the horizon are dropped, and the blocked arrivals are one
+    Poisson count over the busy time."""
+    blocks = []
+    base = 0.0
+    while base <= horizon:
+        steps = np.empty(2 * _DRAW_BLOCK)
+        steps[0::2] = arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK)
+        steps[1::2] = service_rng.exponential(1.0 / mu, _DRAW_BLOCK)
+        np.cumsum(steps, out=steps)
+        steps += base
+        base = float(steps[-1])
+        blocks.append(steps)
+    instants = np.concatenate(blocks)
+    gens, deps = instants[0::2], instants[1::2]
+    accepted = int(np.searchsorted(gens, horizon, side="right"))
+    kept = int(np.searchsorted(deps, horizon, side="right"))
+    busy = np.minimum(deps[:accepted], horizon) - gens[:accepted]
+    n_blocked = int(arrival_rng.poisson(lam * float(busy.sum())))
     if trace is not None:
-        trace.extend((d, "delivery", sensor, g) for d, g in zip(deps, gens))
-    return deps, gens, n_arrivals
+        blocked = _busy_uniform(arrival_rng, gens[:accepted], busy, n_blocked)
+        trace.append((
+            np.concatenate((gens[:accepted], blocked, deps[:kept])),
+            np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]), (accepted, n_blocked, kept)),
+            np.full(accepted + n_blocked + kept, sensor, dtype=np.int8),
+            np.concatenate((gens[:accepted], blocked, gens[:kept])),
+        ))
+    return deps[:kept], gens[:kept], accepted + n_blocked
+
+
+def _busy_uniform(rng, starts, busy, count):
+    """``count`` sorted instants uniform over the busy intervals
+    ``[starts[i], starts[i] + busy[i])``."""
+    ends = np.cumsum(busy)
+    offsets = np.sort(rng.random(count)) * ends[-1] if count else np.empty(0)
+    index = np.searchsorted(ends, offsets, side="right")
+    begins = np.concatenate(((0.0,), ends[:-1]))
+    return starts[index] + (offsets - begins[index])
 
 
 def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     """One source feeding two preemptive servers; delivery order is
     nondecreasing."""
     services = _service_times(service_rng, mu)
+    record = None if trace is None else _row_recorder(trace)
     deps: list[float] = []
     gens: list[float] = []
     n_arrivals = 0
@@ -278,16 +323,16 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
                     break
                 deps.append(dep0)
                 gens.append(gen0)
-                if trace is not None:
-                    trace.append((dep0, "delivery", 1, gen0))
+                if record is not None:
+                    record(dep0, _DELIVERY, 1, gen0)
                 dep0 = _INF
             else:
                 if dep1 > until:
                     break
                 deps.append(dep1)
                 gens.append(gen1)
-                if trace is not None:
-                    trace.append((dep1, "delivery", 2, gen1))
+                if record is not None:
+                    record(dep1, _DELIVERY, 2, gen1)
                 dep1 = _INF
         if a > horizon:
             return deps, gens, n_arrivals
@@ -305,8 +350,24 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
         else:
             kind, server = "preempt", 2
             gen1, dep1 = a, a + service
-        if trace is not None:
-            trace.append((a, kind, server, a))
+        if record is not None:
+            record(a, _KINDS.index(kind), server, a)
+
+
+def _row_recorder(trace):
+    """Add an empty column chunk to ``trace`` and return a function that
+    appends one row ``(time, kind code, sensor, generation time)`` to it."""
+    columns = (array("d"), array("b"), array("b"), array("d"))
+    trace.append(columns)
+    add_time, add_kind, add_sensor, add_gen = (column.append for column in columns)
+
+    def record(t, kind, sensor, gen):
+        add_time(t)
+        add_kind(kind)
+        add_sensor(sensor)
+        add_gen(gen)
+
+    return record
 
 
 def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
@@ -333,17 +394,26 @@ def _summarize(values, events: int) -> SimResult:
     )
 
 
-def _write_trace(trace_dir, trial: int, events) -> None:
-    """Dump one trial's event trace as CSV. The post-event monitor age is
-    ``t`` minus the running maximum of delivered generation times, the
-    filter rule :func:`time_average_age` integrates."""
-    events.sort(key=lambda row: row[0])
+def _write_trace(trace_dir, trial: int, chunks) -> None:
+    """Dump one trial's event trace as CSV, rows in time order (stable across
+    the channels' column chunks). The post-event monitor age is ``t`` minus
+    the running maximum of delivered generation times, the filter rule
+    :func:`time_average_age` integrates."""
+    times, kinds, sensors, gens = (
+        np.concatenate([np.asarray(chunk[i]) for chunk in chunks]) for i in range(4)
+    )
+    order = np.argsort(times, kind="stable")
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)
     held = 0.0
     with open(path / f"trial_{trial:03d}.csv", "w") as out:
         out.write(_TRACE_HEADER + "\n")
-        for t, kind, sensor, gen in events:
-            if kind == "delivery" and gen > held:
-                held = gen
-            out.write(f"{t!r},{kind},{sensor},{gen!r},{t - held!r}\n")
+        for start in range(0, order.size, _DRAW_BLOCK):
+            rows = order[start:start + _DRAW_BLOCK]
+            for t, kind, sensor, gen in zip(
+                times[rows].tolist(), kinds[rows].tolist(),
+                sensors[rows].tolist(), gens[rows].tolist(),
+            ):
+                if kind == _DELIVERY and gen > held:
+                    held = gen
+                out.write(f"{t!r},{_KINDS[kind]},{sensor},{gen!r},{t - held!r}\n")

@@ -93,3 +93,46 @@ def single_queue_model(lam: float, mu: float) -> ShsModel:
 def single_queue_average_age(lam: float, mu: float) -> float:
     """Known closed form for the single blocking channel."""
     return 1.0 / lam + 2.0 / mu - 1.0 / (lam + mu)
+
+
+def blocking_queue_scan(lam: float, mu: float, horizon: float, rng):
+    """Reference blocking channel that walks every Poisson arrival.
+
+    An arrival finding the channel busy is blocked; an accepted one holds
+    the channel for an Exp(mu) service. Returns the delivery instants that
+    complete by ``horizon``, their generation times, and the number of
+    arrivals by ``horizon`` (accepted plus blocked).
+    """
+    deps, gens = [], []
+    n_arrivals = 0
+    free_at = 0.0
+    a = 0.0
+    while True:
+        a += rng.exponential(1.0 / lam)
+        if a > horizon:
+            return deps, gens, n_arrivals
+        n_arrivals += 1
+        if a < free_at:
+            continue
+        free_at = a + rng.exponential(1.0 / mu)
+        if free_at <= horizon:
+            deps.append(free_at)
+            gens.append(a)
+
+
+def blocking_system_trial(channels, horizon: float, warmup: float, rng):
+    """One trial of blocking channels ``[(lam, mu), ...]`` feeding one
+    filtering monitor, scanned arrival by arrival. Returns the time-averaged
+    age over ``(warmup * horizon, horizon)`` and the events processed
+    (arrivals plus deliveries)."""
+    deliveries = []
+    events = 0
+    for lam, mu in channels:
+        deps, gens, n_arrivals = blocking_queue_scan(lam, mu, horizon, rng)
+        deliveries += zip(deps, gens)
+        events += n_arrivals + len(deps)
+    deliveries.sort()
+    t0 = warmup * horizon
+    value = sawtooth_average_walk(
+        [d for d, _ in deliveries], [g for _, g in deliveries], t0, horizon, initial_age=t0)
+    return value, events

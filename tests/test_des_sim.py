@@ -16,6 +16,7 @@ from aoi_shs.des_sim import (
 )
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
 from oracles import (
+    blocking_system_trial,
     sawtooth_average_grid,
     sawtooth_average_walk,
     single_queue_average_age,
@@ -25,12 +26,13 @@ from oracles import (
 MM2P_REFERENCE = 1.170391540727024
 MM2P_CONFIG = SimConfig(horizon=2e4, num_trials=5, seed=999, warmup=0.01)
 
-# recorded before the three simulators shared one trial runner; at this
-# horizon the arrival and service draws of sensor 1 and of the single queue
-# each run past one draw block
+# recorded when the blocking channels moved to renewal form, after they
+# matched the per-arrival scan of tests/oracles.py; at this horizon the
+# accepted-update draws of sensor 1 and of the single queue each run past
+# one draw block
 PIN_CONFIG = SimConfig(horizon=2e4, num_trials=2, seed=77, warmup=0.02)
-TWO_SENSOR_PIN = ((0.9165668747909197, 0.9216572201225445), 235257)
-MM11_PIN = ((0.8967555520959994, 0.8991452239177874), 221042)
+TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235411)
+MM11_PIN = ((0.899917682916618, 0.8979810116847353), 221077)
 
 TRACE_CONFIG = SimConfig(horizon=200.0, num_trials=2, seed=9, warmup=0.0)
 TRACE_RUNS = {
@@ -39,15 +41,16 @@ TRACE_RUNS = {
     "mm11": lambda trace_dir: simulate_mm11(0.9, 1.2, TRACE_CONFIG, trace_dir),
     "mm2p": lambda trace_dir: simulate_mm2_preemptive(3.0, 1.0, TRACE_CONFIG, trace_dir),
 }
-# sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at TRACE_CONFIG
+# sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at
+# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form)
 TRACE_SHA256 = {
     "two_sensor": (
-        "00f72fb4b108db017741216b740fcf7f0e67dda74edb88637bc5247805a26e95",
-        "b604997aae7d9ca36dbbd6f3520d2b985d378af6a5433ddc90ebb597cdcbe060",
+        "9c81dacc00b59328b0eb92650a0d8039e67af17f8f34b27114deb9ff0578e2c7",
+        "19222519f597bdf1f93863860178c3de49b5212919b5cabec2850b54fafcf9e7",
     ),
     "mm11": (
-        "daefb5d70ef05ef02df0548a0fcf4ea0564bb1a97df5c786bce434ae219cf142",
-        "4b7623c243afb5b65859b6161ed2c4fd8443968fd2c65e0ecb9e81e19ed768a1",
+        "c343b99ccfcc085e0050f6d23c597af079ddb182661e0463b2c32136d19fc11f",
+        "61e06af077c8dcd27da427d55513fc60f3707ab17d3fabd36b1fb6594c64e845",
     ),
     "mm2p": (
         "a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
@@ -154,6 +157,22 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_trials": 2.5},
+        {"num_trials": 3.0},
+        {"num_trials": True},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": None},
+    ])
+    def test_non_integer_trials_and_seed_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SimConfig(num_trials=np.int64(2), seed=np.uint64(7)).seed == 7
 
     def test_event_budget_cap(self):
         config = SimConfig(horizon=1e6, num_trials=1)
@@ -289,3 +308,81 @@ class TestTrace:
         assert "preempt" in kinds
         counted = sum(1 for r in rows if r[1] in ("arrival", "preempt", "delivery"))
         assert counted == len(rows)
+
+
+# the blocking simulators against the per-arrival scan of tests/oracles.py,
+# as the channels (lambda, mu) of one system
+ORACLE_CASES = {
+    "mm11-light": ((1.0, 1.0),),
+    "mm11-saturated": ((4.0, 1.0),),
+    "two_sensor-light": ((0.4, 1.0), (0.6, 1.3)),
+    "two_sensor-saturated": ((2.5, 1.0), (1.5, 0.8)),
+}
+ORACLE_TRIALS = 40
+ORACLE_HORIZON = 2000.0
+ORACLE_WARMUP = 0.01
+ORACLE_SEED = 2024
+
+
+def _simulate_blocking(channels, config):
+    if len(channels) == 1:
+        return simulate_mm11(*channels[0], config)
+    (l1, m1), (l2, m2) = channels
+    return simulate_two_sensor(TwoSensorParams(l1, l2, m1, m2), config)
+
+
+def _mean_and_stderr(values):
+    arr = np.asarray(values, dtype=float)
+    return arr.mean(), arr.std(ddof=1) / math.sqrt(arr.size)
+
+
+class TestRenewalChannel:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_arrival_scan(self, case):
+        channels = ORACLE_CASES[case]
+        # one trial per seed, so that each trial's event count is seen
+        renewal = [
+            _simulate_blocking(channels, SimConfig(
+                horizon=ORACLE_HORIZON, num_trials=1, seed=seed, warmup=ORACLE_WARMUP))
+            for seed in range(ORACLE_TRIALS)
+        ]
+        scanned = [
+            blocking_system_trial(channels, ORACLE_HORIZON, ORACLE_WARMUP,
+                                  np.random.default_rng([ORACLE_SEED, trial]))
+            for trial in range(ORACLE_TRIALS)
+        ]
+        pairs = {
+            "mean age": ([r.mean_aoi for r in renewal], [v for v, _ in scanned]),
+            "events per trial": ([r.events_processed for r in renewal],
+                                 [e for _, e in scanned]),
+        }
+        for name, (fast, slow) in pairs.items():
+            (m_fast, se_fast), (m_slow, se_slow) = _mean_and_stderr(fast), _mean_and_stderr(slow)
+            joint = math.hypot(se_fast, se_slow)
+            assert abs(m_fast - m_slow) <= 4 * joint, (name, m_fast, m_slow, joint)
+
+    @pytest.mark.parametrize("model", ["mm11", "two_sensor"])
+    def test_blocked_rows_inside_busy_intervals(self, tmp_path, model):
+        TRACE_RUNS[model](tmp_path)
+        for path in sorted(tmp_path.glob("trial_*.csv")):
+            _, rows = TestTrace().parse(path)
+            for sensor in {r[2] for r in rows}:
+                mine = [r for r in rows if r[2] == sensor]
+                starts = [r[0] for r in mine if r[1] == "arrival"]
+                delivered = {r[3]: r[0] for r in mine if r[1] == "delivery"}
+                blocked = [r[0] for r in mine if r[1] == "blocked"]
+                assert blocked
+                for b in blocked:
+                    i = np.searchsorted(starts, b) - 1
+                    assert i >= 0
+                    start = starts[i]
+                    # an update still in service at the horizon has no delivery row
+                    end = delivered.get(start, math.nextafter(TRACE_CONFIG.horizon, math.inf))
+                    assert start < b < end
+
+    @pytest.mark.parametrize("model", sorted(TRACE_RUNS))
+    def test_traced_run_matches_untraced(self, tmp_path, model):
+        traced = TRACE_RUNS[model](tmp_path)
+        untraced = TRACE_RUNS[model](None)
+        assert traced.trial_values == untraced.trial_values
+        assert traced.events_processed == untraced.events_processed
