@@ -22,6 +22,13 @@ busy form a Poisson process on the busy time; they change nothing at the
 monitor and are only counted (and, in a trace, placed). This is exact in
 distribution and walks no blocked arrival.
 
+The preemptive pair runs on arrays as well. Every arrival enters service,
+and update m-1 is still in service at arrival m iff its delivery instant
+``a[m-1] + s[m-1]`` lies past ``a[m]``; such a busy arrival replaces the
+older update in service, if any. So update k is delivered iff its delivery
+instant falls by the horizon and by the first busy arrival from k+2 on. This
+makes the draws of a per-arrival walk and gives its results bit for bit.
+
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
 draws from streams 2k and 2k+1. A blocking channel's stream 2k holds the
@@ -32,17 +39,16 @@ are therefore bit-identical across runs on one platform, a traced run gives
 the values of an untraced one, and each trial's value is independent of how
 many trials run alongside it. Simultaneous events have probability zero; for
 determinism, due departures are processed before an arrival carrying the
-same timestamp, lower-indexed server first.
+same timestamp, and equal delivery instants keep the channel order and,
+within the pair, the arrival order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +64,10 @@ _DRAW_BLOCK = 1 << 14
 #: events of one trial, exceeds this cap. Trials run one after another, so
 #: memory follows one trial. Measured peak RSS growth per expected event of
 #: one trial: at most 23 B for the two-sensor system and 25 B for the single
-#: queue, 46 B for the preemptive pair (its worst load, lambda/mu = 2), and
-#: 61 B for that pair with a trace directory. 2e7 * 61 B = 1.2 GB, so every
-#: model stays under 2 GB at the cap with room for the interpreter.
+#: queue; for the preemptive pair over lambda/mu from 0.25 to 50, at most
+#: 29 B (lambda/mu = 2) and 54 B with a trace directory (lambda/mu = 4).
+#: 2e7 * 54 B = 1.1 GB, so every model stays under 2 GB at the cap with room
+#: for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 _INF = math.inf
@@ -69,7 +76,7 @@ _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
 
 #: Trace row kinds; a trace holds each row's kind as its index here.
 _KINDS = ("arrival", "blocked", "delivery", "preempt")
-_ARRIVAL, _BLOCKED, _DELIVERY = range(3)
+_ARRIVAL, _BLOCKED, _DELIVERY, _PREEMPT = range(4)
 
 
 @dataclass(frozen=True)
@@ -82,18 +89,18 @@ class SimConfig:
     warmup: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not (_is_a(numbers.Real, self.horizon) and 0 < self.horizon < _INF):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not (_is_int(self.num_trials) and self.num_trials >= 1):
+        if not (_is_a(numbers.Integral, self.num_trials) and self.num_trials >= 1):
             raise ValueError(f"num_trials must be an integer >= 1, got {self.num_trials!r}")
-        if not 0 <= self.warmup < 1:
+        if not (_is_a(numbers.Real, self.warmup) and 0 <= self.warmup < 1):
             raise ValueError(f"warmup must lie in [0, 1), got {self.warmup!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+        if not (_is_a(numbers.Integral, self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_a(kind, value) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,10 @@ def simulate_mm2_preemptive(
 
     An arrival takes an idle server if any; otherwise it replaces the
     in-service update with the older generation time (the replaced update is
-    lost). Service times are drawn at service start.
+    lost). Arrival i is served for the i-th service draw. No arrival is
+    walked: update k is delivered iff it completes by the horizon and by the
+    first arrival from k+2 on that finds the update before it in service;
+    draws and results are those of a per-arrival walk, bit for bit.
     """
     _require_positive(lam=lam, mu=mu)
     _check_event_budget(config.horizon, lam + 2 * mu)
@@ -238,29 +248,6 @@ def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
     return _summarize(values, events)
 
 
-def _arrival_times(rng: np.random.Generator, lam: float):
-    """Poisson arrival instants, drawn lazily in blocks of ``_DRAW_BLOCK``."""
-
-    def blocks():
-        base = 0.0
-        while True:
-            block = rng.exponential(1.0 / lam, _DRAW_BLOCK)
-            np.cumsum(block, out=block)
-            block += base
-            base = float(block[-1])
-            yield block.tolist()
-
-    return chain.from_iterable(blocks())
-
-
-def _service_times(rng: np.random.Generator, mu: float):
-    """Exponential service times, drawn lazily in blocks of ``_DRAW_BLOCK``."""
-    scale = 1.0 / mu
-    return chain.from_iterable(
-        iter(lambda: rng.exponential(scale, _DRAW_BLOCK).tolist(), None)
-    )
-
-
 def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace):
     """One blocking channel in renewal form: accepted updates are the running
     sum of alternating Exp(lam) waits and Exp(mu) services; deliveries
@@ -304,75 +291,87 @@ def _busy_uniform(rng, starts, busy, count):
 
 
 def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
-    """One source feeding two preemptive servers; delivery order is
-    nondecreasing."""
-    services = _service_times(service_rng, mu)
-    record = None if trace is None else _row_recorder(trace)
-    deps: list[float] = []
-    gens: list[float] = []
-    n_arrivals = 0
-    dep0 = dep1 = _INF
-    gen0 = gen1 = 0.0
-    for a in _arrival_times(arrival_rng, lam):
-        # departures due up to this arrival, or up to the horizon once the
-        # arrivals have passed it, happen first
-        until = a if a <= horizon else horizon
-        while True:
-            if dep0 <= dep1:
-                if dep0 > until:
-                    break
-                deps.append(dep0)
-                gens.append(gen0)
-                if record is not None:
-                    record(dep0, _DELIVERY, 1, gen0)
-                dep0 = _INF
-            else:
-                if dep1 > until:
-                    break
-                deps.append(dep1)
-                gens.append(gen1)
-                if record is not None:
-                    record(dep1, _DELIVERY, 2, gen1)
-                dep1 = _INF
-        if a > horizon:
-            return deps, gens, n_arrivals
-        n_arrivals += 1
-        service = next(services)
-        if dep0 == _INF:
-            kind, server = "arrival", 1
-            gen0, dep0 = a, a + service
-        elif dep1 == _INF:
-            kind, server = "arrival", 2
-            gen1, dep1 = a, a + service
-        elif gen0 <= gen1:
-            kind, server = "preempt", 1
-            gen0, dep0 = a, a + service
-        else:
-            kind, server = "preempt", 2
-            gen1, dep1 = a, a + service
-        if record is not None:
-            record(a, _KINDS.index(kind), server, a)
+    """One source feeding two preemptive servers, on arrays (see the module
+    docstring): ``busy[m]`` iff update m-1 is in service at arrival m."""
+    arrivals = _arrival_instants(arrival_rng, lam, horizon)
+    n = int(np.searchsorted(arrivals, horizon, side="right"))
+    a = arrivals[:n]
+    d = service_rng.exponential(1.0 / mu, n)
+    d += a
+    busy = np.zeros(n + 2, dtype=bool)
+    np.greater(d[:-1], a[1:], out=busy[1:n])
+    # limit[j]: the instant of the first busy arrival at or after j, or the
+    # horizon if there is none
+    limit = np.full(n + 2, float(horizon))
+    np.copyto(limit[:n], a, where=busy[:n])
+    np.minimum.accumulate(limit[::-1], out=limit[::-1])
+    kept = np.flatnonzero(d <= limit[2:])
+    del limit
+    kept = kept[np.argsort(d[kept], kind="stable")]
+    if trace is not None:
+        trace.append(_pair_rows(a, d, busy, kept))
+    return d[kept], a[kept], n
 
 
-def _row_recorder(trace):
-    """Add an empty column chunk to ``trace`` and return a function that
-    appends one row ``(time, kind code, sensor, generation time)`` to it."""
-    columns = (array("d"), array("b"), array("b"), array("d"))
-    trace.append(columns)
-    add_time, add_kind, add_sensor, add_gen = (column.append for column in columns)
+def _arrival_instants(rng, lam, horizon):
+    """Poisson arrival instants up to the first one past ``horizon``: each
+    ``_DRAW_BLOCK`` block of Exp(lam) gaps is cumsummed and carried on from
+    the last instant of the block before."""
+    blocks = []
+    base = 0.0
+    while base <= horizon:
+        block = rng.exponential(1.0 / lam, _DRAW_BLOCK)
+        np.cumsum(block, out=block)
+        block += base
+        base = float(block[-1])
+        blocks.append(block)
+    return np.concatenate(blocks)
 
-    def record(t, kind, sensor, gen):
-        add_time(t)
-        add_kind(kind)
-        add_sensor(sensor)
-        add_gen(gen)
 
-    return record
+def _pair_rows(a, d, busy, kept):
+    """Trace columns of the preemptive pair: kept deliveries, then arrivals.
+
+    Update k leaves the servers before arrival ``exits[k]``: the one after
+    the arrival that preempts it, or the first at or after its delivery.
+    Arrival m finds an older update in service iff some k <= m-2 exits after
+    m; two servers hold at most one such update. An arrival takes the other
+    server than update m-1 if that one is busy, the same server if only an
+    older update is in service, and server 1 if both are idle."""
+    n = a.size
+    index = np.arange(n + 2, dtype=np.int32)
+    # next_busy[j]: the first busy arrival at or after j, or n if none
+    next_busy = np.where(busy, index, n)
+    np.minimum.accumulate(next_busy[::-1], out=next_busy[::-1])
+    exits = np.searchsorted(a, d, side="left").astype(np.int32)
+    np.minimum(exits, next_busy[2:] + 1, out=exits)
+    del next_busy
+    np.maximum.accumulate(exits, out=exits)
+    index, busy = index[:n], busy[:n]
+    older = np.zeros(n, dtype=bool)
+    np.greater(exits[:-2], index[2:], out=older[2:])
+    del exits
+    preempt = busy & older
+    flips = np.cumsum(busy, dtype=np.int32)
+    # server 1 again at every arrival that finds both servers idle
+    older |= busy
+    index[older] = 0
+    np.maximum.accumulate(index, out=index)
+    server = flips - flips[index]
+    del flips, index
+    server &= 1
+    server = server.astype(np.int8) + 1
+    kinds = np.where(preempt, np.int8(_PREEMPT), np.int8(_ARRIVAL))
+    return (
+        np.concatenate((d[kept], a)),
+        np.concatenate((np.full(kept.size, _DELIVERY, dtype=np.int8), kinds)),
+        np.concatenate((server[kept], server)),
+        np.concatenate((a[kept], a)),
+    )
 
 
 def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
-    deps = np.concatenate([np.asarray(lst, dtype=float) for lst in dep_lists])
-    gens = np.concatenate([np.asarray(lst, dtype=float) for lst in gen_lists])
+    deps = np.concatenate(dep_lists)
+    gens = np.concatenate(gen_lists)
     order = np.argsort(deps, kind="stable")
     t0 = config.warmup * config.horizon
     # monitor age is zero at time zero, hence equals t0 at the window start
@@ -400,7 +399,7 @@ def _write_trace(trace_dir, trial: int, chunks) -> None:
     the running maximum of delivered generation times, the filter rule
     :func:`time_average_age` integrates."""
     times, kinds, sensors, gens = (
-        np.concatenate([np.asarray(chunk[i]) for chunk in chunks]) for i in range(4)
+        np.concatenate([chunk[i] for chunk in chunks]) for i in range(4)
     )
     order = np.argsort(times, kind="stable")
     path = Path(trace_dir)

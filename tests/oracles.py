@@ -136,3 +136,58 @@ def blocking_system_trial(channels, horizon: float, warmup: float, rng):
     value = sawtooth_average_walk(
         [d for d, _ in deliveries], [g for _, g in deliveries], t0, horizon, initial_age=t0)
     return value, events
+
+
+def preemptive_pair_scan(lam: float, mu: float, horizon: float, arrival_rng, service_rng,
+                         block: int):
+    """Reference preemptive pair that walks every Poisson arrival.
+
+    Arrival instants come from ``arrival_rng`` in blocks of ``block``
+    Exp(lam) gaps, each block cumsummed and carried on from the last instant
+    of the one before; the i-th arrival takes the i-th Exp(mu) draw of
+    ``service_rng`` as its service. An arrival takes an idle server, server
+    1 first, or else replaces the in-service update generated earlier. Due
+    departures go before an arrival at the same instant, server 1 first.
+
+    Returns the delivery instants by ``horizon`` in the order they happen,
+    their generation times, the number of arrivals by ``horizon``, and the
+    trace rows in the order they happen as columns ``(times, kinds, servers,
+    generation times)``, kinds being ``"arrival"``, ``"preempt"`` or
+    ``"delivery"``.
+    """
+
+    def arrivals():
+        base = 0.0
+        while True:
+            instants = np.cumsum(arrival_rng.exponential(1.0 / lam, block)) + base
+            base = float(instants[-1])
+            yield from instants.tolist()
+
+    rows = ([], [], [], [])
+
+    def record(*row):
+        for column, value in zip(rows, row):
+            column.append(value)
+
+    deps, gens = [], []
+    n_arrivals = 0
+    dep = [np.inf, np.inf]
+    gen = [0.0, 0.0]
+    for a in arrivals():
+        until = min(a, horizon)
+        while min(dep) <= until:
+            server = 0 if dep[0] <= dep[1] else 1
+            deps.append(dep[server])
+            gens.append(gen[server])
+            record(dep[server], "delivery", server + 1, gen[server])
+            dep[server] = np.inf
+        if a > horizon:
+            return deps, gens, n_arrivals, rows
+        service = float(service_rng.exponential(1.0 / mu))
+        n_arrivals += 1
+        if np.inf in dep:
+            kind, server = "arrival", dep.index(np.inf)
+        else:
+            kind, server = "preempt", 0 if gen[0] <= gen[1] else 1
+        gen[server], dep[server] = a, a + service
+        record(a, kind, server + 1, a)

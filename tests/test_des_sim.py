@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoi_shs import des_sim
 from aoi_shs.des_sim import (
     SimConfig,
     simulate_mm11,
@@ -17,6 +18,7 @@ from aoi_shs.des_sim import (
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
 from oracles import (
     blocking_system_trial,
+    preemptive_pair_scan,
     sawtooth_average_grid,
     sawtooth_average_walk,
     single_queue_average_age,
@@ -33,6 +35,8 @@ MM2P_CONFIG = SimConfig(horizon=2e4, num_trials=5, seed=999, warmup=0.01)
 PIN_CONFIG = SimConfig(horizon=2e4, num_trials=2, seed=77, warmup=0.02)
 TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235411)
 MM11_PIN = ((0.899917682916618, 0.8979810116847353), 221077)
+# recorded from the per-arrival loop, before the pair ran on arrays
+MM2P_PIN = ((0.5275269043362499, 0.5275937053441493), 266618)
 
 TRACE_CONFIG = SimConfig(horizon=200.0, num_trials=2, seed=9, warmup=0.0)
 TRACE_RUNS = {
@@ -171,6 +175,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": "5"},
+        {"warmup": "0.1"},
+        {"horizon": True},
+        {"horizon": None},
+        {"warmup": False},
+    ])
+    def test_non_real_horizon_and_warmup_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        config = SimConfig(horizon=np.float64(50.0), warmup=np.float32(0.25))
+        assert (config.horizon, config.warmup) == (50.0, 0.25)
+        assert SimConfig(horizon=np.int64(7)).horizon == 7
+
     def test_numpy_integer_seed_accepted(self):
         assert SimConfig(num_trials=np.int64(2), seed=np.uint64(7)).seed == 7
 
@@ -220,6 +241,10 @@ class TestReproducibility:
     def test_mm11_pinned(self):
         result = simulate_mm11(4.0, 2.5, PIN_CONFIG)
         assert (result.trial_values, result.events_processed) == MM11_PIN
+
+    def test_mm2p_pinned(self):
+        result = simulate_mm2_preemptive(4.0, 2.5, PIN_CONFIG)
+        assert (result.trial_values, result.events_processed) == MM2P_PIN
 
     @pytest.mark.parametrize("model", sorted(TRACE_RUNS))
     def test_trace_files_pinned(self, tmp_path, model):
@@ -386,3 +411,47 @@ class TestRenewalChannel:
         untraced = TRACE_RUNS[model](None)
         assert traced.trial_values == untraced.trial_values
         assert traced.events_processed == untraced.events_processed
+
+
+TRACE_KIND_CODES = {"arrival": 0, "delivery": 2, "preempt": 3}
+
+
+def _time_sorted(columns):
+    order = np.argsort(columns[0], kind="stable")
+    return [np.asarray(column)[order] for column in columns]
+
+
+class TestPreemptivePair:
+    """The array form of the pair against the per-arrival loop of
+    tests/oracles.py, on the same streams: equal bit for bit."""
+
+    def check(self, lam, mu, horizon, seed):
+        streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
+        trace = []
+        deps, gens, n_arrivals = des_sim._preemptive_pair(lam, mu, horizon, *streams, trace)
+        streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
+        ref_deps, ref_gens, ref_arrivals, rows = preemptive_pair_scan(
+            lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
+        assert np.array_equal(deps, ref_deps)
+        assert np.array_equal(gens, ref_gens)
+        assert n_arrivals == ref_arrivals
+        (chunk,) = trace
+        times, kinds, servers, generations = rows
+        ref = (times, [TRACE_KIND_CODES[k] for k in kinds], servers, generations)
+        for column, ref_column in zip(_time_sorted(chunk), _time_sorted(ref)):
+            assert np.array_equal(column, ref_column)
+        return n_arrivals, rows
+
+    @pytest.mark.parametrize("seed", [1, 12345])
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0), (0.3, 2.0), (10.0, 1.0)])
+    def test_matches_per_arrival_loop(self, lam, mu, seed):
+        # the arrivals run past one draw block
+        n_arrivals, rows = self.check(lam, mu, 1.25 * des_sim._DRAW_BLOCK / lam, seed)
+        assert n_arrivals > des_sim._DRAW_BLOCK
+        assert {"arrival", "preempt", "delivery"} <= set(rows[1])
+
+    @pytest.mark.parametrize("seed", [1, 12345])
+    def test_no_arrival_and_one_arrival(self, seed):
+        first, second = np.cumsum(des_sim._rng(seed, 0, 0).exponential(1.0, 2))
+        assert self.check(1.0, 1.0, first / 2, seed)[0] == 0
+        assert self.check(1.0, 1.0, (first + second) / 2, seed)[0] == 1
