@@ -53,6 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .shs_core import _is_a
 from .two_sensor import TwoSensorParams, _require_positive
 
 DEFAULT_SEED = 12345
@@ -97,10 +98,6 @@ class SimConfig:
             raise ValueError(f"warmup must lie in [0, 1), got {self.warmup!r}")
         if not (_is_a(numbers.Integral, self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-def _is_a(kind, value) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -253,17 +250,13 @@ def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace)
     sum of alternating Exp(lam) waits and Exp(mu) services; deliveries
     completing past the horizon are dropped, and the blocked arrivals are one
     Poisson count over the busy time."""
-    blocks = []
-    base = 0.0
-    while base <= horizon:
-        steps = np.empty(2 * _DRAW_BLOCK)
-        steps[0::2] = arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK)
-        steps[1::2] = service_rng.exponential(1.0 / mu, _DRAW_BLOCK)
-        np.cumsum(steps, out=steps)
-        steps += base
-        base = float(steps[-1])
-        blocks.append(steps)
-    instants = np.concatenate(blocks)
+    def steps():
+        out = np.empty(2 * _DRAW_BLOCK)
+        out[0::2] = arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK)
+        out[1::2] = service_rng.exponential(1.0 / mu, _DRAW_BLOCK)
+        return out
+
+    instants = _running_sum(steps, horizon)
     gens, deps = instants[0::2], instants[1::2]
     accepted = int(np.searchsorted(gens, horizon, side="right"))
     kept = int(np.searchsorted(deps, horizon, side="right"))
@@ -293,7 +286,7 @@ def _busy_uniform(rng, starts, busy, count):
 def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     """One source feeding two preemptive servers, on arrays (see the module
     docstring): ``busy[m]`` iff update m-1 is in service at arrival m."""
-    arrivals = _arrival_instants(arrival_rng, lam, horizon)
+    arrivals = _running_sum(lambda: arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK), horizon)
     n = int(np.searchsorted(arrivals, horizon, side="right"))
     a = arrivals[:n]
     d = service_rng.exponential(1.0 / mu, n)
@@ -313,14 +306,14 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     return d[kept], a[kept], n
 
 
-def _arrival_instants(rng, lam, horizon):
-    """Poisson arrival instants up to the first one past ``horizon``: each
-    ``_DRAW_BLOCK`` block of Exp(lam) gaps is cumsummed and carried on from
-    the last instant of the block before."""
+def _running_sum(draw, horizon):
+    """Running sum of the blocks ``draw()`` returns, each cumsummed and
+    carried on from the last sum of the block before, up to the first block
+    whose last sum passes ``horizon``."""
     blocks = []
     base = 0.0
     while base <= horizon:
-        block = rng.exponential(1.0 / lam, _DRAW_BLOCK)
+        block = draw()
         np.cumsum(block, out=block)
         block += base
         base = float(block[-1])

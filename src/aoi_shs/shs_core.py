@@ -17,9 +17,10 @@ Two dense linear solves extract the long-run behaviour:
 Summing a correlation component over all states gives the long-run time
 average of that age process; component 0 is conventionally the monitor age.
 
-The chain's structure is validated once and compiled into one coefficient
-tensor per rate symbol, so a stack of rate vectors yields a stack of systems
-that are solved and guarded together. A single model is a batch of one.
+:func:`build_model` validates a chain once and stores one coefficient row per
+transition, so both systems are linear in the transition rates: a stack of
+rate rows times the coefficients assembles a stack of systems, which are
+solved and guarded together. A single model is a batch of one.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -28,7 +29,10 @@ be shared freely across threads.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +63,12 @@ def _read_only(values, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
+def _is_a(kind, value) -> bool:
+    """``value`` is a ``numbers`` ``kind`` (numpy scalars included), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+class TransitionSpec(NamedTuple):
     """One chain transition: source, destination, rate, and age reset map."""
 
     from_state: int
@@ -70,32 +78,20 @@ class TransitionSpec:
 
 
 @dataclass(frozen=True)
-class _Chain:
-    """Rate-independent structure of a validated chain.
-
-    Transitions carry a rate symbol, an index into the rate vector, instead
-    of a rate. ``balance[k]`` and ``correlation[k]`` hold what one unit of
-    rate ``k`` contributes to the balance system (n, n) and to the
-    correlation system (n * c, n * c), so both systems are linear in the rates.
-    """
-
-    num_states: int
-    num_components: int
-    transitions: tuple[tuple[int, int, int, np.ndarray], ...]
-    slopes: np.ndarray
-    balance: np.ndarray
-    correlation: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShsModel:
-    """Validated chain description; construct through :func:`build_model`."""
+    """Validated, compiled chain; construct through :func:`build_model`.
+
+    ``balance[t]`` and ``correlation[t]`` hold, flattened, what one unit of
+    the rate of transition ``t`` contributes to the balance system (n, n)
+    and to the correlation system (n * c, n * c).
+    """
 
     num_states: int
     num_components: int
     transitions: tuple[TransitionSpec, ...]
     slopes: np.ndarray
-    _chain: _Chain = field(repr=False, compare=False)
+    balance: np.ndarray = field(repr=False, compare=False)
+    correlation: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -129,69 +125,41 @@ class _Solution:
 
 
 def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
-    """Assemble and validate a model.
+    """Assemble, validate and compile a model.
 
-    ``transitions`` may hold :class:`TransitionSpec` instances or plain
-    ``(from_state, to_state, rate, reset_map)`` tuples. Raises ``ValueError``
-    naming the offending transition or state on any violation: nonpositive or
-    non-finite rates, out-of-range state indices, reset-map columns that are
-    not "zero or copy exactly one component", non-binary slopes, or a chain
-    that is not strongly connected.
+    ``transitions`` holds ``(from_state, to_state, rate, reset_map)``
+    tuples, :class:`TransitionSpec` or plain. Counts and state indices must
+    be integers and rates real numbers (numpy scalars included, bools not).
+    Raises ``ValueError`` naming the offending field, transition or state on
+    any violation: a count below 1, a state index that is not an integer or
+    out of range, a rate that is not real, positive and finite, reset-map
+    columns that are not "zero or copy exactly one component", non-binary
+    slopes, or a chain that is not strongly connected.
     """
-    items = [
-        (t.from_state, t.to_state, t.rate, t.reset_map)
-        if isinstance(t, TransitionSpec) else tuple(t)
-        for t in transitions
-    ]
-    rates = []
-    for idx, (frm, to, rate, _) in enumerate(items):
-        rate = float(rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise ValueError(
-                f"transition {idx} ({int(frm)}->{int(to)}): nonpositive rate {rate}"
-            )
-        rates.append(rate)
-    # one rate symbol per transition
-    chain = _compile_chain(
-        num_states, num_components,
-        [(frm, to, idx, amap) for idx, (frm, to, _, amap) in enumerate(items)],
-        slopes, len(items),
-    )
-    specs = tuple(
-        TransitionSpec(frm, to, rate, amap)
-        for (frm, to, _, amap), rate in zip(chain.transitions, rates)
-    )
-    return ShsModel(chain.num_states, chain.num_components, specs, chain.slopes, chain)
-
-
-def _compile_chain(num_states, num_components, transitions, slopes, num_rates) -> _Chain:
-    """Validate a chain's structure and build its per-symbol coefficients.
-
-    ``transitions`` holds ``(from_state, to_state, symbol, reset_map)``
-    tuples with ``0 <= symbol < num_rates``. Raises ``ValueError`` as
-    :func:`build_model` documents for everything but the rates.
-    """
-    num_states = int(num_states)
-    num_components = int(num_components)
-    if num_states < 1:
-        raise ValueError(f"num_states must be >= 1, got {num_states}")
-    if num_components < 1:
-        raise ValueError(f"num_components must be >= 1, got {num_components}")
+    for label, count in (("num_states", num_states), ("num_components", num_components)):
+        if not (_is_a(numbers.Integral, count) and count >= 1):
+            raise ValueError(f"{label} must be an integer >= 1, got {count!r}")
+    n, c = int(num_states), int(num_components)
 
     specs = []
-    for idx, (frm, to, symbol, amap) in enumerate(transitions):
-        frm = int(frm)
-        to = int(to)
+    for idx, (frm, to, rate, amap) in enumerate(transitions):
         for label, state in (("from_state", frm), ("to_state", to)):
-            if not 0 <= state < num_states:
+            if not (_is_a(numbers.Integral, state) and 0 <= state < n):
                 raise ValueError(
-                    f"transition {idx}: {label} {state} out of range [0, {num_states})"
+                    f"transition {idx}: {label} {state!r} is not an integer in [0, {n})"
                 )
-        amap = np.array(amap, dtype=float)
-        if amap.shape != (num_components, num_components):
+        if not _is_a(numbers.Real, rate):
             raise ValueError(
-                f"transition {idx}: reset_map shape {amap.shape} != "
-                f"({num_components}, {num_components})"
+                f"transition {idx} ({frm}->{to}): rate {rate!r} is not a real number"
+            )
+        if not 0.0 < rate < math.inf:
+            raise ValueError(
+                f"transition {idx} ({frm}->{to}): nonpositive rate {float(rate)}"
+            )
+        amap = np.array(amap, dtype=float)
+        if amap.shape != (c, c):
+            raise ValueError(
+                f"transition {idx}: reset_map shape {amap.shape} != ({c}, {c})"
             )
         if not np.isin(amap, (0.0, 1.0)).all():
             raise ValueError(f"transition {idx}: reset_map entries must be 0 or 1")
@@ -203,34 +171,33 @@ def _compile_chain(num_states, num_components, transitions, slopes, num_rates) -
                 f"{int(col_counts[bad])} nonzero entries; at most one allowed"
             )
         amap.setflags(write=False)
-        specs.append((frm, to, int(symbol), amap))
+        specs.append(TransitionSpec(int(frm), int(to), float(rate), amap))
 
     slopes = np.array(slopes, dtype=float)
-    if slopes.shape != (num_states, num_components):
-        raise ValueError(
-            f"slopes shape {slopes.shape} != ({num_states}, {num_components})"
-        )
+    if slopes.shape != (n, c):
+        raise ValueError(f"slopes shape {slopes.shape} != ({n}, {c})")
     if not np.isin(slopes, (0.0, 1.0)).all():
         bad = int(np.argwhere(~np.isin(slopes, (0.0, 1.0)))[0][0])
         raise ValueError(f"slope entries must be 0 or 1 (state {bad})")
     slopes.setflags(write=False)
 
-    _check_irreducible(num_states, specs)
+    _check_irreducible(n, specs)
 
-    n, c = num_states, num_components
-    balance = np.zeros((num_rates, n, n))
-    correlation = np.zeros((num_rates, n * c, n * c))
+    balance = np.zeros((len(specs), n, n))
+    correlation = np.zeros((len(specs), n * c, n * c))
     own = np.arange(c)
-    for frm, to, symbol, amap in specs:
-        balance[symbol, frm, frm] += 1.0
-        balance[symbol, to, frm] -= 1.0
+    for t, (frm, to, _, amap) in enumerate(specs):
+        balance[t, frm, frm] += 1.0
+        balance[t, to, frm] -= 1.0
         # leaving ``frm`` at this rate: v_frm * rate on the diagonal; entering
         # ``to``: (v_frm @ A)[j] = sum_i v_frm[i] A[i, j], hence the transpose
-        correlation[symbol, frm * c + own, frm * c + own] += 1.0
-        correlation[symbol, to * c:(to + 1) * c, frm * c:(frm + 1) * c] -= amap.T
+        correlation[t, frm * c + own, frm * c + own] += 1.0
+        correlation[t, to * c:(to + 1) * c, frm * c:(frm + 1) * c] -= amap.T
+    balance = balance.reshape(len(specs), n * n)
+    correlation = correlation.reshape(len(specs), (n * c) ** 2)
     balance.setflags(write=False)
     correlation.setflags(write=False)
-    return _Chain(n, c, tuple(specs), slopes, balance, correlation)
+    return ShsModel(n, c, tuple(specs), slopes, balance, correlation)
 
 
 def _check_irreducible(num_states: int, specs) -> None:
@@ -283,14 +250,15 @@ def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> np.ndarr
     return cond
 
 
-def _stationary(chain: _Chain, rates: np.ndarray, offset: int):
-    """Stationary stage of :func:`solve_stationary` for a block of rate
-    vectors, shape (B, k); ``offset`` is the index of the block's first point.
-    Returns the probabilities (B, n), condition estimates and max balance
-    residuals (B,).
+def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset: int):
+    """Stationary stage of :func:`solve_stationary` for a block of points:
+    ``weights`` (B, T) holds each point's transition rates and ``rates`` the
+    rows that guard messages name; ``offset`` is the index of the block's
+    first point. Returns the probabilities (B, n), condition estimates and
+    max balance residuals (B,).
     """
-    n = chain.num_states
-    balance = np.einsum("bk,kij->bij", rates, chain.balance)
+    n = model.num_states
+    balance = (weights @ model.balance).reshape(-1, n, n)
     system = balance.copy()
     system[:, -1, :] = 1.0
     rhs = np.zeros((n, 1))
@@ -319,14 +287,16 @@ def _stationary(chain: _Chain, rates: np.ndarray, offset: int):
     return probs, cond, residual
 
 
-def _correlation(chain: _Chain, rates: np.ndarray, probs: np.ndarray, offset: int):
-    """Correlation stage of :func:`solve_correlation` for a block of rate
-    vectors and their stationary probabilities (B, n). Returns the vectors
-    (B, n, c), condition estimates and max residuals (B,).
+def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
+                 probs: np.ndarray, offset: int):
+    """Correlation stage of :func:`solve_correlation` for a block of points,
+    given as for :func:`_stationary`, and their stationary probabilities
+    (B, n). Returns the vectors (B, n, c), condition estimates and max
+    residuals (B,).
     """
-    n, c = chain.num_states, chain.num_components
-    system = np.einsum("bk,kij->bij", rates, chain.correlation)
-    rhs = (chain.slopes * probs[:, :, None]).reshape(len(rates), n * c, 1)
+    n, c = model.num_states, model.num_components
+    system = (weights @ model.correlation).reshape(-1, n * c, n * c)
+    rhs = (model.slopes * probs[:, :, None]).reshape(len(rates), n * c, 1)
 
     cond = _guard_condition(system, "correlation", rates, offset)
     stacked = np.linalg.solve(system, rhs)
@@ -349,23 +319,29 @@ def _correlation(chain: _Chain, rates: np.ndarray, probs: np.ndarray, offset: in
     return stacked.reshape(len(rates), n, c), cond, residual
 
 
-def _solve(chain: _Chain, rates: np.ndarray) -> _Solution:
+def _solve(model: ShsModel, rates: np.ndarray, columns) -> _Solution:
     """Both solves for every row of an (N, k) rate array, N >= 1.
 
-    Points are solved in blocks of :data:`BATCH_BLOCK`. Rates must already
-    be positive and finite. A point that fails a guard raises
-    :class:`IllConditionedSystemError` naming its index and rates.
+    ``columns`` maps each of the model's T transitions onto a column of
+    ``rates``: point i's transition rates are ``rates[i, columns]``, so a
+    chain whose transitions share a few named rates is solved, and its guard
+    messages are written, in those rates. Points are solved in blocks of
+    :data:`BATCH_BLOCK`. Rates must already be positive and finite. A point
+    that fails a guard raises :class:`IllConditionedSystemError` naming its
+    index and rates.
     """
-    num, n, c = len(rates), chain.num_states, chain.num_components
+    num, n, c = len(rates), model.num_states, model.num_components
     out = _Solution(np.empty((num, n)), np.empty((num, n, c)), np.empty(num),
                     np.empty(num), np.empty(num), np.empty(num))
     for start in range(0, num, BATCH_BLOCK):
         block = slice(start, start + BATCH_BLOCK)
+        rows = rates[block]
+        weights = rows[:, columns]
         (out.probs[block], out.stationary_condition[block],
-         out.stationary_residual[block]) = _stationary(chain, rates[block], start)
+         out.stationary_residual[block]) = _stationary(model, rows, weights, start)
         (out.vectors[block], out.correlation_condition[block],
          out.correlation_residual[block]) = _correlation(
-            chain, rates[block], out.probs[block], start)
+            model, rows, weights, out.probs[block], start)
     for values in vars(out).values():
         values.setflags(write=False)
     return out
@@ -379,7 +355,8 @@ def solve_stationary(model: ShsModel) -> StationaryDistribution:
     the system is solved by dense LU with partial pivoting. The full set of
     balance residuals is re-checked afterwards.
     """
-    probs, _, _ = _stationary(model._chain, _model_rates(model), 0)
+    rates = _model_rates(model)
+    probs, _, _ = _stationary(model, rates, rates, 0)
     return StationaryDistribution(probs=_read_only(probs[0]))
 
 
@@ -395,8 +372,9 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
     are solved as a single dense system. Nonnegativity of the solution is
     verified a posteriori rather than assumed.
     """
+    rates = _model_rates(model)
     probs = np.asarray(pi.probs, dtype=float)[None, :]
-    vectors, _, _ = _correlation(model._chain, _model_rates(model), probs, 0)
+    vectors, _, _ = _correlation(model, rates, rates, probs, 0)
     return CorrelationVectors(vectors=_read_only(vectors[0]))
 
 

@@ -28,7 +28,6 @@ from .shs_core import (  # noqa: F401
     CorrelationVectors,
     ShsModel,
     StationaryDistribution,
-    _compile_chain,
     _solve,
     average_age,
     build_model,
@@ -130,22 +129,21 @@ def _reset_map(kept) -> np.ndarray:
     return amap
 
 
-_CHAIN = _compile_chain(
+# Unit rates stand in at build time; every solve passes its own rates, and
+# _RATE_OF maps a (lambda1, lambda2, mu1, mu2) row onto the transitions.
+_CHAIN = build_model(
     NUM_STATES,
     NUM_COMPONENTS,
-    [(frm, to, _RATE_NAMES.index(name), _reset_map(kept))
-     for (frm, to, name, kept) in _TRANSITIONS],
+    [(frm, to, 1.0, _reset_map(kept)) for (frm, to, _, kept) in _TRANSITIONS],
     _SLOPES,
-    len(_RATE_NAMES),
 )
+_RATE_OF = np.array([_RATE_NAMES.index(name) for (_, _, name, _) in _TRANSITIONS])
 
 
 def build_two_sensor_chain(params: TwoSensorParams) -> ShsModel:
     """Instantiate the nine-state, eighteen-transition chain for ``params``."""
     rates = [getattr(params, name) for name in _RATE_NAMES]
-    transitions = [
-        (frm, to, rates[symbol], amap) for (frm, to, symbol, amap) in _CHAIN.transitions
-    ]
+    transitions = [t._replace(rate=rates[k]) for t, k in zip(_CHAIN.transitions, _RATE_OF)]
     return build_model(NUM_STATES, NUM_COMPONENTS, transitions, _SLOPES)
 
 
@@ -183,7 +181,8 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     Solved as a grid of one point; the breakdown adds the per-state solver
     output and its diagnostics to the value :func:`average_aoi_grid` returns.
     """
-    solution = _solve(_CHAIN, np.array([[getattr(params, name) for name in _RATE_NAMES]]))
+    rates = np.array([[getattr(params, name) for name in _RATE_NAMES]])
+    solution = _solve(_CHAIN, rates, _RATE_OF)
     return AoiBreakdown(
         average_aoi=float(_monitor_ages(solution)[0]),
         stationary=StationaryDistribution(probs=solution.probs[0]),
@@ -216,7 +215,7 @@ def average_aoi_grid(rates) -> np.ndarray:
             f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
             f"and finite, got {float(rates[point, column])!r}"
         )
-    return _monitor_ages(_solve(_CHAIN, rates))
+    return _monitor_ages(_solve(_CHAIN, rates, _RATE_OF))
 
 
 def _monitor_ages(solution) -> np.ndarray:

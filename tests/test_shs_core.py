@@ -94,6 +94,40 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="state 0 unreachable from state 2"):
             build_model(3, 1, transitions, [[1], [1], [1]])
 
+    @pytest.mark.parametrize("num_states, num_components, transitions, message", [
+        pytest.param(2.7, 1, None, "num_states must be an integer", id="float-num-states"),
+        pytest.param(True, 1, None, "num_states must be an integer", id="bool-num-states"),
+        pytest.param(2, 1.0, None, "num_components must be an integer",
+                     id="float-num-components"),
+        pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1.9, 0, 1.0, [[1]])],
+                     r"transition 1: from_state 1\.9 is not an integer", id="float-state"),
+        pytest.param(2, 1, [(0, True, 1.0, [[1]]), (1, 0, 1.0, [[1]])],
+                     "transition 0: to_state True is not an integer", id="bool-state"),
+        pytest.param(2, 1, [(0, 1, True, [[1]]), (1, 0, 1.0, [[1]])],
+                     r"transition 0 \(0->1\): rate True is not a real number", id="bool-rate"),
+        pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, "2.5", [[1]])],
+                     r"transition 1 \(1->0\): rate '2\.5' is not a real number",
+                     id="string-rate"),
+    ])
+    def test_malformed_numbers_rejected(self, num_states, num_components, transitions,
+                                        message):
+        transitions = transitions or [(0, 1, 1.0, [[1]]), (1, 0, 1.0, [[1]])]
+        with pytest.raises(ValueError, match=message):
+            build_model(num_states, num_components, transitions, [[1], [1]])
+
+    def test_numpy_numbers_accepted(self):
+        model = build_model(
+            np.int64(2), np.int32(1),
+            [(np.int64(0), np.uint8(1), np.float32(1.5), [[1]]),
+             (np.int16(1), 0, np.float64(0.5), [[1]])],
+            [[1], [1]],
+        )
+        assert (model.num_states, model.num_components) == (2, 1)
+        first = model.transitions[0]
+        assert [type(first.from_state), type(first.to_state), type(first.rate)] == [
+            int, int, float]
+        assert model_from_json(model_to_json(model)).transitions[0].rate == 1.5
+
 
 class TestStationary:
     def test_two_state_balance(self):
@@ -232,3 +266,9 @@ class TestSerialization:
         text = model_to_json(model).replace('"rate": 1.0', '"rate": -1.0')
         with pytest.raises(ValueError, match="nonpositive rate"):
             model_from_json(text)
+
+    def test_string_rate_rejected(self):
+        text = model_to_json(ring_model([2.5, 1.0]))
+        assert '"rate": 2.5' in text
+        with pytest.raises(ValueError, match=r"rate '2\.5' is not a real number"):
+            model_from_json(text.replace('"rate": 2.5', '"rate": "2.5"'))

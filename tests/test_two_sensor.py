@@ -75,6 +75,18 @@ class TestChainConstruction:
             [1, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1],
         ]
 
+    def test_general_matches_generic_solves_bit_for_bit(self):
+        # both routes assemble the same systems from the same chain
+        rng = np.random.default_rng(2206)
+        for row in np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(100, 4))):
+            params = TwoSensorParams(*row)
+            model = build_two_sensor_chain(params)
+            pi = solve_stationary(model)
+            breakdown = average_aoi_general(params)
+            assert np.array_equal(breakdown.stationary.probs, pi.probs)
+            assert np.array_equal(breakdown.correlations.vectors,
+                                  solve_correlation(model, pi).vectors)
+
     def test_json_round_trip_reproduces_average(self):
         params = TwoSensorParams(0.5, 0.8, 1.0, 1.4)
         clone = model_from_json(model_to_json(build_two_sensor_chain(params)))
