@@ -256,10 +256,10 @@ def _cmd_theory(args, rates) -> str:
                 "stationary": breakdown.stationary.probs.tolist(),
                 "correlations": breakdown.correlations.vectors.tolist(),
                 "diagnostics": {
-                    "stationary_condition": breakdown.stationary_condition,
-                    "stationary_residual": breakdown.stationary_residual,
-                    "correlation_condition": breakdown.correlation_condition,
-                    "correlation_residual": breakdown.correlation_residual,
+                    "stationary_condition": breakdown.stationary.condition,
+                    "stationary_residual": breakdown.stationary.residual,
+                    "correlation_condition": breakdown.correlations.condition,
+                    "correlation_residual": breakdown.correlations.residual,
                 },
             })
         rows = [

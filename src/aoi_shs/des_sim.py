@@ -53,8 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .shs_core import _is_a
-from .two_sensor import TwoSensorParams, _require_positive
+from .shs_core import _is_a, _require_positive
+from .two_sensor import TwoSensorParams
 
 DEFAULT_SEED = 12345
 
@@ -66,8 +66,8 @@ _DRAW_BLOCK = 1 << 14
 #: memory follows one trial. Measured peak RSS growth per expected event of
 #: one trial: at most 23 B for the two-sensor system and 25 B for the single
 #: queue; for the preemptive pair over lambda/mu from 0.25 to 50, at most
-#: 29 B (lambda/mu = 2) and 54 B with a trace directory (lambda/mu = 4).
-#: 2e7 * 54 B = 1.1 GB, so every model stays under 2 GB at the cap with room
+#: 29 B (lambda/mu = 2) and 44 B with a trace directory (lambda/mu = 50).
+#: 2e7 * 44 B = 0.9 GB, so every model stays under 2 GB at the cap with room
 #: for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
@@ -239,9 +239,9 @@ def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
             dep_lists.append(deps)
             gen_lists.append(gens)
             events += n_arrivals + len(deps)
-        values.append(_windowed_average(dep_lists, gen_lists, config))
-        if trace is not None:
+        if trace is not None:  # first, as it frees the trace's columns
             _write_trace(trace_dir, trial, trace)
+        values.append(_windowed_average(dep_lists, gen_lists, config))
     return _summarize(values, events)
 
 
@@ -324,25 +324,22 @@ def _running_sum(draw, horizon):
 def _pair_rows(a, d, busy, kept):
     """Trace columns of the preemptive pair: kept deliveries, then arrivals.
 
-    Update k leaves the servers before arrival ``exits[k]``: the one after
-    the arrival that preempts it, or the first at or after its delivery.
-    Arrival m finds an older update in service iff some k <= m-2 exits after
-    m; two servers hold at most one such update. An arrival takes the other
-    server than update m-1 if that one is busy, the same server if only an
-    older update is in service, and server 1 if both are idle."""
+    Only a busy arrival J preempts, and it keeps update J-1 in service; an
+    update before a non-busy arrival has left by then. So the one update
+    older than m-1 that can be in service at arrival m is J-1, for the last
+    busy arrival J before m, and it is iff ``d[J-1] > a[m]``. An arrival
+    takes the other server than update m-1 if that one is busy, the same
+    server if only an older update is in service, and server 1 if both are
+    idle."""
     n = a.size
-    index = np.arange(n + 2, dtype=np.int32)
-    # next_busy[j]: the first busy arrival at or after j, or n if none
-    next_busy = np.where(busy, index, n)
-    np.minimum.accumulate(next_busy[::-1], out=next_busy[::-1])
-    exits = np.searchsorted(a, d, side="left").astype(np.int32)
-    np.minimum(exits, next_busy[2:] + 1, out=exits)
-    del next_busy
-    np.maximum.accumulate(exits, out=exits)
-    index, busy = index[:n], busy[:n]
+    index = np.arange(n, dtype=np.int32)
+    busy = busy[:n]
+    # last[m]: J-1 for the last busy arrival J <= m, or 0 (long gone) if none
+    last = np.where(busy, index - 1, 0)
+    np.maximum.accumulate(last, out=last)
     older = np.zeros(n, dtype=bool)
-    np.greater(exits[:-2], index[2:], out=older[2:])
-    del exits
+    np.greater(d[last[1:-1]], a[2:], out=older[2:])
+    del last
     preempt = busy & older
     flips = np.cumsum(busy, dtype=np.int32)
     # server 1 again at every arrival that finds both servers idle
@@ -391,9 +388,9 @@ def _write_trace(trace_dir, trial: int, chunks) -> None:
     the channels' column chunks). The post-event monitor age is ``t`` minus
     the running maximum of delivered generation times, the filter rule
     :func:`time_average_age` integrates."""
-    times, kinds, sensors, gens = (
-        np.concatenate([chunk[i] for chunk in chunks]) for i in range(4)
-    )
+    columns = list(zip(*chunks))
+    chunks.clear()  # so each column's chunks are freed once it is merged
+    times, kinds, sensors, gens = (np.concatenate(columns.pop(0)) for _ in range(4))
     order = np.argsort(times, kind="stable")
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,8 @@ average of that age process; component 0 is conventionally the monitor age.
 :func:`build_model` validates a chain once and stores one coefficient row per
 transition, so both systems are linear in the transition rates: a stack of
 rate rows times the coefficients assembles a stack of systems, which are
-solved and guarded together. A single model is a batch of one.
+solved and guarded together. A single model is a batch of one, and each
+solve's result carries its 2-norm condition estimate and largest residual.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -68,6 +69,14 @@ def _is_a(kind, value) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _require_positive(**rates) -> None:
+    """Each named rate must be a real number (numpy scalars included; bools
+    and strings raise ``ValueError`` too), strictly positive and finite."""
+    for name, value in rates.items():
+        if not (_is_a(numbers.Real, value) and 0.0 < value < math.inf):
+            raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+
+
 class TransitionSpec(NamedTuple):
     """One chain transition: source, destination, rate, and age reset map."""
 
@@ -96,9 +105,13 @@ class ShsModel:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Per-state long-run probabilities of the discrete chain."""
+    """Per-state long-run probabilities of the discrete chain, with the 2-norm
+    condition estimate and the largest absolute residual of the balance solve
+    (NaN if no solve produced them)."""
 
     probs: np.ndarray
+    condition: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -107,21 +120,13 @@ class CorrelationVectors:
 
     Row ``q`` is the expectation of the age vector restricted to state ``q``;
     summing a column over all states yields that component's time average.
+    ``condition`` and ``residual`` diagnose the solve as in
+    :class:`StationaryDistribution`.
     """
 
     vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Solution:
-    """Both solves for N rate vectors; every field has leading dimension N."""
-
-    probs: np.ndarray
-    vectors: np.ndarray
-    stationary_condition: np.ndarray
-    stationary_residual: np.ndarray
-    correlation_condition: np.ndarray
-    correlation_residual: np.ndarray
+    condition: float
+    residual: float
 
 
 def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
@@ -142,7 +147,12 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     n, c = int(num_states), int(num_components)
 
     specs = []
-    for idx, (frm, to, rate, amap) in enumerate(transitions):
+    for idx, spec in enumerate(transitions):
+        try:
+            frm, to, rate, amap = spec
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"transition {idx} is not a {TransitionSpec._fields} tuple") from None
         for label, state in (("from_state", frm), ("to_state", to)):
             if not (_is_a(numbers.Integral, state) and 0 <= state < n):
                 raise ValueError(
@@ -319,7 +329,7 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
     return stacked.reshape(len(rates), n, c), cond, residual
 
 
-def _solve(model: ShsModel, rates: np.ndarray, columns) -> _Solution:
+def _solve(model: ShsModel, rates: np.ndarray, columns):
     """Both solves for every row of an (N, k) rate array, N >= 1.
 
     ``columns`` maps each of the model's T transitions onto a column of
@@ -328,23 +338,25 @@ def _solve(model: ShsModel, rates: np.ndarray, columns) -> _Solution:
     messages are written, in those rates. Points are solved in blocks of
     :data:`BATCH_BLOCK`. Rates must already be positive and finite. A point
     that fails a guard raises :class:`IllConditionedSystemError` naming its
-    index and rates.
+    index and rates. Returns each stage's read-only ``(values, condition,
+    residual)``, every array with leading dimension N.
     """
-    num, n, c = len(rates), model.num_states, model.num_components
-    out = _Solution(np.empty((num, n)), np.empty((num, n, c)), np.empty(num),
-                    np.empty(num), np.empty(num), np.empty(num))
-    for start in range(0, num, BATCH_BLOCK):
-        block = slice(start, start + BATCH_BLOCK)
-        rows = rates[block]
+    blocks = []
+    for start in range(0, len(rates), BATCH_BLOCK):
+        rows = rates[start:start + BATCH_BLOCK]
         weights = rows[:, columns]
-        (out.probs[block], out.stationary_condition[block],
-         out.stationary_residual[block]) = _stationary(model, rows, weights, start)
-        (out.vectors[block], out.correlation_condition[block],
-         out.correlation_residual[block]) = _correlation(
-            model, rows, weights, out.probs[block], start)
-    for values in vars(out).values():
+        stationary = _stationary(model, rows, weights, start)
+        blocks.append((*stationary, *_correlation(model, rows, weights, stationary[0], start)))
+    stages = [np.concatenate(column) for column in zip(*blocks)]
+    for values in stages:
         values.setflags(write=False)
-    return out
+    return stages[:3], stages[3:]
+
+
+def _first_point(result, stage):
+    """Point 0 of a stage's ``(values, condition, residual)`` as ``result``."""
+    values, condition, residual = stage
+    return result(_read_only(values[0]), float(condition[0]), float(residual[0]))
 
 
 def solve_stationary(model: ShsModel) -> StationaryDistribution:
@@ -356,8 +368,7 @@ def solve_stationary(model: ShsModel) -> StationaryDistribution:
     balance residuals is re-checked afterwards.
     """
     rates = _model_rates(model)
-    probs, _, _ = _stationary(model, rates, rates, 0)
-    return StationaryDistribution(probs=_read_only(probs[0]))
+    return _first_point(StationaryDistribution, _stationary(model, rates, rates, 0))
 
 
 def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> CorrelationVectors:
@@ -374,8 +385,7 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
     """
     rates = _model_rates(model)
     probs = np.asarray(pi.probs, dtype=float)[None, :]
-    vectors, _, _ = _correlation(model, rates, rates, probs, 0)
-    return CorrelationVectors(vectors=_read_only(vectors[0]))
+    return _first_point(CorrelationVectors, _correlation(model, rates, rates, probs, 0))
 
 
 def average_age(v: CorrelationVectors, component: int = 0) -> float:
@@ -407,13 +417,23 @@ def model_to_json(model: ShsModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _fields(doc, what: str, names) -> list:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks field {missing[0]!r}")
+    return [doc[name] for name in names]
+
+
 def model_from_json(text: str) -> ShsModel:
-    """Parse and fully re-validate a model from its JSON document."""
-    doc = json.loads(text)
-    transitions = [
-        (t["from_state"], t["to_state"], t["rate"], t["reset_map"])
-        for t in doc["transitions"]
-    ]
-    return build_model(
-        doc["num_states"], doc["num_components"], transitions, doc["slopes"]
-    )
+    """Parse and fully re-validate a model from its JSON document; a document
+    or transition that is not an object or lacks a field raises ``ValueError``."""
+    num_states, num_components, transitions, slopes = _fields(
+        json.loads(text), "model document",
+        ("num_states", "num_components", "transitions", "slopes"))
+    if not isinstance(transitions, list):
+        raise ValueError("model document: transitions is not a JSON array")
+    transitions = [_fields(t, f"transition {idx}", TransitionSpec._fields)
+                   for idx, t in enumerate(transitions)]
+    return build_model(num_states, num_components, transitions, slopes)

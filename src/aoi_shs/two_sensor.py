@@ -10,8 +10,9 @@ The chain below tracks which channels are busy together with the order and
 "already superseded" status of the in-flight updates; nine states suffice.
 The age vector has three components: monitor age, then the age of the update
 sitting in each sensor's channel. Everything reduces to the generic solver in
-:mod:`aoi_shs.shs_core`; closed forms for the equal-rate special cases are
-provided alongside and cross-checked in the test suite.
+:mod:`aoi_shs.shs_core`, with its solve diagnostics and its one rule for
+scalar rates; closed forms for the equal-rate special cases are provided
+alongside and cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .shs_core import (  # noqa: F401
     CorrelationVectors,
     ShsModel,
     StationaryDistribution,
+    _first_point,
+    _require_positive,
     _solve,
     average_age,
     build_model,
@@ -55,30 +58,20 @@ class TwoSensorParams:
     mu2: float
 
     def __post_init__(self):
+        _require_positive(**{name: getattr(self, name) for name in _RATE_NAMES})
         for name in _RATE_NAMES:
-            value = float(getattr(self, name))
-            _require_positive(**{name: value})
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class AoiBreakdown:
-    """Average monitor age plus the per-state solver output it came from.
-
-    The diagnostics are the 2-norm condition estimates and the largest
-    absolute residuals of the stationary and correlation solves; the solver
-    rejects condition estimates above ``shs_core.CONDITION_LIMIT`` and
-    residuals above ``shs_core.BALANCE_RESIDUAL_TOL`` and
-    ``shs_core.CORRELATION_RESIDUAL_TOL``.
-    """
+    """Average monitor age plus the per-state solver output it came from;
+    ``stationary`` and ``correlations`` carry the condition estimate and the
+    largest residual of their solves, which the solver's guards bound."""
 
     average_aoi: float
     stationary: StationaryDistribution
     correlations: CorrelationVectors
-    stationary_condition: float
-    stationary_residual: float
-    correlation_condition: float
-    correlation_residual: float
 
 
 # Transition table of the nine-state chain. Each row is
@@ -152,7 +145,7 @@ def stationary_closed_form(params: TwoSensorParams) -> StationaryDistribution:
 
     Agrees with the generic linear solve to machine precision; the common
     denominator is (l1+m1)(l2+m2)(m1+m2)^2 with per-state polynomial
-    numerators.
+    numerators. No solve produced them, so their diagnostics are NaN.
     """
     l1, l2, m1, m2 = params.lambda1, params.lambda2, params.mu1, params.mu2
     g = (l1 + m1) * (l2 + m2) * (m1 + m2) ** 2
@@ -172,7 +165,7 @@ def stationary_closed_form(params: TwoSensorParams) -> StationaryDistribution:
         ]
     )
     probs.setflags(write=False)
-    return StationaryDistribution(probs=probs)
+    return StationaryDistribution(probs=probs, condition=math.nan, residual=math.nan)
 
 
 def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
@@ -182,15 +175,11 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     output and its diagnostics to the value :func:`average_aoi_grid` returns.
     """
     rates = np.array([[getattr(params, name) for name in _RATE_NAMES]])
-    solution = _solve(_CHAIN, rates, _RATE_OF)
+    stationary, correlation = _solve(_CHAIN, rates, _RATE_OF)
     return AoiBreakdown(
-        average_aoi=float(_monitor_ages(solution)[0]),
-        stationary=StationaryDistribution(probs=solution.probs[0]),
-        correlations=CorrelationVectors(vectors=solution.vectors[0]),
-        stationary_condition=float(solution.stationary_condition[0]),
-        stationary_residual=float(solution.stationary_residual[0]),
-        correlation_condition=float(solution.correlation_condition[0]),
-        correlation_residual=float(solution.correlation_residual[0]),
+        average_aoi=float(_monitor_ages(correlation)[0]),
+        stationary=_first_point(StationaryDistribution, stationary),
+        correlations=_first_point(CorrelationVectors, correlation),
     )
 
 
@@ -215,11 +204,11 @@ def average_aoi_grid(rates) -> np.ndarray:
             f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
             f"and finite, got {float(rates[point, column])!r}"
         )
-    return _monitor_ages(_solve(_CHAIN, rates, _RATE_OF))
+    return _monitor_ages(_solve(_CHAIN, rates, _RATE_OF)[1])
 
 
-def _monitor_ages(solution) -> np.ndarray:
-    return solution.vectors[:, :, MONITOR_COMPONENT].sum(axis=1)
+def _monitor_ages(correlation) -> np.ndarray:
+    return correlation[0][:, :, MONITOR_COMPONENT].sum(axis=1)
 
 
 def average_aoi_equal_service(lambda1: float, lambda2: float, mu: float) -> float:
@@ -272,11 +261,3 @@ def zero_wait_limit(mu: float) -> float:
     instant it goes idle, leaving an average age of 5 / (4 mu)."""
     _require_positive(mu=mu)
     return 5.0 / (4.0 * mu)
-
-
-def _require_positive(**rates: float) -> None:
-    for name, value in rates.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(
-                f"{name} must be strictly positive and finite, got {value!r}"
-            )

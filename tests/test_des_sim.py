@@ -195,6 +195,12 @@ class TestConfig:
     def test_numpy_integer_seed_accepted(self):
         assert SimConfig(num_trials=np.int64(2), seed=np.uint64(7)).seed == 7
 
+    @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+    @pytest.mark.parametrize("simulate", [simulate_mm11, simulate_mm2_preemptive])
+    def test_non_real_rates_rejected(self, simulate, bad):
+        with pytest.raises(ValueError, match="lam must be strictly positive and finite"):
+            simulate(bad, 1.0, SimConfig(horizon=10.0, num_trials=1))
+
     def test_event_budget_cap(self):
         config = SimConfig(horizon=1e6, num_trials=1)
         with pytest.raises(ValueError, match="event budget"):

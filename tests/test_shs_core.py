@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from aoi_shs.shs_core import (
+    BALANCE_RESIDUAL_TOL,
+    CONDITION_LIMIT,
+    CORRELATION_RESIDUAL_TOL,
     IllConditionedSystemError,
     average_age,
     build_model,
@@ -128,6 +133,10 @@ class TestBuildModel:
             int, int, float]
         assert model_from_json(model_to_json(model)).transitions[0].rate == 1.5
 
+    def test_short_transition_is_named(self):
+        with pytest.raises(ValueError, match=r"transition 1 is not a \('from_state', "):
+            build_model(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, 1.0)], [[1], [1]])
+
 
 class TestStationary:
     def test_two_state_balance(self):
@@ -165,6 +174,16 @@ class TestStationary:
         looped = ring_model([1.0, 2.0, 0.7], idle_loops=[(1, 5.0)])
         assert solve_stationary(plain).probs == pytest.approx(
             solve_stationary(looped).probs, abs=1e-14)
+
+    def test_solves_report_their_diagnostics(self):
+        model = ring_model([0.8, 2.5, 1.7], num_components=3)
+        pi = solve_stationary(model)
+        v = solve_correlation(model, pi)
+        assert 1 <= pi.condition < CONDITION_LIMIT and 1 <= v.condition < CONDITION_LIMIT
+        assert 0 <= pi.residual < BALANCE_RESIDUAL_TOL
+        assert 0 <= v.residual < CORRELATION_RESIDUAL_TOL
+        diagnostics = (pi.condition, pi.residual, v.condition, v.residual)
+        assert all(type(x) is float for x in diagnostics)
 
 
 class TestCorrelation:
@@ -272,3 +291,17 @@ class TestSerialization:
         assert '"rate": 2.5' in text
         with pytest.raises(ValueError, match=r"rate '2\.5' is not a real number"):
             model_from_json(text.replace('"rate": 2.5', '"rate": "2.5"'))
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"num_states": 2}', "model document lacks field 'num_components'",
+                     id="missing-field"),
+        pytest.param(json.dumps({"num_states": 1, "num_components": 1, "slopes": [[1]],
+                                 "transitions": [{"from_state": 0, "rate": 1.0,
+                                                  "reset_map": [[1]]}]}),
+                     "transition 0 lacks field 'to_state'", id="missing-to-state"),
+        pytest.param("[1, 2]", "model document is not a JSON object", id="array"),
+        pytest.param('"model"', "model document is not a JSON object", id="string"),
+    ])
+    def test_malformed_document_is_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            model_from_json(text)

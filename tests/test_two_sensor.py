@@ -44,6 +44,16 @@ class TestParams:
         with pytest.raises(ValueError, match="mu2"):
             TwoSensorParams(1.0, 1.0, 1.0, bad)
 
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+    def test_non_real_rejected(self, bad):
+        with pytest.raises(ValueError, match="lambda2 must be strictly positive and finite"):
+            TwoSensorParams(1.0, bad, 1.0, 1.0)
+
+    def test_numpy_numbers_stored_as_floats(self):
+        params = TwoSensorParams(np.float32(0.5), np.int64(2), 1, np.float64(1.5))
+        assert [(type(v), v) for v in vars(params).values()] == [
+            (float, 0.5), (float, 2.0), (float, 1.0), (float, 1.5)]
+
 
 class TestChainConstruction:
     def test_shape(self):
@@ -82,10 +92,13 @@ class TestChainConstruction:
             params = TwoSensorParams(*row)
             model = build_two_sensor_chain(params)
             pi = solve_stationary(model)
+            v = solve_correlation(model, pi)
             breakdown = average_aoi_general(params)
             assert np.array_equal(breakdown.stationary.probs, pi.probs)
-            assert np.array_equal(breakdown.correlations.vectors,
-                                  solve_correlation(model, pi).vectors)
+            assert np.array_equal(breakdown.correlations.vectors, v.vectors)
+            assert (pi.condition, pi.residual, v.condition, v.residual) == (
+                breakdown.stationary.condition, breakdown.stationary.residual,
+                breakdown.correlations.condition, breakdown.correlations.residual)
 
     def test_json_round_trip_reproduces_average(self):
         params = TwoSensorParams(0.5, 0.8, 1.0, 1.4)
@@ -100,6 +113,10 @@ class TestStationary:
         pi = stationary_closed_form(TwoSensorParams(1, 1, 1, 1)).probs
         assert pi == pytest.approx(PI_ALL_ONES, abs=1e-15)
         assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_closed_form_reports_no_solve_diagnostics(self):
+        pi = stationary_closed_form(TwoSensorParams(1, 1, 1, 1))
+        assert np.isnan(pi.condition) and np.isnan(pi.residual)
 
     def test_solver_reproduces_all_ones_point(self):
         model = build_two_sensor_chain(TwoSensorParams(1, 1, 1, 1))
@@ -254,3 +271,13 @@ class TestClosedForms:
     def test_nonpositive_rates_rejected(self, func, args):
         with pytest.raises(ValueError):
             func(*args)
+
+    @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+    @pytest.mark.parametrize("func, arity", [
+        (average_aoi_equal_service, 3),
+        (average_aoi_symmetric, 2),
+        (zero_wait_limit, 1),
+    ])
+    def test_non_real_rates_rejected(self, func, arity, bad):
+        with pytest.raises(ValueError, match="must be strictly positive and finite, got"):
+            func(bad, *[1.0] * (arity - 1))
