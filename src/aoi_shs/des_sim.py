@@ -133,22 +133,33 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     if times.size:
         if not (np.isfinite(times).all() and np.isfinite(gens).all()):
             raise ValueError("delivery and generation times must be finite")
-        if np.any(np.diff(times) < 0):
+        if (times[1:] < times[:-1]).any():
             raise ValueError("delivery times must be sorted ascending")
-        if np.any(gens > times):
+        if (gens > times).any():
             raise ValueError("an update cannot be delivered before it is generated")
 
+    # sorted, so the deliveries up to t0 and those inside the window are slices
+    start = int(np.searchsorted(times, t0, side="right"))
+    stop = int(np.searchsorted(times, t1, side="left"))
     floor = t0 - initial_age
-    pre = times <= t0
-    if pre.any():
-        floor = max(floor, float(gens[pre].max()))
-    inside = (times > t0) & (times < t1)
+    if start:
+        floor = max(floor, float(gens[:start].max()))
     # Running maximum of generation times reproduces the staleness filter.
-    held = np.maximum.accumulate(np.concatenate(((floor,), gens[inside])))
-    bounds = np.concatenate(((t0,), times[inside], (t1,)))
+    held = np.empty(stop - start + 1)
+    held[0] = floor
+    held[1:] = gens[start:stop]
+    np.maximum.accumulate(held, out=held)
+    bounds = np.empty(stop - start + 2)
+    bounds[0], bounds[-1] = t0, t1
+    bounds[1:-1] = times[start:stop]
     left, right = bounds[:-1], bounds[1:]
-    integral = float(np.sum((right - left) * (0.5 * (left + right) - held)))
-    return integral / (t1 - t0)
+    # (right - left) * (0.5 * (left + right) - held), in two buffers
+    area = np.add(left, right)
+    area *= 0.5
+    np.subtract(area, held, out=held)
+    np.subtract(right, left, out=area)
+    area *= held
+    return float(np.sum(area)) / (t1 - t0)
 
 
 def simulate_two_sensor(
@@ -360,14 +371,17 @@ def _pair_rows(a, d, busy, kept):
 
 
 def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
-    deps = np.concatenate(dep_lists)
-    gens = np.concatenate(gen_lists)
-    order = np.argsort(deps, kind="stable")
+    if len(dep_lists) == 1:  # one channel delivers in time order already
+        (deps,), (gens,) = dep_lists, gen_lists
+    else:
+        deps = np.concatenate(dep_lists)
+        order = np.argsort(deps, kind="stable")
+        deps = deps[order]
+        gens = np.concatenate(gen_lists)[order]
+        del order
     t0 = config.warmup * config.horizon
     # monitor age is zero at time zero, hence equals t0 at the window start
-    return time_average_age(
-        deps[order], gens[order], (t0, config.horizon), initial_age=t0
-    )
+    return time_average_age(deps, gens, (t0, config.horizon), initial_age=t0)
 
 
 def _summarize(values, events: int) -> SimResult:

@@ -21,7 +21,8 @@ average of that age process; component 0 is conventionally the monitor age.
 transition, so both systems are linear in the transition rates: a stack of
 rate rows times the coefficients assembles a stack of systems, which are
 solved and guarded together. A single model is a batch of one, and each
-solve's result carries its 2-norm condition estimate and largest residual.
+solve's result carries its condition number (1-norm, exact, from the
+inverse) and largest residual.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -37,9 +38,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Solves whose 2-norm condition estimate exceeds this are rejected; a huge
-#: condition number almost always means a structurally broken chain (for
-#: example an age component that is never reset) rather than a hard instance.
+#: Solves whose condition number (1-norm, exact, from the inverse) exceeds
+#: this are rejected; a huge condition number almost always means a
+#: structurally broken chain (for example an age component that is never
+#: reset) rather than a hard instance. The 1-norm number is within a factor
+#: n of the 2-norm one (kappa_2 / n <= kappa_1 <= n kappa_2). On the
+#: two-sensor chain, over 3000 log-uniform points in [0.02, 50]^4, it lies
+#: between 0.42 and 3.5 times the 2-norm one and below 7.5e3, and along
+#: rates (s, s, 1/s, 1/s) both pass 1e12 at the same decade, s = 1e6.
 CONDITION_LIMIT = 1e12
 
 #: Residual ceilings, roughly 100x double round-off for systems of this size.
@@ -50,7 +56,7 @@ NORMALIZATION_TOL = 1e-12
 _TINY_NEGATIVE = -1e-12
 
 #: Points solved together; bounds the memory of the stacked systems and of
-#: the condition estimates' workspace.
+#: their inverses, from which the condition numbers come.
 BATCH_BLOCK = 64
 
 
@@ -105,9 +111,9 @@ class ShsModel:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Per-state long-run probabilities of the discrete chain, with the 2-norm
-    condition estimate and the largest absolute residual of the balance solve
-    (NaN if no solve produced them)."""
+    """Per-state long-run probabilities of the discrete chain, with the
+    condition number (1-norm, exact, from the inverse) and the largest
+    absolute residual of the balance solve (NaN if no solve produced them)."""
 
     probs: np.ndarray
     condition: float
@@ -120,8 +126,8 @@ class CorrelationVectors:
 
     Row ``q`` is the expectation of the age vector restricted to state ``q``;
     summing a column over all states yields that component's time average.
-    ``condition`` and ``residual`` diagnose the solve as in
-    :class:`StationaryDistribution`.
+    ``condition`` (1-norm, exact, from the inverse) and ``residual``
+    diagnose the solve as in :class:`StationaryDistribution`.
     """
 
     vectors: np.ndarray
@@ -251,7 +257,13 @@ def _reject(bad: np.ndarray, rates: np.ndarray, offset: int, describe) -> None:
 
 
 def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> np.ndarray:
-    cond = np.linalg.cond(systems)
+    """Each system's 1-norm condition number ``|A|_1 |A^-1|_1``, the number
+    LAPACK's ``gecon`` estimates, here exact from one batched inverse (a
+    third of the cost of the singular values a 2-norm number needs, for the
+    27 x 27 systems of the two-sensor chain). An exactly
+    singular member reads ``inf`` and is rejected by index, like any other
+    point above :data:`CONDITION_LIMIT`."""
+    cond = np.linalg.cond(systems, 1)
     _reject(
         ~np.isfinite(cond) | (cond > CONDITION_LIMIT), rates, offset,
         lambda i: f"{label} system is ill-conditioned "
@@ -264,7 +276,7 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     """Stationary stage of :func:`solve_stationary` for a block of points:
     ``weights`` (B, T) holds each point's transition rates and ``rates`` the
     rows that guard messages name; ``offset`` is the index of the block's
-    first point. Returns the probabilities (B, n), condition estimates and
+    first point. Returns the probabilities (B, n), condition numbers and
     max balance residuals (B,).
     """
     n = model.num_states
@@ -301,7 +313,7 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
                  probs: np.ndarray, offset: int):
     """Correlation stage of :func:`solve_correlation` for a block of points,
     given as for :func:`_stationary`, and their stationary probabilities
-    (B, n). Returns the vectors (B, n, c), condition estimates and max
+    (B, n). Returns the vectors (B, n, c), condition numbers and max
     residuals (B,).
     """
     n, c = model.num_states, model.num_components

@@ -66,7 +66,7 @@ class TwoSensorParams:
 @dataclass(frozen=True)
 class AoiBreakdown:
     """Average monitor age plus the per-state solver output it came from;
-    ``stationary`` and ``correlations`` carry the condition estimate and the
+    ``stationary`` and ``correlations`` carry the condition number and the
     largest residual of their solves, which the solver's guards bound."""
 
     average_aoi: float

@@ -90,6 +90,29 @@ def single_queue_model(lam: float, mu: float) -> ShsModel:
     return build_model(2, 2, transitions, slopes)
 
 
+def stage_systems(model: ShsModel):
+    """The stationary and correlation stages' matrices, written out entry by
+    entry from the transitions: the balance rows ``sum over transitions
+    leaving q of rate * pi_q - sum over transitions entering q of rate *
+    pi_src`` with the last row replaced by normalization, and the equations
+    ``v_q * (total outgoing rate of q) - sum over incoming transitions of
+    rate * (v_src @ A) = slope_q * pi_q`` over the stacked unknown
+    ``v[q * c + j]``."""
+    n, c = model.num_states, model.num_components
+    balance = np.zeros((n, n))
+    correlation = np.zeros((n * c, n * c))
+    for t in model.transitions:
+        balance[t.from_state, t.from_state] += t.rate
+        balance[t.to_state, t.from_state] -= t.rate
+        for j in range(c):
+            correlation[t.from_state * c + j, t.from_state * c + j] += t.rate
+            for i in range(c):
+                if t.reset_map[i, j]:
+                    correlation[t.to_state * c + j, t.from_state * c + i] -= t.rate
+    balance[n - 1, :] = 1.0
+    return balance, correlation
+
+
 def single_queue_average_age(lam: float, mu: float) -> float:
     """Known closed form for the single blocking channel."""
     return 1.0 / lam + 2.0 / mu - 1.0 / (lam + mu)

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from aoi_shs.cli import main
+from aoi_shs.cli import MAX_GRID_POINTS, _grids, main
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
     CONDITION_LIMIT,
@@ -27,7 +28,8 @@ SIM_SHORT = ("--horizon", "300", "--trials", "2")
 # sha256 of the stdout of valid invocations, recorded before the rate flags
 # each variant reads were declared in one table; the two_sensor, mm11 and
 # compare-fig4 ones re-recorded when the blocking channels moved to renewal
-# form
+# form, and theory-general-json when its diagnostics' condition numbers moved
+# from the 2-norm to the 1-norm
 PINNED_OUTPUTS = [
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general", "--format", "csv"),
@@ -35,7 +37,7 @@ PINNED_OUTPUTS = [
                  id="theory-general-csv"),
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general"),
-                 "ddfa8fb51424a69c01b0e5d5020e5425f9dc562c948421f8daafcabeef0cbe40",
+                 "3c4815be8a383029973bfd20942acfc26312d8d50cf7ada5a21d01ca6b9edf3f",
                  id="theory-general-json"),
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m", "1.2", "--method", "eq16"),
                  "dfa74edc5a69f8d7e30b25f4aa539a0ead3479466d2f9c06bed2808521b5daed",
@@ -389,6 +391,35 @@ class TestExitCodes:
         assert out == ""
         assert flag in err
         assert variant in err
+
+    # 500001 = 3 x 166667 is one point above the cap, each flag below it
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param(("sweep-fig3", "--grid-l1", "0.1", "0.9", "3",
+                      "--grid-m2", "1", "1.8", "166667"),
+                     "--grid-l1 x --grid-m2", id="sweep-product"),
+        pytest.param(("sweep-fig3", "--grid-l1", "0.1", "0.9", "1e9"),
+                     "--grid-l1 x --grid-m2", id="sweep-l1-huge"),
+        pytest.param(("compare-fig4", "--grid-lambda", "0.2", "5", "500001"),
+                     "--grid-lambda", id="compare"),
+    ])
+    def test_grid_above_cap_rejected_before_allocating(self, capsys, argv, flags):
+        assert MAX_GRID_POINTS == 500_000
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert f"{flags}: " in err and "exceed the cap of 500000" in err
+        # one float per point of the grid alone would be 4 MB
+        assert peak < 1_000_000
+
+    def test_grid_at_cap_is_built(self):
+        (grid,) = _grids(((0.2, 5.0, MAX_GRID_POINTS), "--grid-lambda"))
+        assert len(grid) == MAX_GRID_POINTS
+        assert (grid[0], grid[-1]) == (0.2, 5.0)
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, inv
 
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
+    BATCH_BLOCK,
     CONDITION_LIMIT,
     CORRELATION_RESIDUAL_TOL,
     IllConditionedSystemError,
+    _guard_condition,
     average_age,
     build_model,
     model_from_json,
@@ -18,7 +20,7 @@ from aoi_shs.shs_core import (
     solve_correlation,
     solve_stationary,
 )
-from oracles import single_queue_average_age, single_queue_model
+from oracles import single_queue_average_age, single_queue_model, stage_systems
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -184,6 +186,37 @@ class TestStationary:
         assert 0 <= v.residual < CORRELATION_RESIDUAL_TOL
         diagnostics = (pi.condition, pi.residual, v.condition, v.residual)
         assert all(type(x) is float for x in diagnostics)
+
+
+def one_norm_condition(matrix) -> float:
+    """``|A|_1 |A^-1|_1``, each norm the largest absolute column sum."""
+    return float(np.abs(matrix).sum(axis=0).max() * np.abs(inv(matrix)).sum(axis=0).max())
+
+
+class TestConditionGuard:
+    @pytest.mark.parametrize("model", [
+        pytest.param(single_queue_model(1.3, 0.4), id="single-queue"),
+        pytest.param(single_queue_model(0.07, 13.0), id="single-queue-skewed"),
+        pytest.param(ring_model([0.8, 2.5, 1.7], num_components=3), id="ring"),
+        pytest.param(ring_model([0.6, 3.0, 1.1, 0.09], num_components=3,
+                                idle_loops=[(2, 4.0)]), id="ring-looped"),
+    ])
+    def test_condition_is_exact_one_norm_number(self, model):
+        pi = solve_stationary(model)
+        v = solve_correlation(model, pi)
+        balance, correlation = stage_systems(model)
+        assert pi.condition == pytest.approx(one_norm_condition(balance), rel=1e-12)
+        assert v.condition == pytest.approx(one_norm_condition(correlation), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_member_is_named(self):
+        rng = np.random.default_rng(11)
+        systems = np.eye(9) + 0.1 * rng.standard_normal((BATCH_BLOCK, 9, 9))
+        systems[37] = 0.0
+        rates = np.arange(BATCH_BLOCK, dtype=float)[:, None] * np.ones(4)
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"point 37 \(rates \[37\.0, .*condition estimate inf "):
+            _guard_condition(systems, "correlation", rates, 0)
 
 
 class TestCorrelation:
