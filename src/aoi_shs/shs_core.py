@@ -21,8 +21,13 @@ average of that age process; component 0 is conventionally the monitor age.
 transition, so both systems are linear in the transition rates: a stack of
 rate rows times the coefficients assembles a stack of systems, which are
 solved and guarded together. A single model is a batch of one, and each
-solve's result carries its condition number (1-norm, exact, from the
-inverse) and largest residual.
+solve's result carries its exact 1-norm condition number and largest
+residual. The correlation system has rates on its diagonal and none but
+nonpositive entries off it (a Z-matrix), and a stationary age exists exactly
+when it is a nonsingular M-matrix; one solve of its transpose certifies that
+and gives the condition number, ``inf`` when the certificate fails. The
+balance system, whose normalization row breaks that sign pattern, takes its
+condition number from the inverse.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -38,14 +43,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Solves whose condition number (1-norm, exact, from the inverse) exceeds
-#: this are rejected; a huge condition number almost always means a
-#: structurally broken chain (for example an age component that is never
-#: reset) rather than a hard instance. The 1-norm number is within a factor
-#: n of the 2-norm one (kappa_2 / n <= kappa_1 <= n kappa_2). On the
-#: two-sensor chain, over 3000 log-uniform points in [0.02, 50]^4, it lies
-#: between 0.42 and 3.5 times the 2-norm one and below 7.5e3, and along
-#: rates (s, s, 1/s, 1/s) both pass 1e12 at the same decade, s = 1e6.
+#: Solves whose exact 1-norm condition number exceeds this are rejected (the
+#: balance stage's comes from the inverse, the correlation stage's from the
+#: M-matrix certificate, ``inf`` when it fails); a huge condition number
+#: almost always means a structurally broken chain (for example an age
+#: component that is never reset) rather than a hard instance. The 1-norm
+#: number is within a factor n of the 2-norm one (kappa_2 / n <= kappa_1 <=
+#: n kappa_2). On the two-sensor chain, over 3000 log-uniform points in
+#: [0.02, 50]^4, it lies between 0.42 and 3.5 times the 2-norm one and below
+#: 7.5e3, every correlation system is certified, and the certificate's number
+#: matches the inverse's to 1.5e-13 relative; along rates (s, s, 1/s, 1/s)
+#: all of them pass 1e12 at the same decade, s = 1e6.
 CONDITION_LIMIT = 1e12
 
 #: Residual ceilings, roughly 100x double round-off for systems of this size.
@@ -56,7 +64,7 @@ NORMALIZATION_TOL = 1e-12
 _TINY_NEGATIVE = -1e-12
 
 #: Points solved together; bounds the memory of the stacked systems and of
-#: their inverses, from which the condition numbers come.
+#: the balance inverses, from which that stage's condition numbers come.
 BATCH_BLOCK = 64
 
 
@@ -112,8 +120,9 @@ class ShsModel:
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Per-state long-run probabilities of the discrete chain, with the
-    condition number (1-norm, exact, from the inverse) and the largest
-    absolute residual of the balance solve (NaN if no solve produced them)."""
+    condition number (1-norm, exact, from the inverse of the balance system)
+    and the largest absolute residual of the balance solve (NaN if no solve
+    produced them)."""
 
     probs: np.ndarray
     condition: float
@@ -126,8 +135,9 @@ class CorrelationVectors:
 
     Row ``q`` is the expectation of the age vector restricted to state ``q``;
     summing a column over all states yields that component's time average.
-    ``condition`` (1-norm, exact, from the inverse) and ``residual``
-    diagnose the solve as in :class:`StationaryDistribution`.
+    ``condition`` (1-norm, exact, from the M-matrix certificate, ``inf``
+    when it fails) and ``residual`` diagnose the solve as in
+    :class:`StationaryDistribution`.
     """
 
     vectors: np.ndarray
@@ -272,6 +282,37 @@ def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> np.ndarr
     return cond
 
 
+def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset) -> np.ndarray:
+    """Guard a stack of Z-matrices (no positive entry off the diagonal), the
+    form of every correlation system, by certifying each a nonsingular
+    M-matrix: one batched solve ``y = A^-T 1``, with ``y > 0`` and the
+    certificate's own residual ``|A^T y - 1|`` below 1/2, shows ``A^T y > 0``
+    for a positive ``y``. Then ``A^-1 >= 0``, so ``|A^-1|_1 = max(y)`` and
+    the 1-norm condition number is ``|A|_1 max(y)``, the number
+    :func:`_guard_condition` takes from the inverse, at the cost of one
+    solve (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6). An uncertified member reads ``inf`` and is rejected;
+    a stationary age vector exists exactly when the certificate holds. An
+    exactly singular member fails the whole batched solve, and only then is
+    the stack handed to :func:`_guard_condition`, which names it."""
+    transposed = np.swapaxes(systems, -1, -2)
+    ones = np.ones((systems.shape[-1], 1))
+    try:
+        y = np.linalg.solve(transposed, ones)
+    except np.linalg.LinAlgError:
+        return _guard_condition(systems, label, rates, offset)
+    miss = np.abs(transposed @ y - ones).max(axis=(1, 2))
+    certified = (y.min(axis=(1, 2)) > 0.0) & (miss < 0.5)
+    norm = np.abs(systems).sum(axis=-2).max(axis=-1)
+    cond = np.where(certified, norm * y.max(axis=(1, 2)), np.inf)
+    _reject(
+        ~(cond <= CONDITION_LIMIT), rates, offset,
+        lambda i: f"{label} system is ill-conditioned "
+                  f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})",
+    )
+    return cond
+
+
 def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset: int):
     """Stationary stage of :func:`solve_stationary` for a block of points:
     ``weights`` (B, T) holds each point's transition rates and ``rates`` the
@@ -320,7 +361,7 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
     system = (weights @ model.correlation).reshape(-1, n * c, n * c)
     rhs = (model.slopes * probs[:, :, None]).reshape(len(rates), n * c, 1)
 
-    cond = _guard_condition(system, "correlation", rates, offset)
+    cond = _certify_m_matrix(system, "correlation", rates, offset)
     stacked = np.linalg.solve(system, rhs)
 
     residual = np.abs(system @ stacked - rhs).max(axis=(1, 2))

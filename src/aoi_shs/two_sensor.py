@@ -18,6 +18,7 @@ alongside and cross-checked in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,13 +191,30 @@ def average_aoi_grid(rates) -> np.ndarray:
     point, N >= 1. Returns the N average ages, each bit-identical to
     :func:`average_aoi_general` at that point. A point that fails a solver
     guard raises ``IllConditionedSystemError`` naming its index and rates.
+    Entries must be real numbers, as for :class:`TwoSensorParams`: a bool,
+    string or other object raises ``ValueError`` naming its point.
     """
-    rates = np.array(rates, dtype=float)
+    # a list goes through object dtype, which keeps the bools that a float
+    # conversion would silently turn into 1.0 and 0.0
+    rates = rates if isinstance(rates, np.ndarray) else np.array(rates, dtype=object)
     if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] != len(_RATE_NAMES):
         raise ValueError(
             f"rates must have shape (N, {len(_RATE_NAMES)}) with N >= 1, "
             f"got {rates.shape}"
         )
+    if rates.dtype.kind not in "iuf":
+        # checked once per distinct entry type, as _is_a checks one value
+        flat = rates.ravel()
+        bad = {kind for kind in set(map(type, flat))
+               if not issubclass(kind, numbers.Real) or issubclass(kind, bool)}
+        if bad:
+            index = next(i for i, value in enumerate(flat) if type(value) in bad)
+            point, column = divmod(index, len(_RATE_NAMES))
+            raise ValueError(
+                f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
+                f"and finite, got {flat[index]!r}"
+            )
+    rates = rates.astype(float)
     bad = ~(np.isfinite(rates) & (rates > 0.0))
     if bad.any():
         point, column = np.argwhere(bad)[0]

@@ -12,7 +12,9 @@ from aoi_shs.shs_core import (
     CONDITION_LIMIT,
     CORRELATION_RESIDUAL_TOL,
     IllConditionedSystemError,
+    _certify_m_matrix,
     _guard_condition,
+    _solve,
     average_age,
     build_model,
     model_from_json,
@@ -20,6 +22,7 @@ from aoi_shs.shs_core import (
     solve_correlation,
     solve_stationary,
 )
+from aoi_shs.two_sensor import _CHAIN, _RATE_OF, TwoSensorParams, build_two_sensor_chain
 from oracles import single_queue_average_age, single_queue_model, stage_systems
 
 rates = st.floats(min_value=0.05, max_value=20.0)
@@ -217,6 +220,38 @@ class TestConditionGuard:
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 37 \(rates \[37\.0, .*condition estimate inf "):
             _guard_condition(systems, "correlation", rates, 0)
+
+
+class TestMMatrixCertificate:
+    def test_z_matrix_that_is_not_an_m_matrix_reads_inf(self):
+        # nonsingular, with a negative inverse: no stationary age exists
+        systems = np.array([[[1.0, -2.0], [-2.0, 1.0]]])
+        rates = np.ones((1, 4))
+        assert _guard_condition(systems, "correlation", rates, 0).tolist() == [3.0]
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
+                                 r"exceeds 1e\+12"):
+            _certify_m_matrix(systems, "correlation", rates, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_member_of_correlation_stack_is_named(self):
+        rng = np.random.default_rng(12)
+        rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
+        systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 27, 27)
+        assert np.isfinite(_certify_m_matrix(systems, "correlation", rates, 0)).all()
+        systems[37, :, 5] = 0.0
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"point 37 \(rates \[.*\]\): correlation system is "
+                                 r"ill-conditioned \(condition estimate inf "):
+            _certify_m_matrix(systems, "correlation", rates, 0)
+
+    def test_two_sensor_condition_is_exact_one_norm_number(self):
+        rng = np.random.default_rng(47)
+        rates = np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(200, 4)))
+        _, (_, condition, _) = _solve(_CHAIN, rates, _RATE_OF)
+        expected = [one_norm_condition(stage_systems(
+                        build_two_sensor_chain(TwoSensorParams(*row)))[1]) for row in rates]
+        assert condition.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestCorrelation:

@@ -221,6 +221,24 @@ class TestGrid:
         with pytest.raises(ValueError, match="point 2: mu2 must be strictly positive"):
             average_aoi_grid(rates)
 
+    @pytest.mark.parametrize("point", [
+        pytest.param(["1", "2", "1", "1"], id="strings"),
+        pytest.param([True, 2.0, 1.0, 1.0], id="bool"),
+    ])
+    def test_non_real_entry_is_named(self, point):
+        # TwoSensorParams rejects these; a float conversion would read them
+        # as rates 1.0 and 2.0
+        with pytest.raises(ValueError, match="point 1: lambda1 must be strictly positive"):
+            average_aoi_grid([[1.0, 2.0, 1.0, 1.0], point])
+        with pytest.raises(ValueError):
+            TwoSensorParams(*point)
+
+    def test_object_entry_rejected(self):
+        rates = np.ones((3, 4), dtype=object)
+        rates[2, 2] = None
+        with pytest.raises(ValueError, match="point 2: mu1 must be strictly positive"):
+            average_aoi_grid(rates)
+
     @pytest.mark.parametrize("shape", [(4,), (0, 4), (3, 3)])
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
