@@ -58,8 +58,8 @@ _READS = {
 
 #: Most grid points one command may build, checked before any is. Measured
 #: peak RSS growth of a sweep-fig3 command over 1e4 to 2e5 points: at most
-#: 880 B per point as CSV and 2.4 KB as JSON (points, ages, rows and the
-#: output text), so 5e5 points stay under 1.2 GB.
+#: 600 B per point as CSV and 900 B as JSON (points, solver output, ages,
+#: rows and the output text), so 5e5 points stay under 450 MB.
 MAX_GRID_POINTS = 500_000
 
 
@@ -178,10 +178,13 @@ def _json(payload) -> str:
 
 
 def _table(fmt: str, header: str, rows) -> str:
-    """CSV under ``header``, or a JSON list of objects keyed by its columns."""
+    """CSV under ``header``, or a JSON list of objects keyed by its columns,
+    the text ``json.dumps(indent=2)`` gives, encoded one row at a time."""
     if fmt == "json":
         keys = header.split(",")
-        return _json([dict(zip(keys, row)) for row in rows])
+        objects = ("  " + json.dumps(dict(zip(keys, row)), indent=2).replace("\n", "\n  ")
+                   for row in rows)
+        return "[\n" + ",\n".join(objects) + "\n]\n"
     return _csv(header, rows)
 
 

@@ -375,9 +375,14 @@ def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
         (deps,), (gens,) = dep_lists, gen_lists
     else:
         deps = np.concatenate(dep_lists)
+        gens = np.concatenate(gen_lists)
+        # drops these references to the channels' arrays (the deliveries are
+        # views of them) before the sort and the integration
+        dep_lists.clear()
+        gen_lists.clear()
         order = np.argsort(deps, kind="stable")
         deps = deps[order]
-        gens = np.concatenate(gen_lists)[order]
+        gens = gens[order]
         del order
     t0 = config.warmup * config.horizon
     # monitor age is zero at time zero, hence equals t0 at the window start

@@ -44,6 +44,35 @@ def nine_state_residual(l1, l2, m1, m2, pi, v) -> float:
     return float(np.abs(np.array(res)).max())
 
 
+def five_state_residual(l1, l2, m1, m2, pi, v) -> float:
+    """Max residual of the hand-written correlation equations of the
+    two-sensor fake-update chain (five vector equations, 15 scalars). States:
+    0 both idle, 1 only channel 1 busy, 2 only channel 2 busy, 3 both busy
+    with channel 1 fresher, 4 both busy with channel 2 fresher; a delivery
+    from the fresher channel hands its age to the other one."""
+    V = np.asarray(v, dtype=float)
+    p = np.asarray(pi, dtype=float)
+    res = []
+
+    def eq(out_rate, q, slope, *incoming):
+        rhs = np.array(slope, dtype=float) * p[q]
+        for rate, vec in incoming:
+            rhs = rhs + rate * np.array(vec, dtype=float)
+        res.append(out_rate * V[q] - rhs)
+
+    eq(l1 + l2, 0, (1, 0, 0),
+       (m1, (V[1][1], 0, 0)), (m2, (V[2][2], 0, 0)))
+    eq(l2 + m1, 1, (1, 1, 0),
+       (l1, (V[0][0], 0, 0)),
+       (m2, (V[3][2], V[3][1], 0)), (m2, (V[4][2], V[4][2], 0)))
+    eq(l1 + m2, 2, (1, 0, 1),
+       (l2, (V[0][0], 0, 0)),
+       (m1, (V[3][1], 0, V[3][1])), (m1, (V[4][1], 0, V[4][2])))
+    eq(m1 + m2, 3, (1, 1, 1), (l1, (V[2][0], 0, V[2][2])))
+    eq(m1 + m2, 4, (1, 1, 1), (l2, (V[1][0], V[1][1], 0)))
+    return float(np.abs(np.array(res)).max())
+
+
 def sawtooth_average_walk(times, gens, t0, t1, initial_age=0.0) -> float:
     """Scalar walk over delivery breakpoints; integrates each linear piece."""
     held = t0 - initial_age

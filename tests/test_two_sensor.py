@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from aoi_shs.shs_core import (
     BATCH_BLOCK,
     IllConditionedSystemError,
+    _solve,
     average_age,
     model_from_json,
     model_to_json,
@@ -13,6 +14,8 @@ from aoi_shs.shs_core import (
     solve_stationary,
 )
 from aoi_shs.two_sensor import (
+    _GRID_CHAIN,
+    _GRID_RATE_OF,
     MONITOR_COMPONENT,
     TwoSensorParams,
     average_aoi_equal_service,
@@ -23,7 +26,7 @@ from aoi_shs.two_sensor import (
     stationary_closed_form,
     zero_wait_limit,
 )
-from oracles import nine_state_residual
+from oracles import five_state_residual, nine_state_residual
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -198,13 +201,69 @@ class TestAverageAge:
         assert (np.diff(surface, axis=1) < 0).all()
 
 
+def log_uniform_rates(seed, size, low, high):
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(np.log(low), np.log(high), size=(size, 4)))
+
+
+class TestGridChain:
+    """The five-state fake-update chain that solves rate grids."""
+
+    def test_hand_written_equations_residual(self):
+        rates = log_uniform_rates(48, 200, 0.02, 50.0)
+        (probs, _, _), (vectors, _, _) = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        for row, pi, v in zip(rates, probs, vectors):
+            assert five_state_residual(*row, pi, v) < 1e-10
+
+    def test_stationary_is_nine_state_closed_form_lumped(self):
+        # both idle; only channel 1 busy; only channel 2 busy; both busy,
+        # channel 1 fresher; both busy, channel 2 fresher. The two routes
+        # round apart by up to 9.3e-15 over 3000 such points; the balance
+        # systems' condition numbers, up to 6e3, allow 1.3e-12
+        lumps = ([0], [1, 2], [4, 5], [6, 8], [3, 7])
+        rates = log_uniform_rates(49, 200, 0.02, 50.0)
+        (probs, _, _), _ = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        for row, pi in zip(rates, probs):
+            nine = stationary_closed_form(TwoSensorParams(*row)).probs
+            lumped = [nine[states].sum() for states in lumps]
+            assert np.abs(pi - lumped).max() < 1e-13
+
+
 class TestGrid:
     @pytest.mark.parametrize("size", [1, BATCH_BLOCK - 1, BATCH_BLOCK, BATCH_BLOCK + 1, 500])
     def test_matches_single_points_bit_for_bit(self, size):
-        rng = np.random.default_rng(46)
-        rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(size, 4)))
-        singles = [average_aoi_general(TwoSensorParams(*row)).average_aoi for row in rates]
+        # a point solved alone is a grid of one row
+        rates = log_uniform_rates(46, size, 0.05, 20.0)
+        singles = [average_aoi_grid(row[None, :])[0] for row in rates]
         assert average_aoi_grid(rates).tolist() == singles
+
+    def test_matches_general_to_round_off(self):
+        rates = log_uniform_rates(50, 2000, 0.02, 50.0)
+        general = [average_aoi_general(TwoSensorParams(*row)).average_aoi for row in rates]
+        assert average_aoi_grid(rates) == pytest.approx(general, rel=1e-14, abs=0)
+
+    def test_matches_equal_service_closed_form(self):
+        rates = log_uniform_rates(51, 500, 1e-3, 1e3)
+        rates[:, 3] = rates[:, 2]
+        closed = [average_aoi_equal_service(*row[:3]) for row in rates]
+        assert average_aoi_grid(rates) == pytest.approx(closed, rel=1e-12, abs=0)
+
+    def test_rejects_at_the_decade_general_does(self):
+        def rejects(solve):
+            try:
+                solve()
+            except IllConditionedSystemError:
+                return True
+            return False
+
+        verdicts = []
+        for s in 10.0 ** np.arange(3, 9):
+            row = (s, s, 1 / s, 1 / s)
+            verdicts.append((
+                rejects(lambda: average_aoi_grid([row])),
+                rejects(lambda: average_aoi_general(TwoSensorParams(*row))),
+            ))
+        assert verdicts == [(False, False)] * 3 + [(True, True)] * 3
 
     def test_failing_point_is_named(self):
         rates = np.ones((BATCH_BLOCK + 10, 4))
