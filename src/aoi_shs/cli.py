@@ -82,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=float, help="shared service rate (sets both --m1 and --m2)")
 
     def add_sim(p):
-        p.add_argument("--horizon", type=float, default=2e5)
-        p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--seed", type=int, default=des_sim.DEFAULT_SEED)
-        p.add_argument("--warmup", type=float, default=0.01)
+        protocol = des_sim.SimConfig()
+        p.add_argument("--horizon", type=float, default=protocol.horizon)
+        p.add_argument("--trials", type=int, default=protocol.num_trials)
+        p.add_argument("--seed", type=int, default=protocol.seed)
+        p.add_argument("--warmup", type=float, default=protocol.warmup)
 
     def add_out(p, default_format):
         p.add_argument("--format", choices=("csv", "json"), default=default_format)

@@ -90,8 +90,7 @@ class SimConfig:
     warmup: float = 0.01
 
     def __post_init__(self):
-        if not (_is_a(numbers.Real, self.horizon) and 0 < self.horizon < _INF):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        _require_positive(horizon=self.horizon)
         if not (_is_a(numbers.Integral, self.num_trials) and self.num_trials >= 1):
             raise ValueError(f"num_trials must be an integer >= 1, got {self.num_trials!r}")
         if not (_is_a(numbers.Real, self.warmup) and 0 <= self.warmup < 1):

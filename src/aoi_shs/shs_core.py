@@ -88,8 +88,11 @@ def _is_a(kind, value) -> bool:
 
 
 def _require_positive(**rates) -> None:
-    """Each named rate must be a real number (numpy scalars included; bools
-    and strings raise ``ValueError`` too), strictly positive and finite."""
+    """The package's one rate rule: each named rate must be a real number
+    (numpy scalars included; bools and strings raise ``ValueError`` too),
+    strictly positive and finite, or ``ValueError`` reads ``<name> must be
+    strictly positive and finite, got <value!r>``. A name need not be an
+    identifier: ``**{"point 3: mu1": value}`` names a grid entry."""
     for name, value in rates.items():
         if not (_is_a(numbers.Real, value) and 0.0 < value < math.inf):
             raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
@@ -157,9 +160,10 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     be integers and rates real numbers (numpy scalars included, bools not).
     Raises ``ValueError`` naming the offending field, transition or state on
     any violation: a count below 1, a state index that is not an integer or
-    out of range, a rate that is not real, positive and finite, reset-map
-    columns that are not "zero or copy exactly one component", non-binary
-    slopes, or a chain that is not strongly connected.
+    out of range, a rate that breaks :func:`_require_positive`'s rule
+    (named ``transition <idx> (<from>-><to>): rate``), reset-map columns
+    that are not "zero or copy exactly one component", non-binary slopes,
+    or a chain that is not strongly connected.
     """
     for label, count in (("num_states", num_states), ("num_components", num_components)):
         if not (_is_a(numbers.Integral, count) and count >= 1):
@@ -178,14 +182,7 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
                 raise ValueError(
                     f"transition {idx}: {label} {state!r} is not an integer in [0, {n})"
                 )
-        if not _is_a(numbers.Real, rate):
-            raise ValueError(
-                f"transition {idx} ({frm}->{to}): rate {rate!r} is not a real number"
-            )
-        if not 0.0 < rate < math.inf:
-            raise ValueError(
-                f"transition {idx} ({frm}->{to}): nonpositive rate {float(rate)}"
-            )
+        _require_positive(**{f"transition {idx} ({frm}->{to}): rate": rate})
         amap = np.array(amap, dtype=float)
         if amap.shape != (c, c):
             raise ValueError(
@@ -231,8 +228,6 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
 
 
 def _check_irreducible(num_states: int, specs) -> None:
-    if num_states == 1:
-        return
     forward: list[list[int]] = [[] for _ in range(num_states)]
     backward: list[list[int]] = [[] for _ in range(num_states)]
     for frm, to, _, _ in specs:

@@ -15,7 +15,7 @@ other channel if that one holds an older update, which then serves a "fake"
 update, so five states (the busy set and, with both busy, which is fresher)
 give the same monitor age. Everything reduces to the generic solver in
 :mod:`aoi_shs.shs_core`, with its solve diagnostics and its one rule for
-scalar rates; closed forms for the equal-rate special cases are provided
+every rate; closed forms for the equal-rate special cases are provided
 alongside and cross-checked in the test suite.
 """
 
@@ -251,18 +251,13 @@ def average_aoi_grid(rates) -> np.ndarray:
         if bad:
             index = next(i for i, value in enumerate(flat) if type(value) in bad)
             point, column = divmod(index, len(_RATE_NAMES))
-            raise ValueError(
-                f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
-                f"and finite, got {flat[index]!r}"
-            )
+            _require_positive(**{f"point {point}: {_RATE_NAMES[column]}": flat[index]})
     rates = rates.astype(float)
     bad = ~(np.isfinite(rates) & (rates > 0.0))
     if bad.any():
         point, column = np.argwhere(bad)[0]
-        raise ValueError(
-            f"point {point}: {_RATE_NAMES[column]} must be strictly positive "
-            f"and finite, got {float(rates[point, column])!r}"
-        )
+        _require_positive(
+            **{f"point {point}: {_RATE_NAMES[column]}": float(rates[point, column])})
     return _monitor_ages(_solve(_GRID_CHAIN, rates, _GRID_RATE_OF)[1])
 
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import aoi_shs
 from aoi_shs.cli import MAX_GRID_POINTS, _grids, main
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
@@ -48,6 +53,10 @@ PINNED_OUTPUTS = [
                   "--method", "eq17"),
                  "fea18c477df8f1190231672e05d1977eef37ace03bde940fe146fc88c4a30b95",
                  id="theory-eq17"),
+    pytest.param(("theory", "--l1", "1", "--l2", "1", "--m", "1", "--method", "eq17",
+                  "--format", "csv"),
+                 "fd49b27d25bf77b3215947ca1104e8a6349112227639bd85cb7c1b4c9d8f2b0d",
+                 id="theory-eq17-csv"),
     pytest.param(("theory", "--method", "zero_wait", "--m", "1"),
                  "415475a8193954ff3e62791d899e6fe96585d418e3495531591d563782161366",
                  id="theory-zero-wait-m"),
@@ -442,3 +451,13 @@ class TestPinnedOutputs:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_module_entry_point_matches_main(self, capsys):
+        argv = ("theory", "--l1", "1", "--l2", "1", "--m", "1", "--method", "eq17",
+                "--format", "csv")
+        _, out, _ = run(capsys, *argv)
+        # the child imports the package from the same directory as this process
+        env = {**os.environ, "PYTHONPATH": str(Path(aoi_shs.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-m", "aoi_shs", *argv], env=env,
+                               capture_output=True, text=True, check=True)
+        assert child.stdout == out

@@ -103,6 +103,10 @@ class TestTimeAverageAge:
         with pytest.raises(ValueError, match="generated"):
             time_average_age([2.0], [2.5], (0.0, 10.0))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            time_average_age([1.0, 2.0], [0.5], (0.0, 10.0))
+
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             time_average_age([], [], (3.0, 3.0))
@@ -225,6 +229,11 @@ class TestReproducibility:
             assert a.trial_values == b.trial_values
             assert a.mean_aoi == b.mean_aoi
             assert a.events_processed == b.events_processed
+
+    def test_plain_tuple_params_give_the_same_result(self):
+        rates = (0.7, 1.1, 1.0, 1.3)
+        assert (simulate_two_sensor(rates, self.SMALL)
+                == simulate_two_sensor(TwoSensorParams(*rates), self.SMALL))
 
     def test_trial_values_independent_of_trial_count(self):
         params = TwoSensorParams(0.7, 1.1, 1.0, 1.3)

@@ -61,13 +61,33 @@ class TestBuildModel:
         assert len(model.transitions) == 2
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive rate"):
+        with pytest.raises(ValueError, match=r"transition 0 \(0->1\): rate must be strictly "
+                                             r"positive and finite, got 0\.0"):
             single_queue_model(0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_bad_rates_rejected(self, bad):
         with pytest.raises(ValueError, match="rate"):
             single_queue_model(bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_rate_is_not_called_nonpositive(self, bad):
+        with pytest.raises(ValueError, match=r"transition 0 \(0->1\): rate must be strictly "
+                                             r"positive and finite, got"):
+            single_queue_model(bad, 1.0)
+
+    def test_one_state_chain_builds_and_solves(self):
+        # a self-loop resets the monitor at rate 2, so the time-average age
+        # of the Exp(2) intervals X is E[X^2] / (2 E[X]) = 1 / 2
+        model = build_model(1, 1, [(0, 0, 2.0, [[0]])], [[1]])
+        pi = solve_stationary(model)
+        assert pi.probs.tolist() == [1.0]
+        assert average_age(solve_correlation(model, pi)) == pytest.approx(0.5, rel=1e-15)
+
+    def test_reset_map_shape_named(self):
+        with pytest.raises(ValueError, match=r"transition 0: reset_map shape \(1, 2\) "
+                                             r"!= \(1, 1\)"):
+            build_model(2, 1, [(0, 1, 1.0, [[1, 0]]), (1, 0, 1.0, [[1]])], [[1], [1]])
 
     def test_out_of_range_state_named(self):
         with pytest.raises(ValueError, match=r"transition 1: to_state 7"):
@@ -114,10 +134,11 @@ class TestBuildModel:
         pytest.param(2, 1, [(0, True, 1.0, [[1]]), (1, 0, 1.0, [[1]])],
                      "transition 0: to_state True is not an integer", id="bool-state"),
         pytest.param(2, 1, [(0, 1, True, [[1]]), (1, 0, 1.0, [[1]])],
-                     r"transition 0 \(0->1\): rate True is not a real number", id="bool-rate"),
+                     r"transition 0 \(0->1\): rate must be strictly positive and finite, "
+                     r"got True", id="bool-rate"),
         pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, "2.5", [[1]])],
-                     r"transition 1 \(1->0\): rate '2\.5' is not a real number",
-                     id="string-rate"),
+                     r"transition 1 \(1->0\): rate must be strictly positive and finite, "
+                     r"got '2\.5'", id="string-rate"),
     ])
     def test_malformed_numbers_rejected(self, num_states, num_components, transitions,
                                         message):
@@ -351,13 +372,15 @@ class TestSerialization:
     def test_invalid_document_is_revalidated(self):
         model = ring_model([1.0, 1.0])
         text = model_to_json(model).replace('"rate": 1.0', '"rate": -1.0')
-        with pytest.raises(ValueError, match="nonpositive rate"):
+        with pytest.raises(ValueError, match=r"rate must be strictly positive and finite, "
+                                             r"got -1\.0"):
             model_from_json(text)
 
     def test_string_rate_rejected(self):
         text = model_to_json(ring_model([2.5, 1.0]))
         assert '"rate": 2.5' in text
-        with pytest.raises(ValueError, match=r"rate '2\.5' is not a real number"):
+        with pytest.raises(ValueError, match=r"rate must be strictly positive and finite, "
+                                             r"got '2\.5'"):
             model_from_json(text.replace('"rate": 2.5', '"rate": "2.5"'))
 
     @pytest.mark.parametrize("text, message", [
@@ -369,6 +392,10 @@ class TestSerialization:
                      "transition 0 lacks field 'to_state'", id="missing-to-state"),
         pytest.param("[1, 2]", "model document is not a JSON object", id="array"),
         pytest.param('"model"', "model document is not a JSON object", id="string"),
+        pytest.param(json.dumps({"num_states": 1, "num_components": 1, "slopes": [[1]],
+                                 "transitions": {}}),
+                     "model document: transitions is not a JSON array",
+                     id="transitions-object"),
     ])
     def test_malformed_document_is_named(self, text, message):
         with pytest.raises(ValueError, match=message):
