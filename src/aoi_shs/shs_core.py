@@ -69,7 +69,13 @@ _TINY_NEGATIVE = -1e-12
 
 #: Points solved together; bounds the memory of the stacked systems and of
 #: the balance inverses, from which that stage's condition numbers come.
-BATCH_BLOCK = 64
+#: Only the five-state grid chain (15 x 15 correlation systems) is solved in
+#: batches larger than one, so the size is chosen for it: ``_solve`` on 500
+#: such points, one BLAS thread on a shared 2-CPU host, medians of 15
+#: interleaved runs, took 9.0, 8.1, 7.8 and 8.4 ms at blocks of 64, 128, 256
+#: and 512. At 512 each 15 x 15 stack is 0.9 MB, and the few that a block
+#: holds at once outgrow the host's 2 MB per-core L2 cache.
+BATCH_BLOCK = 256
 
 
 class IllConditionedSystemError(RuntimeError):
@@ -91,11 +97,13 @@ def _require_positive(**rates) -> None:
     """The package's one rate rule: each named rate must be a real number
     (numpy scalars included; bools and strings raise ``ValueError`` too),
     strictly positive and finite, or ``ValueError`` reads ``<name> must be
-    strictly positive and finite, got <value!r>``. A name need not be an
-    identifier: ``**{"point 3: mu1": value}`` names a grid entry."""
+    strictly positive and finite, got <value!r>``, a numpy scalar shown as
+    the plain number it holds. A name need not be an identifier:
+    ``**{"point 3: mu1": value}`` names a grid entry."""
     for name, value in rates.items():
         if not (_is_a(numbers.Real, value) and 0.0 < value < math.inf):
-            raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+            shown = value.item() if isinstance(value, np.generic) else value
+            raise ValueError(f"{name} must be strictly positive and finite, got {shown!r}")
 
 
 class TransitionSpec(NamedTuple):
@@ -388,18 +396,26 @@ def _solve(model: ShsModel, rates: np.ndarray, columns):
     ``rates``: point i's transition rates are ``rates[i, columns]``, so a
     chain whose transitions share a few named rates is solved, and its guard
     messages are written, in those rates. Points are solved in blocks of
-    :data:`BATCH_BLOCK`. Rates must already be positive and finite. A point
-    that fails a guard raises :class:`IllConditionedSystemError` naming its
-    index and rates. Returns each stage's read-only ``(values, condition,
-    residual)``, every array with leading dimension N.
+    :data:`BATCH_BLOCK`: a single block's arrays are returned as they are,
+    and more blocks are copied into arrays of N rows as they are solved, so
+    no block outlives its solve. Rates must already be positive and finite.
+    A point that fails a guard raises :class:`IllConditionedSystemError`
+    naming its index and rates. Returns each stage's read-only ``(values,
+    condition, residual)``, every array with leading dimension N.
     """
-    blocks = []
+    stages = None
     for start in range(0, len(rates), BATCH_BLOCK):
         rows = rates[start:start + BATCH_BLOCK]
         weights = rows[:, columns]
         stationary = _stationary(model, rows, weights, start)
-        blocks.append((*stationary, *_correlation(model, rows, weights, stationary[0], start)))
-    stages = [np.concatenate(column) for column in zip(*blocks)]
+        block = (*stationary, *_correlation(model, rows, weights, stationary[0], start))
+        if len(rows) == len(rates):
+            stages = block
+        else:
+            if stages is None:
+                stages = [np.empty((len(rates), *values.shape[1:])) for values in block]
+            for out, values in zip(stages, block):
+                out[start:start + len(rows)] = values
     for values in stages:
         values.setflags(write=False)
     return stages[:3], stages[3:]

@@ -445,6 +445,38 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestSharedParser:
+    def test_commands_in_one_process_leave_no_state(self, capsys, tmp_path):
+        # main parses every command with one parser built at import
+        code, out, _ = run(capsys, "sweep-fig3", "--grid-l1", "0.3", "0.5", "2",
+                           "--grid-m2", "1", "1.2", "2", "--simulate",
+                           "--horizon", "400", "--trials", "2")
+        assert code == 0
+        assert all(line.split(",")[5] for line in out.splitlines()[1:])
+        assert len(out.splitlines()) == 5
+
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--l1", "1", "--l2", "1", "--m", "1", "--method", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+        target = tmp_path / "theory.csv"
+        code, out, _ = run(capsys, "theory", "--l1", "1", "--l2", "1", "--m", "1",
+                           "--method", "eq17", "--format", "csv", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text().splitlines()[-1] == "1.0,1.0,1.0,1.0,eq17,1.609375"
+
+        code, out, _ = run(capsys, "sweep-fig3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FIG3_DEFAULT_SHA256
+        assert all(line.endswith(",,") for line in out.splitlines()[1:])
+
+        (argv, sha256), = [p.values for p in PINNED_OUTPUTS if p.id == "theory-general-json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS)
     def test_stdout_is_pinned(self, capsys, argv, sha256):

@@ -196,6 +196,11 @@ class TestConfig:
         assert (config.horizon, config.warmup) == (50.0, 0.25)
         assert SimConfig(horizon=np.int64(7)).horizon == 7
 
+    def test_numpy_horizon_shown_as_plain_number(self):
+        with pytest.raises(ValueError) as exc:
+            SimConfig(horizon=np.float64(-1))
+        assert str(exc.value) == "horizon must be strictly positive and finite, got -1.0"
+
     def test_numpy_integer_seed_accepted(self):
         assert SimConfig(num_trials=np.int64(2), seed=np.uint64(7)).seed == 7
 

@@ -159,6 +159,13 @@ class TestBuildModel:
             int, int, float]
         assert model_from_json(model_to_json(model)).transitions[0].rate == 1.5
 
+    def test_numpy_rate_shown_as_plain_number(self):
+        with pytest.raises(ValueError) as exc:
+            build_model(2, 1, [(0, 1, np.float32(-2), [[1]]), (1, 0, 1.0, [[1]])],
+                        [[1], [1]])
+        assert str(exc.value) == (
+            "transition 0 (0->1): rate must be strictly positive and finite, got -2.0")
+
     def test_short_transition_is_named(self):
         with pytest.raises(ValueError, match=r"transition 1 is not a \('from_state', "):
             build_model(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, 1.0)], [[1], [1]])

@@ -52,6 +52,11 @@ class TestParams:
         with pytest.raises(ValueError, match="lambda2 must be strictly positive and finite"):
             TwoSensorParams(1.0, bad, 1.0, 1.0)
 
+    def test_numpy_rate_shown_as_plain_number(self):
+        with pytest.raises(ValueError) as exc:
+            TwoSensorParams(np.float64(0), 1, 1, 1)
+        assert str(exc.value) == "lambda1 must be strictly positive and finite, got 0.0"
+
     def test_numpy_numbers_stored_as_floats(self):
         params = TwoSensorParams(np.float32(0.5), np.int64(2), 1, np.float64(1.5))
         assert [(type(v), v) for v in vars(params).values()] == [
@@ -227,6 +232,23 @@ class TestGridChain:
             nine = stationary_closed_form(TwoSensorParams(*row)).probs
             lumped = [nine[states].sum() for states in lumps]
             assert np.abs(pi - lumped).max() < 1e-13
+
+
+class TestReadOnly:
+    """The solver's results are read-only on both of its block paths."""
+
+    @pytest.mark.parametrize("size", [1, BATCH_BLOCK, BATCH_BLOCK + 1])
+    def test_solve_returns_read_only_arrays(self, size):
+        rates = log_uniform_rates(52, size, 0.05, 20.0)
+        stationary, correlation = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        for values in (*stationary, *correlation):
+            assert len(values) == size
+            assert values.flags.writeable is False
+
+    def test_breakdown_arrays_are_read_only(self):
+        breakdown = average_aoi_general(TwoSensorParams(0.5, 0.8, 1.0, 1.4))
+        assert breakdown.stationary.probs.flags.writeable is False
+        assert breakdown.correlations.vectors.flags.writeable is False
 
 
 class TestGrid:
