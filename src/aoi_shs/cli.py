@@ -65,10 +65,6 @@ _READS = {
 MAX_GRID_POINTS = 500_000
 
 
-class UsageError(ValueError):
-    """Bad flag combination or parameter value; exits with code 2."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoi-shs",
@@ -198,25 +194,16 @@ def _grids(*specs) -> list[list[float]]:
     then their product against :data:`MAX_GRID_POINTS`, before any is built."""
     checked = []
     for spec, name in specs:
-        if not float(spec[2]).is_integer():
-            raise UsageError(f"{name}: grid count must be an integer, got {spec[2]!r}")
-        start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
-        if count < 1:
-            raise UsageError(f"{name}: grid count must be >= 1, got {count}")
-        if not (0 < start < math.inf and 0 < stop < math.inf):
-            raise UsageError(
-                f"{name}: grid endpoints must be positive and finite, "
-                f"got {start!r} and {stop!r}"
-            )
-        checked.append((start, stop, count))
+        start, stop, count = spec
+        _require(count >= 1 and float(count).is_integer(),
+                 f"{name}: grid count must be an integer >= 1, got {count!r}")
+        shs_core._require_positive(**{f"{name} START": start, f"{name} STOP": stop})
+        checked.append((start, stop, int(count)))
     total = math.prod(count for _, _, count in checked)
-    if total > MAX_GRID_POINTS:
-        flags = " x ".join(name for _, name in specs)
-        raise UsageError(
-            f"{flags}: {total} grid points exceed the cap of {MAX_GRID_POINTS}"
-        )
-    return [[start] if count == 1 else np.linspace(start, stop, count).tolist()
-            for start, stop, count in checked]
+    _require(total <= MAX_GRID_POINTS,
+             f"{' x '.join(name for _, name in specs)}: {total} grid points "
+             f"exceed the cap of {MAX_GRID_POINTS}")
+    return [np.linspace(start, stop, count).tolist() for start, stop, count in checked]
 
 
 def _sim_config(args) -> des_sim.SimConfig:
@@ -230,16 +217,17 @@ def _sim_config(args) -> des_sim.SimConfig:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _rates(args) -> dict:
     """The ``{l1, l2, m1, m2}`` rates the command's variant reads, None where
     it reads none; one service rate is reported as ``m1``.
 
-    Every typed rate flag must be finite, then positive; ``--m`` excludes
-    ``--m1``/``--m2``; then a typed flag the variant does not read and a
-    flag it reads but was not given are usage errors.
+    Every typed rate flag must pass the package's one rate rule,
+    :func:`shs_core._require_positive`, named by its flag; then ``--m``
+    excludes ``--m1``/``--m2``; then a typed flag the variant does not read
+    and a flag it reads but was not given are usage errors.
     """
     variant = getattr(args, "method", None) or getattr(args, "model", None) or args.command
     label = {"theory": "method ", "simulate": "model "}.get(args.command, "") + variant
@@ -247,8 +235,7 @@ def _rates(args) -> dict:
     for flag in ("l1", "l2", "m1", "m2", "m"):
         value = getattr(args, flag, None)
         if value is not None:
-            _require(math.isfinite(value), f"--{flag} must be finite, got {value!r}")
-            _require(value > 0, f"--{flag} must be positive, got {value!r}")
+            shs_core._require_positive(**{f"--{flag}": value})
             typed[flag] = value
     reads = _READS[variant]
     if "m" in typed:

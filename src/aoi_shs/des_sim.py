@@ -118,12 +118,15 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     only precondition the filter state; deliveries past ``t1`` are ignored.
     ``initial_age`` is the finite monitor age that would hold at ``t0`` had
     no listed delivery occurred. Stale deliveries contribute nothing,
-    matching the monitor discipline.
+    matching the monitor discipline. ``t0``, ``t1`` and ``initial_age`` must
+    be real numbers (numpy scalars included; bools and strings raise
+    ``ValueError``).
     """
-    t0, t1 = float(window[0]), float(window[1])
-    if not -_INF < t0 < t1 < _INF:
+    t0, t1 = window[0], window[1]
+    if not (_is_a(numbers.Real, t0) and _is_a(numbers.Real, t1) and -_INF < t0 < t1 < _INF):
         raise ValueError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
-    if not 0 <= initial_age < _INF:
+    t0, t1 = float(t0), float(t1)
+    if not (_is_a(numbers.Real, initial_age) and 0 <= initial_age < _INF):
         raise ValueError(f"initial_age must be nonnegative and finite, got {initial_age!r}")
     times = np.asarray(times, dtype=float)
     gens = np.asarray(gens, dtype=float)

@@ -457,9 +457,12 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
 
 
 def average_age(v: CorrelationVectors, component: int = 0) -> float:
-    """Long-run time average of one age component: the column sum over states."""
+    """Long-run time average of one age component: the column sum over states.
+
+    ``component`` must be an integer in range (numpy integers included; a
+    bool or float raises ``IndexError`` too)."""
     num_components = v.vectors.shape[1]
-    if not 0 <= component < num_components:
+    if not (_is_a(numbers.Integral, component) and 0 <= component < num_components):
         raise IndexError(
             f"component {component} out of range [0, {num_components})"
         )

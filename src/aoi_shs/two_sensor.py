@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # solve_stationary, solve_correlation and average_age are not called here but
-# stay importable from this module, next to build_model, for callers that
-# reach the solver through it
+# stay names of this module: perfbench/tracer.py patches them on two_sensor as
+# well as on shs_core, and tests/test_perfbench_tracer.py requires them
 from .shs_core import (  # noqa: F401
     CorrelationVectors,
     ShsModel,

@@ -165,7 +165,7 @@ class TestTheory:
         code, _, err = run(capsys, "theory", "--l1", "1", "--l2", "1",
                            "--m", "nan", "--method", method)
         assert code == 2
-        assert "--m must be finite, got nan" in err
+        assert "--m must be strictly positive and finite, got nan" in err
 
     def test_missing_rates_usage_error(self, capsys):
         code, _, err = run(capsys, "theory", "--method", "general")
@@ -315,7 +315,8 @@ class TestSweep:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"{argv[1]}: grid endpoints must be positive and finite" in err
+        end, value = ("START", argv[2]) if argv[2] == "nan" else ("STOP", argv[3])
+        assert f"{argv[1]} {end} must be strictly positive and finite, got {value}" in err
 
 
 class TestCompare:
@@ -363,22 +364,24 @@ class TestExportModel:
 class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(("theory", "--l1", "inf", "--l2", "1", "--m", "1"),
-                     "--l1 must be finite, got inf", id="theory-l1-inf"),
+                     "--l1 must be strictly positive and finite, got inf", id="theory-l1-inf"),
         pytest.param(("theory", "--l1", "1", "--l2", "1", "--m1", "1", "--m2", "-2"),
-                     "--m2 must be positive, got -2.0", id="theory-m2-negative"),
+                     "--m2 must be strictly positive and finite, got -2.0",
+                     id="theory-m2-negative"),
         pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "nan"),
-                     "--m must be finite, got nan", id="simulate-m-nan"),
+                     "--m must be strictly positive and finite, got nan", id="simulate-m-nan"),
         pytest.param(("simulate", "--model", "two_sensor", "--l1", "1", "--l2", "0",
                       "--m", "1"),
-                     "--l2 must be positive, got 0.0", id="simulate-l2-zero"),
+                     "--l2 must be strictly positive and finite, got 0.0", id="simulate-l2-zero"),
         pytest.param(("sweep-fig3", "--l2", "inf"),
-                     "--l2 must be finite, got inf", id="sweep-l2-inf"),
+                     "--l2 must be strictly positive and finite, got inf", id="sweep-l2-inf"),
         pytest.param(("sweep-fig3", "--m1", "-1"),
-                     "--m1 must be positive, got -1.0", id="sweep-m1-negative"),
+                     "--m1 must be strictly positive and finite, got -1.0",
+                     id="sweep-m1-negative"),
         pytest.param(("compare-fig4", "--m", "nan"),
-                     "--m must be finite, got nan", id="compare-m-nan"),
+                     "--m must be strictly positive and finite, got nan", id="compare-m-nan"),
         pytest.param(("export-model", "--l1", "1", "--l2", "1", "--m1", "inf", "--m2", "1"),
-                     "--m1 must be finite, got inf", id="export-m1-inf"),
+                     "--m1 must be strictly positive and finite, got inf", id="export-m1-inf"),
     ])
     def test_bad_rate_flag_named(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -125,6 +125,23 @@ class TestTimeAverageAge:
         with pytest.raises(ValueError, match="initial_age"):
             time_average_age([], [], (0.0, 1.0), initial_age=initial_age)
 
+    @pytest.mark.parametrize("window, initial_age, field", [
+        pytest.param((0.0, True), 0.0, "window", id="t1-bool"),
+        pytest.param((False, 1.0), 0.0, "window", id="t0-bool"),
+        pytest.param(("0", 1.0), 0.0, "window", id="t0-str"),
+        pytest.param((0.0, "1"), 0.0, "window", id="t1-str"),
+        pytest.param((0.0, 1.0), True, "initial_age", id="initial-age-bool"),
+        pytest.param((0.0, 1.0), "0.5", "initial_age", id="initial-age-str"),
+    ])
+    def test_non_real_window_or_initial_age_rejected(self, window, initial_age, field):
+        with pytest.raises(ValueError, match=field):
+            time_average_age([1.0], [0.5], window, initial_age=initial_age)
+
+    def test_numpy_window_and_initial_age_accepted(self):
+        value = time_average_age([1.0], [0.9], (np.float64(2.0), np.int64(4)),
+                                 initial_age=np.float32(2.0))
+        assert value == time_average_age([1.0], [0.9], (2.0, 4.0), initial_age=2.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_delivery_time_rejected(self, bad):
         # a nan delivery time used to pass the sort check

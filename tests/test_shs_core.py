@@ -328,6 +328,10 @@ class TestCorrelation:
             average_age(v, 2)
         with pytest.raises(IndexError):
             average_age(v, -1)
+        for bad in (True, False, 1.0):
+            with pytest.raises(IndexError, match=f"component {bad} out of range"):
+                average_age(v, bad)
+        assert average_age(v, np.int64(1)) == average_age(v, 1)
 
 
 class TestInvariances:
