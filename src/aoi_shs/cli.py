@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -60,8 +61,9 @@ _READS = {
 
 #: Most grid points one command may build, checked before any is. Measured
 #: peak RSS growth of a sweep-fig3 command over 1e4 to 5e5 points: at most
-#: 570 B per point as CSV and 870 B as JSON (points, solver output, ages,
-#: rows and the output text), and 250 MB and 330 MB at 5e5 points.
+#: 370 B per point as CSV and 810 B as JSON (rate array, solver output, ages,
+#: lines or encoded rows, and the output text), and 160 MB and 240 MB at 5e5
+#: points.
 MAX_GRID_POINTS = 500_000
 
 
@@ -332,17 +334,34 @@ def _cmd_simulate(args, rates) -> str:
 def _cmd_sweep_fig3(args, rates) -> str:
     config = _sim_config(args)
     l1s, m2s = _grids((args.grid_l1, "--grid-l1"), (args.grid_m2, "--grid-m2"))
-    points = [(l1, rates["l2"], rates["m1"], m2) for l1 in l1s for m2 in m2s]
-    theory = two_sensor.average_aoi_grid(np.array(points)).tolist()
-    rows = []
-    for point, value in zip(points, theory):
-        if args.simulate:
-            result = des_sim.simulate_two_sensor(two_sensor.TwoSensorParams(*point), config)
-            sim_mean, sim_ci = result.mean_aoi, result.ci95_halfwidth
-        else:
-            sim_mean = sim_ci = None
-        rows.append((*point, value, sim_mean, sim_ci))
-    return _table(args.format, _FIG3_HEADER, rows)
+    l2, m1 = rates["l2"], rates["m1"]
+    axes = np.broadcast_arrays(np.array(l1s)[:, None], l2, m1, np.array(m2s))
+    ages = two_sensor.average_aoi_grid(np.stack(axes, axis=-1).reshape(-1, 4)).tolist()
+    sims = [(None, None)] * len(ages)
+    if args.simulate:
+        results = (des_sim.simulate_two_sensor(two_sensor.TwoSensorParams(*point), config)
+                   for point in itertools.product(l1s, [l2], [m1], m2s))
+        sims = [(result.mean_aoi, result.ci95_halfwidth) for result in results]
+    if args.format == "json":
+        rows = ((*point, age, *sim) for point, age, sim
+                in zip(itertools.product(l1s, [l2], [m1], m2s), ages, sims))
+        return _table("json", _FIG3_HEADER, rows)
+    return _fig3_csv(l1s, l2, m1, m2s, ages, sims)
+
+
+def _fig3_csv(l1s, l2, m1, m2s, ages, sims) -> str:
+    """The sweep-fig3 CSV, run by run over ``l1``: the fixed ``l2,m1`` pair,
+    each ``l1`` and each ``m2`` are formatted once, each age and simulated
+    cell once per row; ``ages`` and ``sims`` are in ``l1``-major order."""
+    fixed = f"{_fmt(l2)},{_fmt(m1)},"
+    m2_cells = [_fmt(m2) for m2 in m2s]
+    lines = [_FIG3_HEADER]
+    for start, l1 in zip(range(0, len(ages), len(m2s)), l1s):
+        lead = f"{_fmt(l1)},{fixed}"
+        stop = start + len(m2s)
+        lines.extend(f"{lead}{m2},{_fmt(age)},{_fmt(mean)},{_fmt(ci)}"
+                     for m2, age, (mean, ci) in zip(m2_cells, ages[start:stop], sims[start:stop]))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_compare_fig4(args, rates) -> str:

@@ -243,3 +243,20 @@ def preemptive_pair_scan(lam: float, mu: float, horizon: float, arrival_rng, ser
             kind, server = "preempt", 0 if gen[0] <= gen[1] else 1
         gen[server], dep[server] = a, a + service
         record(a, kind, server + 1, a)
+
+
+def csv_by_cells(header: str, rows) -> str:
+    """CSV text under ``header`` rendered one cell at a time: a float by its
+    ``repr``, None as an empty cell, anything else by ``str``."""
+    lines = [header]
+    for row in rows:
+        cells = []
+        for value in row:
+            if isinstance(value, float):
+                cells.append(repr(float(value)))
+            elif value is None:
+                cells.append("")
+            else:
+                cells.append(str(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -1,15 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_by_cells
 
 import aoi_shs
-from aoi_shs.cli import MAX_GRID_POINTS, _grids, main
+from aoi_shs import des_sim
+from aoi_shs.cli import _FIG3_HEADER, MAX_GRID_POINTS, _csv, _grids, main
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
     CONDITION_LIMIT,
@@ -19,7 +29,7 @@ from aoi_shs.shs_core import (
     solve_correlation,
     solve_stationary,
 )
-from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
+from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general, average_aoi_grid
 
 # sha256 of the default sweep-fig3 CSV, re-recorded when grids moved from the
 # nine-state chain to the five-state fake-update chain (56 of 81 ages moved
@@ -30,6 +40,10 @@ FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
 
 SIM_SHORT = ("--horizon", "300", "--trials", "2")
+
+# a rate log-uniform in [0.05, 20], and a START STOP COUNT grid of such rates
+RATES = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
+GRID_SPECS = st.tuples(RATES, RATES, st.integers(1, 30))
 
 # sha256 of the stdout of valid invocations, recorded before the rate flags
 # each variant reads were declared in one table; the two_sensor, mm11 and
@@ -93,6 +107,19 @@ PINNED_OUTPUTS = [
     pytest.param(("compare-fig4", "--grid-lambda", "0.5", "2", "2", *SIM_SHORT),
                  "e9ddc37f2012c9b4812703a625bed61c28aaad063a595c0c60c5437d886e901f",
                  id="compare-fig4"),
+    # recorded before sweep-fig3's CSV was built from per-column text
+    pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.7", "2", "--grid-m2", "1", "1.5", "3",
+                  "--format", "json"),
+                 "1d3da13b9a8bb0c583bb5a02dde31591257eeba826b59be0508398cd5f6464cb",
+                 id="sweep-fig3-json"),
+    pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.5", "2", "--grid-m2", "1", "1.2", "2",
+                  "--simulate", *SIM_SHORT),
+                 "89a1bc3e181fd1ee7675764cf1a16e3c897910d8dd018e7eefb9fe9659831b50",
+                 id="sweep-fig3-simulate-csv"),
+    pytest.param(("sweep-fig3", "--l2", "1.5", "--m1", "0.7", "--grid-l1", "0.9", "0.2", "4",
+                  "--grid-m2", "1.3", "1.3", "1"),
+                 "d1fb12dc5c1a681e72c5caecea88ffaf2522eab0b32b992ced89140cba7f32de",
+                 id="sweep-fig3-reversed-one-point"),
 ]
 
 
@@ -288,6 +315,36 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep-fig3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == FIG3_DEFAULT_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(l1_spec=GRID_SPECS, m2_spec=GRID_SPECS, l2=RATES, m1=RATES, simulate=st.booleans())
+    def test_csv_matches_row_rendering(self, l1_spec, m2_spec, l2, m1, simulate):
+        # the CSV equals the 7-tuple rows of the same points and ages rendered
+        # one cell at a time; the simulator is replaced by a function of the point
+        def fake_simulate(params, config):
+            return SimpleNamespace(mean_aoi=params.lambda1 + params.mu2 / 3,
+                                   ci95_halfwidth=params.lambda1 * params.mu2)
+
+        argv = ["sweep-fig3", "--l2", repr(l2), "--m1", repr(m1),
+                "--grid-l1", *map(repr, l1_spec), "--grid-m2", *map(repr, m2_spec)]
+        out = io.StringIO()
+        with mock.patch.object(des_sim, "simulate_two_sensor", fake_simulate), \
+                contextlib.redirect_stdout(out):
+            assert main(argv + ["--simulate"] * simulate) == 0
+
+        l1s, m2s = _grids((l1_spec, "--grid-l1"), (m2_spec, "--grid-m2"))
+        points = [(l1, l2, m1, m2) for l1 in l1s for m2 in m2s]
+        ages = average_aoi_grid(np.array(points)).tolist()
+        sims = [(None, None)] * len(points)
+        if simulate:
+            results = [fake_simulate(TwoSensorParams(*point), None) for point in points]
+            sims = [(result.mean_aoi, result.ci95_halfwidth) for result in results]
+        rows = [(*point, age, *sim) for point, age, sim in zip(points, ages, sims)]
+        expected = _csv(_FIG3_HEADER, rows)
+        assert expected == csv_by_cells(_FIG3_HEADER, rows)
+        # compared as lists of lines, so that a failure names the first row
+        # that differs instead of diffing the whole text
+        assert out.getvalue().split("\n") == expected.split("\n")
 
     def test_zero_count_grid_rejected(self, capsys):
         code, _, err = run(capsys, "sweep-fig3", "--grid-l1", "0.3", "0.5", "0")
