@@ -180,12 +180,19 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# json serves an indent only from its pure-Python encoder, so rows are encoded
+# by the C one with the indented item separator; no encoded scalar holds a
+# newline, so only the object's braces need indenting by hand
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def _table(fmt: str, header: str, rows) -> str:
     """CSV under ``header``, or a JSON list of objects keyed by its columns,
-    the text ``json.dumps(indent=2)`` gives, encoded one row at a time."""
+    the text ``json.dumps(indent=2)`` gives for scalar cells, encoded one
+    row at a time."""
     if fmt == "json":
         keys = header.split(",")
-        objects = ("  " + json.dumps(dict(zip(keys, row)), indent=2).replace("\n", "\n  ")
+        objects = ("  {\n    " + _ROW_ENCODER.encode(dict(zip(keys, row)))[1:-1] + "\n  }"
                    for row in rows)
         return "[\n" + ",\n".join(objects) + "\n]\n"
     return _csv(header, rows)
@@ -337,14 +344,15 @@ def _cmd_sweep_fig3(args, rates) -> str:
     l2, m1 = rates["l2"], rates["m1"]
     axes = np.broadcast_arrays(np.array(l1s)[:, None], l2, m1, np.array(m2s))
     ages = two_sensor.average_aoi_grid(np.stack(axes, axis=-1).reshape(-1, 4)).tolist()
-    sims = [(None, None)] * len(ages)
+    sims = None
     if args.simulate:
         results = (des_sim.simulate_two_sensor(two_sensor.TwoSensorParams(*point), config)
                    for point in itertools.product(l1s, [l2], [m1], m2s))
         sims = [(result.mean_aoi, result.ci95_halfwidth) for result in results]
     if args.format == "json":
         rows = ((*point, age, *sim) for point, age, sim
-                in zip(itertools.product(l1s, [l2], [m1], m2s), ages, sims))
+                in zip(itertools.product(l1s, [l2], [m1], m2s), ages,
+                       sims or itertools.repeat((None, None))))
         return _table("json", _FIG3_HEADER, rows)
     return _fig3_csv(l1s, l2, m1, m2s, ages, sims)
 
@@ -352,15 +360,21 @@ def _cmd_sweep_fig3(args, rates) -> str:
 def _fig3_csv(l1s, l2, m1, m2s, ages, sims) -> str:
     """The sweep-fig3 CSV, run by run over ``l1``: the fixed ``l2,m1`` pair,
     each ``l1`` and each ``m2`` are formatted once, each age and simulated
-    cell once per row; ``ages`` and ``sims`` are in ``l1``-major order."""
+    cell once per row; ``ages`` and ``sims`` are in ``l1``-major order, and
+    ``sims`` is None without ``--simulate``, whose empty pair is formatted
+    once."""
     fixed = f"{_fmt(l2)},{_fmt(m1)},"
     m2_cells = [_fmt(m2) for m2 in m2s]
+    if sims is None:
+        tails = [f"{_fmt(None)},{_fmt(None)}"] * len(ages)
+    else:
+        tails = [f"{_fmt(mean)},{_fmt(ci)}" for mean, ci in sims]
     lines = [_FIG3_HEADER]
     for start, l1 in zip(range(0, len(ages), len(m2s)), l1s):
         lead = f"{_fmt(l1)},{fixed}"
         stop = start + len(m2s)
-        lines.extend(f"{lead}{m2},{_fmt(age)},{_fmt(mean)},{_fmt(ci)}"
-                     for m2, age, (mean, ci) in zip(m2_cells, ages[start:stop], sims[start:stop]))
+        lines.extend(f"{lead}{m2},{_fmt(age)},{tail}"
+                     for m2, age, tail in zip(m2_cells, ages[start:stop], tails[start:stop]))
     return "\n".join(lines) + "\n"
 
 

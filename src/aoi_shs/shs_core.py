@@ -20,14 +20,19 @@ average of that age process; component 0 is conventionally the monitor age.
 :func:`build_model` validates a chain once and stores one coefficient row per
 transition, so both systems are linear in the transition rates: a stack of
 rate rows times the coefficients assembles a stack of systems, which are
-solved and guarded together. A single model is a batch of one, and each
-solve's result carries its exact 1-norm condition number and largest
-residual. The correlation system has rates on its diagonal and none but
+solved and guarded together, one LAPACK call per stage. A single model is a
+batch of one, and each solve's result carries its condition number and
+largest residual. The balance stage inverts its systems: the normalization
+right-hand side is the last unit vector, so the stationary distribution is
+the inverse's last column, and the exact 1-norm condition number comes from
+the same inverse. Only the live correlation unknowns, found once by
+:func:`build_model`, are solved for: those that can be nonzero, and those
+that are never zeroed, on which the system is singular. The others are
+exactly 0. The correlation system has rates on its diagonal and none but
 nonpositive entries off it (a Z-matrix), and a stationary age exists exactly
-when it is a nonsingular M-matrix; one solve of its transpose certifies that
-and gives the condition number, ``inf`` when the certificate fails. The
-balance system, whose normalization row breaks that sign pattern, takes its
-condition number from the inverse.
+when it is a nonsingular M-matrix; a second right-hand side of ones in the
+same solve certifies that and gives the exact infinity-norm condition
+number, ``inf`` when the certificate fails.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -43,21 +48,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Solves whose exact 1-norm condition number exceeds this are rejected (the
-#: balance stage's comes from the inverse, the correlation stage's from the
-#: M-matrix certificate, ``inf`` when it fails); a huge condition number
-#: almost always means a structurally broken chain (for example an age
-#: component that is never reset) rather than a hard instance. The 1-norm
-#: number is within a factor n of the 2-norm one (kappa_2 / n <= kappa_1 <=
-#: n kappa_2). On the nine-state two-sensor chain, over 3000 log-uniform
-#: points in [0.02, 50]^4, it lies between 0.42 and 3.5 times the 2-norm one,
-#: every correlation system is certified, and the certificate's number
-#: matches the inverse's to 1.5e-13 relative. Over six such samples (numpy
-#: seeds 0 to 5) it peaks at 1.2e4 (balance) and 1.0e4 (correlation), and
-#: at 6.0e3 and 9.1e3 on the five-state fake-update chain that solves rate
-#: grids, whose correlation systems are all certified too. Along rates
-#: (s, s, 1/s, 1/s) every stage of both chains passes 1e12 at the same
-#: decade, s = 1e6.
+#: Solves whose exact condition number exceeds this are rejected: the 1-norm
+#: number of the balance system, from its inverse, and the infinity-norm
+#: number of the correlation system on the live unknowns, from the M-matrix
+#: certificate (``inf`` when it fails). A huge condition number almost always
+#: means a structurally broken chain (for example an age component that is
+#: never reset) rather than a hard instance. Either number is within a
+#: factor n of the 2-norm one (kappa_2 / n <= kappa_1, kappa_inf <= n
+#: kappa_2). On the nine-state two-sensor chain, over 3000 log-uniform
+#: points in [0.02, 50]^4 (numpy seed 0), the balance number lies between
+#: 0.42 and 3.8 times the 2-norm one and the correlation number between 1.2
+#: and 4.1 times, every correlation system is certified, and the
+#: certificate's number matches the inverse's to 5.5e-16 relative. Over six
+#: such samples (seeds 0 to 5) they peak at 1.2e4 (balance) and 3.8e4
+#: (correlation), and at 6.0e3 and 1.4e4 on the five-state fake-update chain
+#: that solves rate grids, whose correlation systems are all certified too.
+#: Along rates (s, s, 1/s, 1/s) every stage of both chains passes 1e12 at
+#: the same decade, s = 1e6.
 CONDITION_LIMIT = 1e12
 
 #: Residual ceilings, roughly 100x double round-off for systems of this size.
@@ -68,13 +75,11 @@ NORMALIZATION_TOL = 1e-12
 _TINY_NEGATIVE = -1e-12
 
 #: Points solved together; bounds the memory of the stacked systems and of
-#: the balance inverses, from which that stage's condition numbers come.
-#: Only the five-state grid chain (15 x 15 correlation systems) is solved in
-#: batches larger than one, so the size is chosen for it: ``_solve`` on 500
-#: such points, one BLAS thread on a shared 2-CPU host, medians of 15
-#: interleaved runs, took 9.0, 8.1, 7.8 and 8.4 ms at blocks of 64, 128, 256
-#: and 512. At 512 each 15 x 15 stack is 0.9 MB, and the few that a block
-#: holds at once outgrow the host's 2 MB per-core L2 cache.
+#: the balance inverses. Only the five-state grid chain (11 x 11 live
+#: correlation systems) is solved in batches larger than one, so the size is
+#: chosen for it: ``_solve`` on 500 such points, one BLAS thread on a shared
+#: 2-CPU host, medians of 15 interleaved runs, took 3.4-3.6, 2.9-3.0,
+#: 2.7-2.9 and 3.2 ms at blocks of 64, 128, 256 and 512 (two runs).
 BATCH_BLOCK = 256
 
 
@@ -119,15 +124,18 @@ class TransitionSpec(NamedTuple):
 class ShsModel:
     """Validated, compiled chain; construct through :func:`build_model`.
 
-    ``balance[t]`` and ``correlation[t]`` hold, flattened, what one unit of
-    the rate of transition ``t`` contributes to the balance system (n, n)
-    and to the correlation system (n * c, n * c).
+    ``live`` holds the flat indices ``q * c + j`` of the L correlation
+    unknowns that are solved for (see :func:`_live_unknowns`); every other
+    one is exactly 0. ``balance[t]`` and ``correlation[t]`` hold, flattened,
+    what one unit of the rate of transition ``t`` contributes to the balance
+    system (n, n) and to the correlation system on the live unknowns (L, L).
     """
 
     num_states: int
     num_components: int
     transitions: tuple[TransitionSpec, ...]
     slopes: np.ndarray
+    live: np.ndarray = field(repr=False, compare=False)
     balance: np.ndarray = field(repr=False, compare=False)
     correlation: np.ndarray = field(repr=False, compare=False)
 
@@ -135,9 +143,9 @@ class ShsModel:
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Per-state long-run probabilities of the discrete chain, with the
-    condition number (1-norm, exact, from the inverse of the balance system)
-    and the largest absolute residual of the balance solve (NaN if no solve
-    produced them)."""
+    condition number (1-norm, exact, from the inverse of the balance system
+    that also gives the probabilities) and the largest absolute residual of
+    the balance solve (NaN if no solve produced them)."""
 
     probs: np.ndarray
     condition: float
@@ -150,9 +158,10 @@ class CorrelationVectors:
 
     Row ``q`` is the expectation of the age vector restricted to state ``q``;
     summing a column over all states yields that component's time average.
-    ``condition`` (1-norm, exact, from the M-matrix certificate, ``inf``
-    when it fails) and ``residual`` diagnose the solve as in
-    :class:`StationaryDistribution`.
+    Entries off the model's live set are exactly 0. ``condition``
+    (infinity-norm, exact, of the system on the live unknowns, from the
+    M-matrix certificate, ``inf`` when it fails) and ``residual`` diagnose
+    the solve as in :class:`StationaryDistribution`.
     """
 
     vectors: np.ndarray
@@ -218,6 +227,7 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
 
     _check_irreducible(n, specs)
 
+    live = _live_unknowns(specs, slopes)
     balance = np.zeros((len(specs), n, n))
     correlation = np.zeros((len(specs), n * c, n * c))
     own = np.arange(c)
@@ -229,10 +239,34 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
         correlation[t, frm * c + own, frm * c + own] += 1.0
         correlation[t, to * c:(to + 1) * c, frm * c:(frm + 1) * c] -= amap.T
     balance = balance.reshape(len(specs), n * n)
-    correlation = correlation.reshape(len(specs), (n * c) ** 2)
-    balance.setflags(write=False)
-    correlation.setflags(write=False)
-    return ShsModel(n, c, tuple(specs), slopes, balance, correlation)
+    correlation = correlation[:, live][:, :, live].reshape(len(specs), len(live) ** 2)
+    for array in (live, balance, correlation):
+        array.setflags(write=False)
+    return ShsModel(n, c, tuple(specs), slopes, live, balance, correlation)
+
+
+def _live_unknowns(specs, slopes) -> np.ndarray:
+    """Flat indices ``q * c + j`` of the correlation unknowns to solve for,
+    by two fixed points over the transitions. An unknown (q, j) is never
+    zeroed if every transition into q copies into j a never-zeroed unknown
+    of its source: such an age carries its initial value forever, so the
+    correlation system is singular on it. The live set holds the unknowns
+    with slope 1 and the never-zeroed ones, and grows by (q, j) whenever a
+    transition into q copies a live unknown of its source into j. Any other
+    unknown's equation holds only copies of other such unknowns and no
+    source term, and on them the system is nonsingular, so each is exactly
+    0; a never-zeroed unknown stays in the solved system, whose certificate
+    then rejects the chain."""
+    def settle(marks, combine):
+        while True:
+            before = marks.copy()
+            for frm, to, _, amap in specs:
+                marks[to] = combine(marks[to], marks[frm] @ amap > 0.0)
+            if (marks == before).all():
+                return marks
+
+    never_zeroed = settle(np.ones(slopes.shape, dtype=bool), np.logical_and)
+    return np.flatnonzero(settle(slopes.astype(bool) | never_zeroed, np.logical_or))
 
 
 def _check_irreducible(num_states: int, specs) -> None:
@@ -273,51 +307,56 @@ def _reject(bad: np.ndarray, rates: np.ndarray, offset: int, describe) -> None:
         )
 
 
-def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> np.ndarray:
-    """Each system's 1-norm condition number ``|A|_1 |A^-1|_1``, the number
-    LAPACK's ``gecon`` estimates, here exact from one batched inverse (a
-    third of the cost of the singular values a 2-norm number needs, for the
-    27 x 27 systems of the two-sensor chain). An exactly
-    singular member reads ``inf`` and is rejected by index, like any other
-    point above :data:`CONDITION_LIMIT`."""
-    cond = np.linalg.cond(systems, 1)
-    _reject(
-        ~np.isfinite(cond) | (cond > CONDITION_LIMIT), rates, offset,
-        lambda i: f"{label} system is ill-conditioned "
-                  f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})",
-    )
-    return cond
-
-
-def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset) -> np.ndarray:
-    """Guard a stack of Z-matrices (no positive entry off the diagonal), the
-    form of every correlation system, by certifying each a nonsingular
-    M-matrix: one batched solve ``y = A^-T 1``, with ``y > 0`` and the
-    certificate's own residual ``|A^T y - 1|`` below 1/2, shows ``A^T y > 0``
-    for a positive ``y``. Then ``A^-1 >= 0``, so ``|A^-1|_1 = max(y)`` and
-    the 1-norm condition number is ``|A|_1 max(y)``, the number
-    :func:`_guard_condition` takes from the inverse, at the cost of one
-    solve (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, ch. 6). An uncertified member reads ``inf`` and is rejected;
-    a stationary age vector exists exactly when the certificate holds. An
-    exactly singular member fails the whole batched solve, and only then is
-    the stack handed to :func:`_guard_condition`, which names it."""
-    transposed = np.swapaxes(systems, -1, -2)
-    ones = np.ones((systems.shape[-1], 1))
-    try:
-        y = np.linalg.solve(transposed, ones)
-    except np.linalg.LinAlgError:
-        return _guard_condition(systems, label, rates, offset)
-    miss = np.abs(transposed @ y - ones).max(axis=(1, 2))
-    certified = (y.min(axis=(1, 2)) > 0.0) & (miss < 0.5)
-    norm = np.abs(systems).sum(axis=-2).max(axis=-1)
-    cond = np.where(certified, norm * y.max(axis=(1, 2)), np.inf)
+def _reject_condition(cond: np.ndarray, label: str, rates, offset) -> None:
+    """Reject the first point whose condition number is not at most
+    :data:`CONDITION_LIMIT` (``inf`` and NaN included)."""
     _reject(
         ~(cond <= CONDITION_LIMIT), rates, offset,
         lambda i: f"{label} system is ill-conditioned "
                   f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})",
     )
-    return cond
+
+
+def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> None:
+    """Check each system's 1-norm condition number ``|A|_1 |A^-1|_1``, the
+    number LAPACK's ``gecon`` estimates, here exact from one batched inverse
+    that does not stop at a singular member. Such a member reads ``inf`` and is
+    rejected by index, like any other point above :data:`CONDITION_LIMIT`;
+    both stages hand their stack here only when their own LAPACK call
+    fails on an exactly singular member, so that it is named."""
+    _reject_condition(np.linalg.cond(systems, 1), label, rates, offset)
+
+
+def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.ndarray):
+    """Solve a stack of Z-matrices (no positive entry off the diagonal), the
+    form of every correlation system, and certify each a nonsingular
+    M-matrix, in one batched call ``A [x, w] = [rhs, 1]`` (``rhs`` (B, L,
+    k)). With ``w > 0`` and the certificate's own residual ``|A w - 1|``
+    below 1/2, ``A w > 0`` for a positive ``w``. Then
+    ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
+    condition number is ``|A|_inf max(w)``, exact up to round-off, at no
+    cost beyond a second right-hand side (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 6). An uncertified member
+    reads ``inf`` and is rejected; a stationary age vector exists exactly
+    when the certificate holds. An exactly singular member fails the whole
+    batched solve, and only then is the stack handed to
+    :func:`_guard_condition`, which names it. Returns the solutions
+    ``[x, w]`` (B, L, k + 1), their absolute residuals, same shape, and the
+    condition numbers (B,)."""
+    both = np.ones((*rhs.shape[:-1], rhs.shape[-1] + 1))
+    both[..., :-1] = rhs
+    try:
+        solution = np.linalg.solve(systems, both)
+    except np.linalg.LinAlgError:
+        _guard_condition(systems, label, rates, offset)
+        raise
+    residual = np.abs(systems @ solution - both)
+    w = solution[..., -1]
+    certified = (w.min(axis=1) > 0.0) & (residual[..., -1].max(axis=1) < 0.5)
+    norm = np.abs(systems).sum(axis=-1).max(axis=-1)
+    cond = np.where(certified, norm * w.max(axis=1), np.inf)
+    _reject_condition(cond, label, rates, offset)
+    return solution, residual, cond
 
 
 def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset: int):
@@ -331,10 +370,17 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     balance = (weights @ model.balance).reshape(-1, n, n)
     system = balance.copy()
     system[:, -1, :] = 1.0
-    rhs = np.zeros((n, 1))
-    rhs[-1] = 1.0
-    cond = _guard_condition(system, "stationary balance", rates, offset)
-    probs = np.linalg.solve(system, rhs)
+    try:
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        _guard_condition(system, "stationary balance", rates, offset)
+        raise
+    # the same |A|_1 |A^-1|_1 as _guard_condition, from this inverse
+    cond = (np.abs(system).sum(axis=-2).max(axis=-1)
+            * np.abs(inverse).sum(axis=-2).max(axis=-1))
+    _reject_condition(cond, "stationary balance", rates, offset)
+    # the right-hand side is the last unit vector, so pi is the last column
+    probs = inverse[:, :, -1:]
 
     residual = np.abs(balance @ probs).max(axis=(1, 2))
     probs = probs[..., 0]
@@ -361,18 +407,21 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
                  probs: np.ndarray, offset: int):
     """Correlation stage of :func:`solve_correlation` for a block of points,
     given as for :func:`_stationary`, and their stationary probabilities
-    (B, n). Returns the vectors (B, n, c), condition numbers and max
-    residuals (B,).
+    (B, n). Solves on the live unknowns and returns the vectors (B, n, c),
+    zero off the live set, condition numbers and max residuals (B,). With
+    no live unknown there is no system: every vector is 0, each condition
+    number 1 (that of the empty system, as of an identity) and residual 0.
     """
     n, c = model.num_states, model.num_components
-    system = (weights @ model.correlation).reshape(-1, n * c, n * c)
-    rhs = (model.slopes * probs[:, :, None]).reshape(len(rates), n * c, 1)
+    live = model.live
+    if not len(live):
+        return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
+    system = (weights @ model.correlation).reshape(-1, len(live), len(live))
+    rhs = (model.slopes * probs[:, :, None]).reshape(len(rates), n * c)[:, live, None]
 
-    cond = _certify_m_matrix(system, "correlation", rates, offset)
-    stacked = np.linalg.solve(system, rhs)
-
-    residual = np.abs(system @ stacked - rhs).max(axis=(1, 2))
-    stacked = stacked[..., 0]
+    solution, residual, cond = _certify_m_matrix(system, "correlation", rates, offset, rhs)
+    residual = residual[..., 0].max(axis=1)
+    stacked = solution[..., 0]
     _reject(
         residual > CORRELATION_RESIDUAL_TOL, rates, offset,
         lambda i: f"correlation solve left residual {residual[i]:.3e} "
@@ -386,7 +435,9 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
                   "the chain likely has an age component that can drift without reset",
     )
     stacked[stacked < 0.0] = 0.0
-    return stacked.reshape(len(rates), n, c), cond, residual
+    vectors = np.zeros((len(rates), n * c))
+    vectors[:, live] = stacked
+    return vectors.reshape(len(rates), n, c), cond, residual
 
 
 def _solve(model: ShsModel, rates: np.ndarray, columns):
@@ -431,9 +482,11 @@ def solve_stationary(model: ShsModel) -> StationaryDistribution:
     """Solve global balance plus normalization for the stationary distribution.
 
     The balance equations are rank-deficient by one for an irreducible chain,
-    so the last balance row is replaced by the normalization constraint and
-    the system is solved by dense LU with partial pivoting. The full set of
-    balance residuals is re-checked afterwards.
+    so the last balance row is replaced by the normalization constraint. Its
+    right-hand side is then the last unit vector, so the distribution is the
+    last column of the system's inverse (dense LU with partial pivoting),
+    which also gives the condition number. The full set of balance residuals
+    is re-checked afterwards.
     """
     rates = _model_rates(model)
     return _first_point(StationaryDistribution, _stationary(model, rates, rates, 0))
@@ -448,8 +501,10 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
         v_q * (total outgoing rate of q)
             = slope_q * pi_q + sum over incoming transitions of rate * (v_src @ A)
 
-    are solved as a single dense system. Nonnegativity of the solution is
-    verified a posteriori rather than assumed.
+    are solved as a single dense system on the model's live unknowns, with
+    the M-matrix certificate as a second right-hand side; every other
+    unknown is exactly 0. Nonnegativity of the solution is verified a
+    posteriori rather than assumed.
     """
     rates = _model_rates(model)
     probs = np.asarray(pi.probs, dtype=float)[None, :]

@@ -142,6 +142,43 @@ def stage_systems(model: ShsModel):
     return balance, correlation
 
 
+def live_unknowns(model: ShsModel) -> list[int]:
+    """Flat indices ``q * c + j`` of the correlation unknowns to solve for,
+    one unknown at a time. First every unknown is taken as never zeroed, and
+    (q, j) is struck when some transition into q does not copy into j a
+    never-zeroed unknown (src, i) of its source (its reset map has a 1 at
+    (i, j)). The live set starts from the unknowns with slope 1 and those
+    never zeroed, and (q, j) joins it when a transition into q copies a live
+    unknown (src, i) of its source into j."""
+    n, c = model.num_states, model.num_components
+
+    def copied(t, j, marked):
+        return any(t.reset_map[i, j] and t.from_state * c + i in marked for i in range(c))
+
+    never_zeroed = set(range(n * c))
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for t in model.transitions:
+            for j in range(c):
+                target = t.to_state * c + j
+                if target in never_zeroed and not copied(t, j, never_zeroed):
+                    never_zeroed.discard(target)
+                    shrunk = True
+    live = never_zeroed | {q * c + j for q in range(n) for j in range(c)
+                           if model.slopes[q, j] == 1}
+    grown = True
+    while grown:
+        grown = False
+        for t in model.transitions:
+            for j in range(c):
+                target = t.to_state * c + j
+                if target not in live and copied(t, j, live):
+                    live.add(target)
+                    grown = True
+    return sorted(live)
+
+
 def single_queue_average_age(lam: float, mu: float) -> float:
     """Known closed form for the single blocking channel."""
     return 1.0 / lam + 2.0 / mu - 1.0 / (lam + mu)

@@ -19,7 +19,7 @@ from oracles import csv_by_cells
 
 import aoi_shs
 from aoi_shs import des_sim
-from aoi_shs.cli import _FIG3_HEADER, MAX_GRID_POINTS, _csv, _grids, main
+from aoi_shs.cli import _FIG3_HEADER, MAX_GRID_POINTS, _csv, _grids, _table, main
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
     CONDITION_LIMIT,
@@ -33,8 +33,10 @@ from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general, average_aoi
 
 # sha256 of the default sweep-fig3 CSV, re-recorded when grids moved from the
 # nine-state chain to the five-state fake-update chain (56 of 81 ages moved
-# in the last bit, by at most 4.2e-16 relative)
-FIG3_DEFAULT_SHA256 = "1de433b16ef2116591aed24d639584b66aef74b9495129e6206b877b9eac78f1"
+# in the last bit, by at most 4.2e-16 relative), and again when the solver
+# dropped the correlation unknowns that are always zero and took pi from the
+# balance inverse (36 of 81 ages moved, by at most 3.7e-16 relative)
+FIG3_DEFAULT_SHA256 = "e2b22ea1a5067ee6dafac067a764e8a0564f9e020a400cb18ee6cdba804617c0"
 
 FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
@@ -50,15 +52,19 @@ GRID_SPECS = st.tuples(RATES, RATES, st.integers(1, 30))
 # compare-fig4 ones re-recorded when the blocking channels moved to renewal
 # form, and theory-general-json when its diagnostics' condition numbers moved
 # from the 2-norm to the 1-norm, and again when the correlation condition came
-# from the M-matrix certificate instead of the inverse (its last digit moved)
+# from the M-matrix certificate instead of the inverse (its last digit moved);
+# the theory-general and sweep-fig3 ones re-recorded when the solver dropped
+# the correlation unknowns that are always zero (ages moved by at most 5.3e-16
+# relative) and the correlation condition became the infinity-norm number of
+# the live system
 PINNED_OUTPUTS = [
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general", "--format", "csv"),
-                 "f17f29ba9814f497da04d43d7d28c9e6a8a17b8e096833865090cfda9c5b47f2",
+                 "ef3fd24f7f1de9a2b46564ee9c859fb82bb4aaa3d0b92c5b9c11bbbf2a05545c",
                  id="theory-general-csv"),
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general"),
-                 "af23fd8252bd1147a183aa4033365bcbcb07b53274727a116fc85c9d828abccb",
+                 "24b53b68dfa368d7a263f7f15554df7db9264b39d45ecfc76e98a2d26662c791",
                  id="theory-general-json"),
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m", "1.2", "--method", "eq16"),
                  "dfa74edc5a69f8d7e30b25f4aa539a0ead3479466d2f9c06bed2808521b5daed",
@@ -110,15 +116,15 @@ PINNED_OUTPUTS = [
     # recorded before sweep-fig3's CSV was built from per-column text
     pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.7", "2", "--grid-m2", "1", "1.5", "3",
                   "--format", "json"),
-                 "1d3da13b9a8bb0c583bb5a02dde31591257eeba826b59be0508398cd5f6464cb",
+                 "c9a05e7b8c88709348289b2ac7c6d4e5ce173612e089e8259c0b5b980b67b107",
                  id="sweep-fig3-json"),
     pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.5", "2", "--grid-m2", "1", "1.2", "2",
                   "--simulate", *SIM_SHORT),
-                 "89a1bc3e181fd1ee7675764cf1a16e3c897910d8dd018e7eefb9fe9659831b50",
+                 "ee81e9cf77d80c4b68ebf32aa6356708bd17fdf729edb102c9bc37d67140c030",
                  id="sweep-fig3-simulate-csv"),
     pytest.param(("sweep-fig3", "--l2", "1.5", "--m1", "0.7", "--grid-l1", "0.9", "0.2", "4",
                   "--grid-m2", "1.3", "1.3", "1"),
-                 "d1fb12dc5c1a681e72c5caecea88ffaf2522eab0b32b992ced89140cba7f32de",
+                 "bc935793e7301ff300d7ae5173e33e418c423f776fcd0843b2f0f6f9198ca506",
                  id="sweep-fig3-reversed-one-point"),
 ]
 
@@ -310,6 +316,16 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["lambda1"] == 0.3
         assert rows[0]["sim_mean"] is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(keys=st.lists(st.text(st.characters(blacklist_characters=","), min_size=1),
+                         min_size=1, max_size=8, unique=True),
+           data=st.data())
+    def test_json_table_matches_indented_dumps(self, keys, data):
+        cells = st.one_of(st.none(), st.floats())
+        rows = data.draw(st.lists(st.tuples(*[cells] * len(keys)), min_size=1, max_size=6))
+        expected = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        assert _table("json", ",".join(keys), rows) == expected
 
     def test_default_csv_is_pinned(self, capsys):
         code, out, _ = run(capsys, "sweep-fig3")

@@ -22,8 +22,14 @@ from aoi_shs.shs_core import (
     solve_correlation,
     solve_stationary,
 )
-from aoi_shs.two_sensor import _CHAIN, _RATE_OF, TwoSensorParams, build_two_sensor_chain
-from oracles import single_queue_average_age, single_queue_model, stage_systems
+from aoi_shs.two_sensor import (
+    _CHAIN,
+    _GRID_CHAIN,
+    _RATE_OF,
+    TwoSensorParams,
+    build_two_sensor_chain,
+)
+from oracles import live_unknowns, single_queue_average_age, single_queue_model, stage_systems
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -224,6 +230,12 @@ def one_norm_condition(matrix) -> float:
     return float(np.abs(matrix).sum(axis=0).max() * np.abs(inv(matrix)).sum(axis=0).max())
 
 
+def live_correlation_system(model) -> np.ndarray:
+    """The correlation system of ``stage_systems`` on the live unknowns."""
+    live = live_unknowns(model)
+    return stage_systems(model)[1][np.ix_(live, live)]
+
+
 class TestConditionGuard:
     @pytest.mark.parametrize("model", [
         pytest.param(single_queue_model(1.3, 0.4), id="single-queue"),
@@ -233,11 +245,14 @@ class TestConditionGuard:
                                 idle_loops=[(2, 4.0)]), id="ring-looped"),
     ])
     def test_condition_is_exact_one_norm_number(self, model):
+        # the balance stage reports the 1-norm number, the correlation stage
+        # the infinity-norm number of its system on the live unknowns
         pi = solve_stationary(model)
         v = solve_correlation(model, pi)
-        balance, correlation = stage_systems(model)
+        balance, _ = stage_systems(model)
         assert pi.condition == pytest.approx(one_norm_condition(balance), rel=1e-12)
-        assert v.condition == pytest.approx(one_norm_condition(correlation), rel=1e-12)
+        assert v.condition == pytest.approx(
+            np.linalg.cond(live_correlation_system(model), np.inf), rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_is_named(self):
@@ -255,31 +270,120 @@ class TestMMatrixCertificate:
         # nonsingular, with a negative inverse: no stationary age exists
         systems = np.array([[[1.0, -2.0], [-2.0, 1.0]]])
         rates = np.ones((1, 4))
-        assert _guard_condition(systems, "correlation", rates, 0).tolist() == [3.0]
+        assert np.linalg.cond(systems, 1).tolist() == [3.0]
+        _guard_condition(systems, "correlation", rates, 0)
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
                                  r"exceeds 1e\+12"):
-            _certify_m_matrix(systems, "correlation", rates, 0)
+            _certify_m_matrix(systems, "correlation", rates, 0, np.ones((1, 2, 1)))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_correlation_stack_is_named(self):
         rng = np.random.default_rng(12)
         rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
-        systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 27, 27)
-        assert np.isfinite(_certify_m_matrix(systems, "correlation", rates, 0)).all()
+        systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
+        rhs = np.ones((BATCH_BLOCK, 21, 1))
+        _, _, condition = _certify_m_matrix(systems, "correlation", rates, 0, rhs)
+        assert np.isfinite(condition).all()
         systems[37, :, 5] = 0.0
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 37 \(rates \[.*\]\): correlation system is "
                                  r"ill-conditioned \(condition estimate inf "):
-            _certify_m_matrix(systems, "correlation", rates, 0)
+            _certify_m_matrix(systems, "correlation", rates, 0, rhs)
 
     def test_two_sensor_condition_is_exact_one_norm_number(self):
+        # the infinity-norm number of the live system, from the certificate
         rng = np.random.default_rng(47)
         rates = np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(200, 4)))
         _, (_, condition, _) = _solve(_CHAIN, rates, _RATE_OF)
-        expected = [one_norm_condition(stage_systems(
-                        build_two_sensor_chain(TwoSensorParams(*row)))[1]) for row in rates]
+        expected = [np.linalg.cond(live_correlation_system(
+                        build_two_sensor_chain(TwoSensorParams(*row))), np.inf)
+                    for row in rates]
         assert condition.tolist() == pytest.approx(expected, rel=1e-12)
+
+
+def copy_fed_model(lam=0.7, mu=1.9, loop=0.4):
+    """Single blocking channel with a third component: the delivery hands the
+    update's age to the monitor and keeps it in component 1, so the idle
+    state's component 1 has slope 0 but is live through that copy, while
+    component 2 grows only while busy and every transition resets it, so the
+    idle state's component 2 is dead."""
+    start_service = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    deliver = [[0, 0, 0], [1, 1, 0], [0, 0, 0]]
+    transitions = [(0, 1, lam, start_service), (1, 0, mu, deliver),
+                   (0, 0, loop, np.eye(3))]
+    return build_model(2, 3, transitions, [[1, 0, 0], [1, 1, 1]])
+
+
+class TestLiveSet:
+    @pytest.mark.parametrize("chain, size", [
+        pytest.param(_CHAIN, 21, id="nine-state"),
+        pytest.param(_GRID_CHAIN, 11, id="five-state"),
+    ])
+    def test_two_sensor_live_sets_are_unit_slopes(self, chain, size):
+        assert chain.live.tolist() == live_unknowns(chain)
+        assert chain.live.tolist() == np.flatnonzero(chain.slopes).tolist()
+        assert len(chain.live) == size
+        assert chain.correlation.shape == (len(chain.transitions), size * size)
+
+    def test_slope_zero_unknown_live_through_copy_matches_dense_solve(self):
+        model = copy_fed_model()
+        live = live_unknowns(model)
+        assert 0 * 3 + 1 in live and model.slopes[0, 1] == 0
+        assert 0 * 3 + 2 not in live
+        pi = solve_stationary(model)
+        v = solve_correlation(model, pi)
+        balance, correlation = stage_systems(model)
+        unit = np.zeros(model.num_states)
+        unit[-1] = 1.0
+        dense_pi = np.linalg.solve(balance, unit)
+        dense = np.linalg.solve(correlation, (model.slopes * dense_pi[:, None]).ravel())
+        assert v.vectors[0, 1] > 0.1
+        assert np.abs(v.vectors.ravel() - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dead_unknowns_are_exactly_zero(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        models = [
+            ring_model(rng.uniform(0.05, 20.0, size=rng.integers(2, 6)),
+                       num_components=int(rng.integers(2, 5))),
+            ring_model(rng.uniform(0.05, 20.0, size=4), num_components=3,
+                       idle_loops=[(int(rng.integers(0, 4)), float(rng.uniform(0.05, 20.0)))]),
+            single_queue_model(*rng.uniform(0.05, 20.0, size=2)),
+            copy_fed_model(*rng.uniform(0.05, 20.0, size=3)),
+        ]
+        for model in models:
+            v = solve_correlation(model, solve_stationary(model)).vectors.ravel()
+            dead = np.setdiff1d(np.arange(v.size), live_unknowns(model))
+            assert len(dead) > 0
+            assert v[dead].tolist() == [0.0] * len(dead)
+
+    def test_no_growing_component_solves_to_zero(self):
+        # with every slope 0 each age is reset before it could grow
+        model = build_model(2, 2, single_queue_model(1.3, 0.4).transitions, np.zeros((2, 2)))
+        assert live_unknowns(model) == []
+        v = solve_correlation(model, solve_stationary(model))
+        assert v.vectors.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert v.residual == 0.0 and np.isfinite(v.condition)
+
+    @pytest.mark.parametrize("reset_map", [
+        pytest.param([[0, 0], [0, 1]], id="kept"),
+        pytest.param([[0, 0], [1, 1]], id="kept-and-read-by-monitor"),
+    ])
+    def test_frozen_component_never_reset_is_singular(self, reset_map):
+        # component 1 never grows but carries its initial value forever, so
+        # no stationary expectation exists and the chain is still rejected
+        model = build_model(1, 2, [(0, 0, 2.0, reset_map)], [[1, 0]])
+        assert live_unknowns(model) == [0, 1]
+        pi = solve_stationary(model)
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"correlation system is ill-conditioned "
+                                 r"\(condition estimate inf "):
+            solve_correlation(model, pi)
+
+    def test_never_zeroed_unknowns_are_solved_for(self):
+        model = build_model(1, 2, [(0, 0, 2.0, [[0, 0], [1, 1]])], [[1, 0]])
+        assert model.live.tolist() == live_unknowns(model) == [0, 1]
 
 
 class TestCorrelation:
