@@ -58,15 +58,19 @@ from .two_sensor import TwoSensorParams
 
 DEFAULT_SEED = 12345
 
-#: Exponential variates drawn per generator refill.
+#: Draws per stream in one cumsummed block of a running sum: the pair's
+#: arrival gaps, or a blocking channel's wait and service pairs. Each block
+#: is carried on from the last sum of the block before, so this size fixes
+#: the rounding, and so the bits, of every instant.
 _DRAW_BLOCK = 1 << 14
 
 #: A run is rejected when horizon times the summed rates, the expected
 #: events of one trial, exceeds this cap. Trials run one after another, so
 #: memory follows one trial. Measured peak RSS growth per expected event of
-#: one trial: at most 23 B for the two-sensor system and 25 B for the single
-#: queue; for the preemptive pair over lambda/mu from 0.25 to 50, at most
-#: 29 B (lambda/mu = 2) and 44 B with a trace directory (lambda/mu = 50).
+#: one trial, over lambda/mu from 0.25 to 50: at most 12 B for the
+#: two-sensor system (lambda/mu = 2), 10 B for the single queue
+#: (lambda/mu = 1) and 25 B for the preemptive pair (lambda/mu = 50); with a
+#: trace directory, at most 44 B (the preemptive pair at lambda/mu = 50).
 #: 2e7 * 44 B = 0.9 GB, so every model stays under 2 GB at the cap with room
 #: for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
@@ -146,11 +150,12 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     floor = t0 - initial_age
     if start:
         floor = max(floor, float(gens[:start].max()))
-    # Running maximum of generation times reproduces the staleness filter.
+    # Running maximum of generation times reproduces the staleness filter;
+    # fmax is maximum on this input, checked finite above, without NaN tests.
     held = np.empty(stop - start + 1)
     held[0] = floor
     held[1:] = gens[start:stop]
-    np.maximum.accumulate(held, out=held)
+    np.fmax.accumulate(held, out=held)
     bounds = np.empty(stop - start + 2)
     bounds[0], bounds[-1] = t0, t1
     bounds[1:-1] = times[start:stop]
@@ -263,13 +268,15 @@ def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace)
     sum of alternating Exp(lam) waits and Exp(mu) services; deliveries
     completing past the horizon are dropped, and the blocked arrivals are one
     Poisson count over the busy time."""
-    def steps():
-        out = np.empty(2 * _DRAW_BLOCK)
-        out[0::2] = arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK)
-        out[1::2] = service_rng.exponential(1.0 / mu, _DRAW_BLOCK)
-        return out
+    draws = np.empty(_DRAW_BLOCK)
 
-    instants = _running_sum(steps, horizon)
+    def fill(out):
+        np.multiply(arrival_rng.standard_exponential(out=draws), 1.0 / lam, out=out[0::2])
+        np.multiply(service_rng.standard_exponential(out=draws), 1.0 / mu, out=out[1::2])
+
+    # two steps per cycle of mean length 1/lam + 1/mu
+    expected = 2 * horizon / (1.0 / lam + 1.0 / mu)
+    instants = _running_sum(fill, 2 * _DRAW_BLOCK, horizon, expected)
     gens, deps = instants[0::2], instants[1::2]
     accepted = int(np.searchsorted(gens, horizon, side="right"))
     kept = int(np.searchsorted(deps, horizon, side="right"))
@@ -299,18 +306,28 @@ def _busy_uniform(rng, starts, busy, count):
 def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     """One source feeding two preemptive servers, on arrays (see the module
     docstring): ``busy[m]`` iff update m-1 is in service at arrival m."""
-    arrivals = _running_sum(lambda: arrival_rng.exponential(1.0 / lam, _DRAW_BLOCK), horizon)
+    def fill(out):
+        arrival_rng.standard_exponential(out=out)
+        out *= 1.0 / lam
+
+    arrivals = _running_sum(fill, _DRAW_BLOCK, horizon, lam * horizon)
     n = int(np.searchsorted(arrivals, horizon, side="right"))
     a = arrivals[:n]
-    d = service_rng.exponential(1.0 / mu, n)
+    d = service_rng.standard_exponential(n)
+    d *= 1.0 / mu
     d += a
     busy = np.zeros(n + 2, dtype=bool)
     np.greater(d[:-1], a[1:], out=busy[1:n])
     # limit[j]: the instant of the first busy arrival at or after j, or the
-    # horizon if there is none
-    limit = np.full(n + 2, float(horizon))
-    np.copyto(limit[:n], a, where=busy[:n])
-    np.minimum.accumulate(limit[::-1], out=limit[::-1])
+    # horizon if there is none. From 0 at a busy arrival and the horizon
+    # elsewhere, the max with a gives a and the horizon, as 0 <= a <= horizon,
+    # without a branch on random data; fmin is minimum on this NaN-free
+    # input, without NaN tests.
+    limit = np.empty(n + 2)
+    np.logical_not(busy, out=limit)
+    limit *= horizon
+    np.maximum(limit[:n], a, out=limit[:n])
+    np.fmin.accumulate(limit[::-1], out=limit[::-1])
     kept = np.flatnonzero(d <= limit[2:])
     del limit
     kept = kept[np.argsort(d[kept], kind="stable")]
@@ -319,19 +336,28 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     return d[kept], a[kept], n
 
 
-def _running_sum(draw, horizon):
-    """Running sum of the blocks ``draw()`` returns, each cumsummed and
-    carried on from the last sum of the block before, up to the first block
-    whose last sum passes ``horizon``."""
-    blocks = []
+def _running_sum(fill, width, horizon, expected):
+    """Running sum of blocks of ``width`` steps, each written in place by
+    ``fill(block)``, cumsummed and carried on from the last sum of the block
+    before, up to the first block whose last sum passes ``horizon``.
+
+    The blocks go into one buffer sized for ``expected`` steps plus two
+    blocks, which doubles only if the sum runs past it."""
+    out = np.empty(width * (int(expected // width) + 2))
+    end = 0
     base = 0.0
     while base <= horizon:
-        block = draw()
+        if end == out.size:
+            grown = np.empty(2 * out.size)
+            grown[:end] = out
+            out = grown
+        block = out[end:end + width]
+        fill(block)
         np.cumsum(block, out=block)
         block += base
         base = float(block[-1])
-        blocks.append(block)
-    return np.concatenate(blocks)
+        end += width
+    return out[:end]
 
 
 def _pair_rows(a, d, busy, kept):

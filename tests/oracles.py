@@ -209,6 +209,54 @@ def blocking_queue_scan(lam: float, mu: float, horizon: float, rng):
             gens.append(a)
 
 
+def blocking_channel_loop(lam: float, mu: float, horizon: float, arrival_rng, service_rng,
+                          block: int):
+    """Reference renewal-form blocking channel, one step at a time.
+
+    Blocks of ``block`` Exp(lam) waits from ``arrival_rng`` and ``block``
+    Exp(mu) services from ``service_rng`` alternate wait, service, wait, ...
+    Each block's steps are summed one by one from zero and carried on from
+    the last instant of the block before, until a block ends past
+    ``horizon``; a wait ends at a generation, the service after it at that
+    update's delivery. The blocked arrivals are one Poisson(lam * busy time)
+    count drawn from ``arrival_rng`` after the waits, the busy time being
+    summed by numpy, as in the package, so that the Poisson mean has the
+    same bits.
+
+    Returns the delivery instants by ``horizon``, their generation times,
+    and the number of arrivals by ``horizon`` (accepted plus blocked).
+    """
+    gens, deps = [], []
+    base = 0.0
+    while base <= horizon:
+        waits = arrival_rng.exponential(1.0 / lam, block).tolist()
+        services = service_rng.exponential(1.0 / mu, block).tolist()
+        total = 0.0
+        for wait, service in zip(waits, services):
+            total += wait
+            gens.append(total + base)
+            total += service
+            deps.append(total + base)
+        base = deps[-1]
+    busy = [min(d, horizon) - g for g, d in zip(gens, deps) if g <= horizon]
+    n_blocked = int(arrival_rng.poisson(lam * float(np.sum(busy))))
+    kept = [(d, g) for g, d in zip(gens, deps) if d <= horizon]
+    return [d for d, _ in kept], [g for _, g in kept], len(busy) + n_blocked
+
+
+def running_sum_blocks(draw, horizon: float):
+    """Running sum as a list of blocks joined at the end: each block
+    ``draw()`` returns is cumsummed and carried on from the last sum of the
+    block before, up to the first block whose last sum passes ``horizon``."""
+    blocks = []
+    base = 0.0
+    while base <= horizon:
+        block = np.cumsum(draw()) + base
+        base = float(block[-1])
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 def blocking_system_trial(channels, horizon: float, warmup: float, rng):
     """One trial of blocking channels ``[(lam, mu), ...]`` feeding one
     filtering monitor, scanned arrival by arrival. Returns the time-averaged

@@ -107,6 +107,21 @@ PINNED_OUTPUTS = [
                   "--format", "json"),
                  "4264124c88d64dc65c41488e2b34b3b2a30b90351e7fc05f0a1cbd6d0380d5f9",
                  id="simulate-mm2p-json"),
+    # the three models at total rate 4 and mu 1, the saturated benchmark's
+    # load, past several draw blocks; recorded before the draws were filled
+    # in place into one buffer
+    pytest.param(("simulate", "--model", "two_sensor", "--l1", "2", "--l2", "2", "--m", "1",
+                  "--horizon", "2e4", "--trials", "2", "--format", "json"),
+                 "9b68359926d92bf24ebebd8d78379fc1f5ab884ecda12457b69d5d4336415e18",
+                 id="simulate-two_sensor-saturated-json"),
+    pytest.param(("simulate", "--model", "mm11", "--l1", "4", "--m", "1",
+                  "--horizon", "2e4", "--trials", "2", "--format", "json"),
+                 "27856d3bd43858dc6f76be48b6692d77b4eee2a6d7ae8c21c714b1006588926f",
+                 id="simulate-mm11-saturated-json"),
+    pytest.param(("simulate", "--model", "mm2p", "--l1", "4", "--m", "1",
+                  "--horizon", "2e4", "--trials", "2", "--format", "json"),
+                 "2f582a6c6560eb9b8d23e0949c31864df68e7b479515c34f21db68280024f8d0",
+                 id="simulate-mm2p-saturated-json"),
     pytest.param(("export-model", "--l1", "0.4", "--l2", "1.1", "--m1", "0.9", "--m2", "1.6"),
                  "7dc0fa3daa48950f327dcb465648c83d7825903a64970d8f8524f9de1fee6d7e",
                  id="export-model"),

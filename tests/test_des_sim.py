@@ -17,8 +17,10 @@ from aoi_shs.des_sim import (
 )
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
 from oracles import (
+    blocking_channel_loop,
     blocking_system_trial,
     preemptive_pair_scan,
+    running_sum_blocks,
     sawtooth_average_grid,
     sawtooth_average_walk,
     single_queue_average_age,
@@ -423,6 +425,20 @@ class TestRenewalChannel:
             joint = math.hypot(se_fast, se_slow)
             assert abs(m_fast - m_slow) <= 4 * joint, (name, m_fast, m_slow, joint)
 
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0), (0.3, 2.0), (50.0, 1.0)])
+    def test_matches_plain_loop_bit_for_bit(self, lam, mu):
+        # the accepted updates run past two draw blocks
+        horizon = 2.5 * des_sim._DRAW_BLOCK * (1.0 / lam + 1.0 / mu)
+        streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
+        deps, gens, n_arrivals = des_sim._blocking_channel(lam, mu, horizon, 1, *streams, None)
+        streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
+        ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
+            lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
+        assert deps.size > 2 * des_sim._DRAW_BLOCK
+        assert np.array_equal(deps, ref_deps)
+        assert np.array_equal(gens, ref_gens)
+        assert n_arrivals == ref_arrivals
+
     @pytest.mark.parametrize("model", ["mm11", "two_sensor"])
     def test_blocked_rows_inside_busy_intervals(self, tmp_path, model):
         TRACE_RUNS[model](tmp_path)
@@ -448,6 +464,51 @@ class TestRenewalChannel:
         untraced = TRACE_RUNS[model](None)
         assert traced.trial_values == untraced.trial_values
         assert traced.events_processed == untraced.events_processed
+
+
+class TestRunningSum:
+    """The one presized buffer of the running sum against its blocks joined
+    at the end. No step is expected, so the buffer starts at two blocks and
+    has to grow twice to hold the five this horizon takes."""
+
+    LAM, MU = 2.0, 1.5
+
+    def pair(self):
+        rng = des_sim._rng(3, 0, 0)
+
+        def fill(out):
+            rng.standard_exponential(out=out)
+            out *= 1.0 / self.LAM
+
+        oracle_rng = des_sim._rng(3, 0, 0)
+        return (des_sim._DRAW_BLOCK, 1.0 / self.LAM, fill,
+                lambda: oracle_rng.exponential(1.0 / self.LAM, des_sim._DRAW_BLOCK))
+
+    def channel(self):
+        rngs = [des_sim._rng(3, 0, s) for s in (0, 1)]
+        draws = np.empty(des_sim._DRAW_BLOCK)
+
+        def fill(out):
+            for rng, rate, half in zip(rngs, (self.LAM, self.MU), (out[0::2], out[1::2])):
+                np.multiply(rng.standard_exponential(out=draws), 1.0 / rate, out=half)
+
+        oracle_rngs = [des_sim._rng(3, 0, s) for s in (0, 1)]
+
+        def draw():
+            out = np.empty(2 * des_sim._DRAW_BLOCK)
+            out[0::2] = oracle_rngs[0].exponential(1.0 / self.LAM, des_sim._DRAW_BLOCK)
+            out[1::2] = oracle_rngs[1].exponential(1.0 / self.MU, des_sim._DRAW_BLOCK)
+            return out
+
+        return 2 * des_sim._DRAW_BLOCK, (1.0 / self.LAM + 1.0 / self.MU) / 2, fill, draw
+
+    @pytest.mark.parametrize("shape", ["pair", "channel"])
+    def test_grown_buffer_matches_joined_blocks(self, shape):
+        width, mean_step, fill, draw = getattr(self, shape)()
+        horizon = 4.5 * width * mean_step
+        instants = des_sim._running_sum(fill, width, horizon, expected=0)
+        assert instants.size == 5 * width
+        assert np.array_equal(instants, running_sum_blocks(draw, horizon))
 
 
 TRACE_KIND_CODES = {"arrival": 0, "delivery": 2, "preempt": 3}
@@ -480,7 +541,9 @@ class TestPreemptivePair:
         return n_arrivals, rows
 
     @pytest.mark.parametrize("seed", [1, 12345])
-    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0), (0.3, 2.0), (10.0, 1.0)])
+    # lam/mu = 50 makes almost every arrival busy, 0.05 almost none
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0), (0.3, 2.0), (10.0, 1.0),
+                                        (50.0, 1.0), (0.05, 1.0)])
     def test_matches_per_arrival_loop(self, lam, mu, seed):
         # the arrivals run past one draw block
         n_arrivals, rows = self.check(lam, mu, 1.25 * des_sim._DRAW_BLOCK / lam, seed)
