@@ -64,14 +64,20 @@ DEFAULT_SEED = 12345
 #: the rounding, and so the bits, of every instant.
 _DRAW_BLOCK = 1 << 14
 
+#: Entries per pass of the chunked loops (the preemption limit and the age
+#: integral), which build their temporaries in scratch of this size, never
+#: larger than the run. It changes no value: the loops carry a running
+#: minimum or maximum, which is exact, and sum once over the whole run.
+_CHUNK = 1 << 14
+
 #: A run is rejected when horizon times the summed rates, the expected
 #: events of one trial, exceeds this cap. Trials run one after another, so
 #: memory follows one trial. Measured peak RSS growth per expected event of
-#: one trial, over lambda/mu from 0.25 to 50: at most 12 B for the
-#: two-sensor system (lambda/mu = 2), 10 B for the single queue
-#: (lambda/mu = 1) and 25 B for the preemptive pair (lambda/mu = 50); with a
-#: trace directory, at most 44 B (the preemptive pair at lambda/mu = 50).
-#: 2e7 * 44 B = 0.9 GB, so every model stays under 2 GB at the cap with room
+#: one trial, over lambda/mu from 0.25 to 50: at most 10 B for the
+#: two-sensor system (lambda/mu = 2), 6 B for the single queue
+#: (lambda/mu = 1) and 18 B for the preemptive pair (lambda/mu = 50); with a
+#: trace directory, at most 43 B (the preemptive pair at lambda/mu = 10).
+#: 2e7 * 43 B = 0.9 GB, so every model stays under 2 GB at the cap with room
 #: for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
@@ -150,22 +156,38 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     floor = t0 - initial_age
     if start:
         floor = max(floor, float(gens[:start].max()))
-    # Running maximum of generation times reproduces the staleness filter;
+    # Segment i runs from bounds[i] to bounds[i + 1], bounds being [t0,
+    # *times[start:stop], t1], at held[i], the running maximum of [floor,
+    # *gens[start:stop]] up to i: that reproduces the staleness filter. It is
+    # built chunk by chunk in scratch, the maximum carried over as a scalar;
     # fmax is maximum on this input, checked finite above, without NaN tests.
-    held = np.empty(stop - start + 1)
-    held[0] = floor
-    held[1:] = gens[start:stop]
-    np.fmax.accumulate(held, out=held)
-    bounds = np.empty(stop - start + 2)
-    bounds[0], bounds[-1] = t0, t1
-    bounds[1:-1] = times[start:stop]
-    left, right = bounds[:-1], bounds[1:]
-    # (right - left) * (0.5 * (left + right) - held), in two buffers
-    area = np.add(left, right)
-    area *= 0.5
-    np.subtract(area, held, out=held)
-    np.subtract(right, left, out=area)
-    area *= held
+    segments = stop - start + 1
+    area = np.empty(segments)
+    width = min(_CHUNK, segments)
+    held_buf, bounds_buf = np.empty(width), np.empty(width + 1)
+    for lo in range(0, segments, width):
+        hi = min(lo + width, segments)
+        first, last = lo == 0, hi == segments
+        bounds = bounds_buf[:hi - lo + 1]
+        bounds[first:bounds.size - last] = times[start + lo - 1 + first:start + hi - last]
+        held = held_buf[:hi - lo]
+        held[first:] = gens[start + lo - 1 + first:start + hi - 1]
+        if first:
+            bounds[0], held[0] = t0, floor
+        else:
+            held[0] = max(held[0], floor)
+        if last:
+            bounds[-1] = t1
+        np.fmax.accumulate(held, out=held)
+        floor = held[-1]
+        left, right = bounds[:-1], bounds[1:]
+        # (right - left) * (0.5 * (left + right) - held), in two buffers
+        chunk = area[lo:hi]
+        np.add(left, right, out=chunk)
+        chunk *= 0.5
+        np.subtract(chunk, held, out=held)
+        np.subtract(right, left, out=chunk)
+        chunk *= held
     return float(np.sum(area)) / (t1 - t0)
 
 
@@ -280,7 +302,11 @@ def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace)
     gens, deps = instants[0::2], instants[1::2]
     accepted = int(np.searchsorted(gens, horizon, side="right"))
     kept = int(np.searchsorted(deps, horizon, side="right"))
-    busy = np.minimum(deps[:accepted], horizon) - gens[:accepted]
+    # gens[i + 1] >= deps[i], so only the last accepted update can end past
+    # the horizon, where its busy time is cut
+    busy = np.subtract(deps[:accepted], gens[:accepted])
+    if accepted > kept:
+        busy[-1] = horizon - gens[accepted - 1]
     n_blocked = int(arrival_rng.poisson(lam * float(busy.sum())))
     if trace is not None:
         blocked = _busy_uniform(arrival_rng, gens[:accepted], busy, n_blocked)
@@ -318,22 +344,48 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     d += a
     busy = np.zeros(n + 2, dtype=bool)
     np.greater(d[:-1], a[1:], out=busy[1:n])
-    # limit[j]: the instant of the first busy arrival at or after j, or the
-    # horizon if there is none. From 0 at a busy arrival and the horizon
-    # elsewhere, the max with a gives a and the horizon, as 0 <= a <= horizon,
-    # without a branch on random data; fmin is minimum on this NaN-free
-    # input, without NaN tests.
-    limit = np.empty(n + 2)
-    np.logical_not(busy, out=limit)
-    limit *= horizon
-    np.maximum(limit[:n], a, out=limit[:n])
-    np.fmin.accumulate(limit[::-1], out=limit[::-1])
-    kept = np.flatnonzero(d <= limit[2:])
-    del limit
-    kept = kept[np.argsort(d[kept], kind="stable")]
+    kept = np.flatnonzero(_kept_mask(a, d, busy, horizon))
     if trace is not None:
+        kept = kept[np.argsort(d[kept], kind="stable")]
         trace.append(_pair_rows(a, d, busy, kept))
-    return d[kept], a[kept], n
+        return d[kept], a[kept], n
+    # drops busy and d before the sort, and each array it reorders once replaced
+    del busy
+    deps = d[kept]
+    del d
+    order = np.argsort(deps, kind="stable")
+    deps = deps[order]
+    kept = kept[order]
+    del order
+    return deps, a[kept], n
+
+
+def _kept_mask(a, d, busy, horizon):
+    """Whether each update of the pair is delivered: update k is delivered
+    iff ``d[k] <= limit[k + 2]``, where ``limit[j]`` is the instant of the
+    first busy arrival at or after j, or the horizon if there is none.
+
+    From 0 at a busy arrival and the horizon elsewhere, the max with a gives
+    a and the horizon, as 0 <= a <= horizon, without a branch on random data.
+    The limit is built backwards chunk by chunk in scratch, the minimum of
+    the later chunks carried over as a scalar; fmin is minimum on this
+    NaN-free input, without NaN tests."""
+    n = a.size
+    mask = np.empty(n, dtype=bool)
+    scratch = np.empty(min(_CHUNK, n))
+    carry = horizon
+    for hi in range(n, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        limit = scratch[:hi - lo]
+        np.logical_not(busy[lo + 2:hi + 2], out=limit)
+        limit *= horizon
+        later = a[lo + 2:hi + 2]
+        np.maximum(limit[:later.size], later, out=limit[:later.size])
+        np.fmin.accumulate(limit[::-1], out=limit[::-1])
+        np.fmin(limit, carry, out=limit)
+        carry = limit[0]
+        np.less_equal(d[lo:hi], limit, out=mask[lo:hi])
+    return mask
 
 
 def _running_sum(fill, width, horizon, expected):

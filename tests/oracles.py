@@ -92,6 +92,36 @@ def sawtooth_average_walk(times, gens, t0, t1, initial_age=0.0) -> float:
     return total / (t1 - t0)
 
 
+def integrate_whole(times, gens, window, initial_age=0.0) -> float:
+    """``des_sim.time_average_age`` as it was before it ran in chunks: every
+    temporary as long as the window's deliveries, the same ufuncs in the
+    same order and one sum. Inputs are assumed valid (the package checks
+    them); the arithmetic is copied verbatim, so the two agree bit for bit.
+    """
+    t0, t1 = float(window[0]), float(window[1])
+    times = np.asarray(times, dtype=float)
+    gens = np.asarray(gens, dtype=float)
+    start = int(np.searchsorted(times, t0, side="right"))
+    stop = int(np.searchsorted(times, t1, side="left"))
+    floor = t0 - initial_age
+    if start:
+        floor = max(floor, float(gens[:start].max()))
+    held = np.empty(stop - start + 1)
+    held[0] = floor
+    held[1:] = gens[start:stop]
+    np.fmax.accumulate(held, out=held)
+    bounds = np.empty(stop - start + 2)
+    bounds[0], bounds[-1] = t0, t1
+    bounds[1:-1] = times[start:stop]
+    left, right = bounds[:-1], bounds[1:]
+    area = np.add(left, right)
+    area *= 0.5
+    np.subtract(area, held, out=held)
+    np.subtract(right, left, out=area)
+    area *= held
+    return float(np.sum(area)) / (t1 - t0)
+
+
 def sawtooth_average_grid(times, gens, t0, t1, initial_age=0.0, points=40001) -> float:
     """Brute-force pointwise evaluation plus trapezoid rule (coarse)."""
     ts = np.linspace(t0, t1, points)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
 from oracles import (
     blocking_channel_loop,
     blocking_system_trial,
+    integrate_whole,
     preemptive_pair_scan,
     running_sum_blocks,
     sawtooth_average_grid,
@@ -170,6 +172,46 @@ class TestTimeAverageAge:
         fast = time_average_age(times, gens, (0.5, 9.0), initial_age=0.5)
         grid = sawtooth_average_grid(times, gens, 0.5, 9.0, initial_age=0.5)
         assert fast == pytest.approx(grid, rel=2e-3)
+
+    # windows of 1, 2 and about one, two and more chunks of segments (a
+    # window holding m deliveries has m + 1 segments)
+    @pytest.mark.parametrize("segments", [1, 2, des_sim._CHUNK - 1, des_sim._CHUNK,
+                                          des_sim._CHUNK + 1, 2 * des_sim._CHUNK + 1])
+    def test_chunks_match_whole_array_integration(self, segments):
+        rng = np.random.default_rng(segments)
+        # deliveries before, inside and after the window; a quarter of them
+        # have their generation set back by Exp(3), which makes most of those
+        # stale
+        before, after = 5, 7
+        times = np.cumsum(rng.exponential(1.0, before + segments - 1 + after)) + 1.0
+        gens = times - rng.exponential(0.5, times.size)
+        stale = rng.random(times.size) < 0.25
+        gens[stale] -= rng.exponential(3.0, stale.sum())
+        t0 = float(np.nextafter(times[before - 1], np.inf))
+        t1 = float(times[before + segments - 1])
+        inside = times[(times > t0) & (times < t1)].size
+        assert inside == segments - 1
+        for initial_age in (0.0, 2.5):
+            for window in ((t0, t1), (0.5, t1), (t0, times[-1] + 3.0)):
+                expected = integrate_whole(times, gens, window, initial_age)
+                assert time_average_age(times, gens, window, initial_age) == expected
+        # a window with no delivery inside, and one with none before it
+        empty = (float(times[3]) + 1e-9, float(times[4]) - 1e-9)
+        assert time_average_age(times, gens, empty, 1.5) == integrate_whole(
+            times, gens, empty, 1.5)
+        assert time_average_age([], [], (2.0, 9.0), 1.0) == integrate_whole(
+            [], [], (2.0, 9.0), 1.0)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_any_chunk_size_matches_whole_array_integration(self, monkeypatch, chunk):
+        monkeypatch.setattr(des_sim, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        times = np.cumsum(rng.exponential(1.0, 300))
+        # every third delivery is stale
+        gens = times - np.where(np.arange(300) % 3 == 2, 4.0, 0.3) * rng.random(300)
+        for window, initial_age in (((10.0, 250.0), 0.0), ((0.1, 400.0), 3.0)):
+            assert time_average_age(times, gens, window, initial_age) == integrate_whole(
+                times, gens, window, initial_age)
 
 
 class TestConfig:
@@ -466,6 +508,29 @@ class TestRenewalChannel:
         assert traced.events_processed == untraced.events_processed
 
 
+class TestPeakMemory:
+    """One trial's tracemalloc peak per offered arrival (lambda * horizon).
+    The bounds lie between the figures of the whole-array temporaries
+    (26.6, 29.3 and 8.4 B) and those of the chunked scratch (18.6, 22.3 and
+    5.5 B)."""
+
+    @pytest.mark.parametrize("model,lam,horizon,bound", [
+        ("mm2p", 50.0, 2e4, 22.5),
+        ("mm2p", 4.0, 2e5, 26.0),
+        ("mm11", 4.0, 2e5, 7.0),
+    ])
+    def test_bytes_per_offered_arrival(self, model, lam, horizon, bound):
+        simulate = simulate_mm2_preemptive if model == "mm2p" else simulate_mm11
+        config = SimConfig(horizon=horizon, num_trials=1)
+        tracemalloc.start()
+        try:
+            simulate(lam, 1.0, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (lam * horizon) < bound
+
+
 class TestRunningSum:
     """The one presized buffer of the running sum against its blocks joined
     at the end. No step is expected, so the buffer starts at two blocks and
@@ -549,6 +614,27 @@ class TestPreemptivePair:
         n_arrivals, rows = self.check(lam, mu, 1.25 * des_sim._DRAW_BLOCK / lam, seed)
         assert n_arrivals > des_sim._DRAW_BLOCK
         assert {"arrival", "preempt", "delivery"} <= set(rows[1])
+
+    # n arrivals build the preemption limit in chunks from the end: put n
+    # and n + 2 just below, at and just above a multiple of the chunk size
+    @pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1])
+    @pytest.mark.parametrize("lam,mu", [(4.0, 1.0), (50.0, 1.0)])
+    def test_matches_per_arrival_loop_across_chunk_edges(self, lam, mu, offset):
+        n = 2 * des_sim._CHUNK + offset
+        rng = des_sim._rng(3, 0, 0)
+        arrivals = running_sum_blocks(
+            lambda: rng.exponential(1.0 / lam, des_sim._DRAW_BLOCK), (n + 1) / lam * 1.2)
+        horizon = float(arrivals[n - 1] + arrivals[n]) / 2
+        n_arrivals, rows = self.check(lam, mu, horizon, 3)
+        assert n_arrivals == n
+        assert {"arrival", "preempt", "delivery"} <= set(rows[1])
+
+    # small chunks put many chunk edges inside one short run
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0)])
+    def test_any_chunk_size_matches_per_arrival_loop(self, monkeypatch, lam, mu, chunk):
+        monkeypatch.setattr(des_sim, "_CHUNK", chunk)
+        assert self.check(lam, mu, 500.0 / lam, 8)[0] > 400
 
     @pytest.mark.parametrize("seed", [1, 12345])
     def test_no_arrival_and_one_arrival(self, seed):
