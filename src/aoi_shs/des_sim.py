@@ -11,8 +11,10 @@ update that has ever been delivered):
   update was generated earlier.
 
 Each system is a list of channels run by one trial runner: the two-sensor
-system has two blocking channels, the single queue one, and the preemptive
-pair is a single channel holding both servers.
+system and the single queue are the two- and one-channel runs of one
+blocking simulator, and the preemptive pair is one channel holding both
+servers. Horizon times the total rate (lambda1+lambda2+mu1+mu2, lambda+mu
+and lambda+2mu respectively) may not exceed ``MAX_EXPECTED_EVENTS``.
 
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
@@ -64,13 +66,13 @@ DEFAULT_SEED = 12345
 #: the rounding, and so the bits, of every instant.
 _DRAW_BLOCK = 1 << 14
 
-#: Entries per pass of the chunked loops (the preemption limit and the age
-#: integral), which build their temporaries in scratch of this size, never
-#: larger than the run. It changes no value: the loops carry a running
-#: minimum or maximum, which is exact, and sum once over the whole run.
+#: Entries per pass of the chunked loops (the preemption limit, the age
+#: integral and the trace writer), whose temporaries never outgrow it or the
+#: run. It changes no value: the loops carry an exact running minimum or
+#: maximum, sum once over the whole run, or write rows in order.
 _CHUNK = 1 << 14
 
-#: A run is rejected when horizon times the summed rates, the expected
+#: A run is rejected when horizon times the model's total rate, the expected
 #: events of one trial, exceeds this cap. Trials run one after another, so
 #: memory follows one trial. Measured peak RSS growth per expected event of
 #: one trial, over lambda/mu from 0.25 to 50: at most 10 B for the
@@ -202,22 +204,15 @@ def simulate_two_sensor(
     """
     if not isinstance(params, TwoSensorParams):
         params = TwoSensorParams(*params)
-    total_rate = params.lambda1 + params.lambda2 + params.mu1 + params.mu2
-    _check_event_budget(config.horizon, total_rate)
-    channels = (
-        partial(_blocking_channel, params.lambda1, params.mu1, config.horizon, 1),
-        partial(_blocking_channel, params.lambda2, params.mu2, config.horizon, 2),
-    )
-    return _run_trials(config, trace_dir, channels)
+    rates = ((params.lambda1, params.mu1), (params.lambda2, params.mu2))
+    return _simulate_blocking(rates, config, trace_dir)
 
 
 def simulate_mm11(lam: float, mu: float, config: SimConfig, trace_dir=None) -> SimResult:
     """Single blocking channel; deliveries arrive in generation order, so the
     staleness filter never rejects anything."""
     _require_positive(lam=lam, mu=mu)
-    _check_event_budget(config.horizon, lam + mu)
-    channel = partial(_blocking_channel, lam, mu, config.horizon, 1)
-    return _run_trials(config, trace_dir, (channel,))
+    return _simulate_blocking(((lam, mu),), config, trace_dir)
 
 
 def simulate_mm2_preemptive(
@@ -233,21 +228,20 @@ def simulate_mm2_preemptive(
     draws and results are those of a per-arrival walk, bit for bit.
     """
     _require_positive(lam=lam, mu=mu)
-    _check_event_budget(config.horizon, lam + 2 * mu)
     channel = partial(_preemptive_pair, lam, mu, config.horizon)
-    return _run_trials(config, trace_dir, (channel,))
+    return _run_trials(config, trace_dir, lam + 2 * mu, (channel,))
 
 
 # -- internals ---------------------------------------------------------------
 
 
-def _check_event_budget(horizon: float, total_rate: float) -> None:
-    expected = horizon * total_rate
-    if expected > MAX_EXPECTED_EVENTS:
-        raise ValueError(
-            f"event budget exceeded: horizon * total rate = {expected:.3e} "
-            f"is above the cap {MAX_EXPECTED_EVENTS:.0e}"
-        )
+def _simulate_blocking(rates, config: SimConfig, trace_dir) -> SimResult:
+    """Blocking channels at ``rates``, ``(lam, mu)`` pairs; channel k is sensor
+    k+1. The total rate sums the lams, then the mus, in channel order."""
+    lams, mus = zip(*rates)
+    channels = [partial(_blocking_channel, lam, mu, config.horizon, k + 1)
+                for k, (lam, mu) in enumerate(rates)]
+    return _run_trials(config, trace_dir, sum(lams + mus), channels)
 
 
 def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -256,15 +250,22 @@ def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     )
 
 
-def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
+def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult:
     """Run every channel of every trial and average the merged deliveries.
 
     A channel is a callable ``(arrival_rng, service_rng, trace) ->
     (deliveries, generations, arrivals)``; channel k gets streams 2k and
     2k+1. ``trace`` is None, or a list to which the channel appends its rows
     as one column chunk ``(times, kind codes, sensors, generation times)``.
-    Events processed are arrivals plus deliveries.
+    Events processed are arrivals plus deliveries; a run is refused when it
+    expects more than ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
     """
+    expected = config.horizon * total_rate
+    if expected > MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"event budget exceeded: horizon * total rate = {expected:.3e} "
+            f"is above the cap {MAX_EXPECTED_EVENTS:.0e}"
+        )
     values = []
     events = 0
     for trial in range(config.num_trials):
@@ -345,10 +346,8 @@ def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
     busy = np.zeros(n + 2, dtype=bool)
     np.greater(d[:-1], a[1:], out=busy[1:n])
     kept = np.flatnonzero(_kept_mask(a, d, busy, horizon))
-    if trace is not None:
-        kept = kept[np.argsort(d[kept], kind="stable")]
+    if trace is not None:  # rows in index order; the writer sorts by time
         trace.append(_pair_rows(a, d, busy, kept))
-        return d[kept], a[kept], n
     # drops busy and d before the sort, and each array it reorders once replaced
     del busy
     deps = d[kept]
@@ -496,8 +495,8 @@ def _write_trace(trace_dir, trial: int, chunks) -> None:
     held = 0.0
     with open(path / f"trial_{trial:03d}.csv", "w") as out:
         out.write(_TRACE_HEADER + "\n")
-        for start in range(0, order.size, _DRAW_BLOCK):
-            rows = order[start:start + _DRAW_BLOCK]
+        for start in range(0, order.size, _CHUNK):
+            rows = order[start:start + _CHUNK]
             for t, kind, sensor, gen in zip(
                 times[rows].tolist(), kinds[rows].tolist(),
                 sensors[rows].tolist(), gens[rows].tolist(),

@@ -271,10 +271,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="lam must be strictly positive and finite"):
             simulate(bad, 1.0, SimConfig(horizon=10.0, num_trials=1))
 
-    def test_event_budget_cap(self):
-        config = SimConfig(horizon=1e6, num_trials=1)
+    def test_event_budget_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="event budget"):
-            simulate_mm11(1e4, 1e4, config)
+            simulate_mm11(1e4, 1e4, SimConfig(horizon=1e6, num_trials=1))
+        # each model's total rate times the horizon against the cap: a run
+        # exactly at it goes ahead, one just over it is refused
+        monkeypatch.setattr(des_sim, "MAX_EXPECTED_EVENTS", 100)
+        config = SimConfig(horizon=20.0, num_trials=1)
+        cases = {  # lam + mu, lam + 2 mu, lam1 + lam2 + mu1 + mu2
+            simulate_mm11: ((2, 3), (2, 3.1)),
+            simulate_mm2_preemptive: ((2, 1.5), (2, 1.55)),
+            simulate_two_sensor: (((1, 1, 1.5, 1.5),), ((1, 1, 1.5, 1.6),)),
+        }
+        refused = r"total rate = 1\.020e\+02 is above the cap 1e\+02"
+        for simulate, (at_cap, over_cap) in cases.items():
+            assert simulate(*at_cap, config).events_processed > 0
+            with pytest.raises(ValueError, match=refused):
+                simulate(*over_cap, config)
 
 
 class TestReproducibility:
