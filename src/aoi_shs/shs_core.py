@@ -25,14 +25,16 @@ batch of one, and each solve's result carries its condition number and
 largest residual. The balance stage inverts its systems: the normalization
 right-hand side is the last unit vector, so the stationary distribution is
 the inverse's last column, and the exact 1-norm condition number comes from
-the same inverse. Only the live correlation unknowns, found once by
-:func:`build_model`, are solved for: those that can be nonzero, and those
-that are never zeroed, on which the system is singular. The others are
-exactly 0. The correlation system has rates on its diagonal and none but
-nonpositive entries off it (a Z-matrix), and a stationary age exists exactly
-when it is a nonsingular M-matrix; a second right-hand side of ones in the
-same solve certifies that and gives the exact infinity-norm condition
-number, ``inf`` when the certificate fails.
+the same inverse. Only the live correlation unknowns are solved for, found
+by reachability in :func:`build_model`: those that reset-map copies reach
+from a growing age or from one that is never zeroed. The others are
+exactly 0; a never-zeroed age stays in the system, which is singular on
+it, so that the certificate below rejects the chain. The correlation system
+has rates on its diagonal and none but nonpositive entries off it (a
+Z-matrix), and a stationary age exists exactly when it is a nonsingular
+M-matrix; a second right-hand side of ones in the same solve certifies that
+and gives the exact infinity-norm condition number, ``inf`` when the
+certificate fails.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -125,10 +127,19 @@ class ShsModel:
     """Validated, compiled chain; construct through :func:`build_model`.
 
     ``live`` holds the flat indices ``q * c + j`` of the L correlation
-    unknowns that are solved for (see :func:`_live_unknowns`); every other
-    one is exactly 0. ``balance[t]`` and ``correlation[t]`` hold, flattened,
-    what one unit of the rate of transition ``t`` contributes to the balance
-    system (n, n) and to the correlation system on the live unknowns (L, L).
+    unknowns that are solved for. A transition into q copies (src, i) into
+    (q, j) where its reset map has a 1 at (i, j), and zeroes (q, j) where
+    column j is empty. An unknown that copies cannot reach from any zeroing
+    is never zeroed: it carries its initial value forever, so the
+    correlation system is singular on it. The live set is everything copies
+    reach from a slope-1 unknown or a never-zeroed one. Every other
+    unknown's equation holds only copies of other such unknowns and no
+    source term, and on them the system is nonsingular, so each is exactly
+    0; a never-zeroed unknown stays in the solved system, whose M-matrix
+    certificate then rejects the chain. ``balance[t]`` and
+    ``correlation[t]`` hold, flattened, what one unit of the rate of
+    transition ``t`` contributes to the balance system (n, n) and to the
+    correlation system on the live unknowns (L, L).
     """
 
     num_states: int
@@ -225,19 +236,36 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
         raise ValueError(f"slope entries must be 0 or 1 (state {bad})")
     slopes.setflags(write=False)
 
-    _check_irreducible(n, specs)
-
-    live = _live_unknowns(specs, slopes)
+    # one pass compiles both systems and records the state steps, the copies
+    # (frm, i) -> (to, j) wherever A[i, j] = 1, and the unknowns (to, j) that
+    # an empty column j zeroes
     balance = np.zeros((len(specs), n, n))
     correlation = np.zeros((len(specs), n * c, n * c))
+    steps, copies, zeroed = [], [], []
     own = np.arange(c)
     for t, (frm, to, _, amap) in enumerate(specs):
         balance[t, frm, frm] += 1.0
         balance[t, to, frm] -= 1.0
         # leaving ``frm`` at this rate: v_frm * rate on the diagonal; entering
-        # ``to``: (v_frm @ A)[j] = sum_i v_frm[i] A[i, j], hence the transpose
+        # ``to``: v_to[j] gains v_frm[i] where A[i, j] = 1
+        src, dst = np.nonzero(amap)
+        src, dst = frm * c + src, to * c + dst
         correlation[t, frm * c + own, frm * c + own] += 1.0
-        correlation[t, to * c:(to + 1) * c, frm * c:(frm + 1) * c] -= amap.T
+        correlation[t, dst, src] -= 1.0
+        steps.append((frm, to))
+        copies += zip(src.tolist(), dst.tolist())
+        zeroed += (to * c + np.flatnonzero(~amap.any(axis=0))).tolist()
+
+    backward = [(to, frm) for frm, to in steps]
+    for edges, unreachable in ((steps, "state {} unreachable from state 0"),
+                               (backward, "state 0 unreachable from state {}")):
+        missing = set(range(n)) - _reachable(edges, [0])
+        if missing:
+            raise ValueError("chain is not irreducible: " + unreachable.format(min(missing)))
+
+    never_zeroed = set(range(n * c)) - _reachable(copies, zeroed)
+    seeds = never_zeroed.union(np.flatnonzero(slopes).tolist())
+    live = np.array(sorted(_reachable(copies, seeds)), dtype=np.intp)
     balance = balance.reshape(len(specs), n * n)
     correlation = correlation[:, live][:, :, live].reshape(len(specs), len(live) ** 2)
     for array in (live, balance, correlation):
@@ -245,53 +273,17 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     return ShsModel(n, c, tuple(specs), slopes, live, balance, correlation)
 
 
-def _live_unknowns(specs, slopes) -> np.ndarray:
-    """Flat indices ``q * c + j`` of the correlation unknowns to solve for,
-    by two fixed points over the transitions. An unknown (q, j) is never
-    zeroed if every transition into q copies into j a never-zeroed unknown
-    of its source: such an age carries its initial value forever, so the
-    correlation system is singular on it. The live set holds the unknowns
-    with slope 1 and the never-zeroed ones, and grows by (q, j) whenever a
-    transition into q copies a live unknown of its source into j. Any other
-    unknown's equation holds only copies of other such unknowns and no
-    source term, and on them the system is nonsingular, so each is exactly
-    0; a never-zeroed unknown stays in the solved system, whose certificate
-    then rejects the chain."""
-    def settle(marks, combine):
-        while True:
-            before = marks.copy()
-            for frm, to, _, amap in specs:
-                marks[to] = combine(marks[to], marks[frm] @ amap > 0.0)
-            if (marks == before).all():
-                return marks
-
-    never_zeroed = settle(np.ones(slopes.shape, dtype=bool), np.logical_and)
-    return np.flatnonzero(settle(slopes.astype(bool) | never_zeroed, np.logical_or))
-
-
-def _check_irreducible(num_states: int, specs) -> None:
-    forward: list[list[int]] = [[] for _ in range(num_states)]
-    backward: list[list[int]] = [[] for _ in range(num_states)]
-    for frm, to, _, _ in specs:
-        forward[frm].append(to)
-        backward[to].append(frm)
-    for graph, direction in ((forward, "from"), (backward, "to")):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in graph[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != num_states:
-            missing = min(set(range(num_states)) - seen)
-            if direction == "from":
-                raise ValueError(
-                    f"chain is not irreducible: state {missing} unreachable from state 0"
-                )
-            raise ValueError(
-                f"chain is not irreducible: state 0 unreachable from state {missing}"
-            )
+def _reachable(edges, seeds) -> set:
+    """The nodes reached from ``seeds`` along ``edges``, pairs ``(a, b)``
+    walked from ``a`` to ``b``, seeds included."""
+    ahead = {}
+    for a, b in edges:
+        ahead.setdefault(a, []).append(b)
+    reached, frontier = set(), set(seeds)
+    while frontier:
+        reached |= frontier
+        frontier = {b for a in frontier for b in ahead.get(a, ())} - reached
+    return reached
 
 
 def _model_rates(model: ShsModel) -> np.ndarray:

@@ -172,6 +172,29 @@ def stage_systems(model: ShsModel):
     return balance, correlation
 
 
+def unreachable_state(num_states: int, transitions) -> str | None:
+    """The message ``build_model`` must raise for a chain of valid
+    ``(from_state, to_state, rate, reset_map)`` transitions that is not
+    strongly connected, or None. A breadth-first search from state 0 along
+    the transitions, then one against them, each naming the smallest state
+    it misses."""
+    for forward, message in ((True, "state {} unreachable from state 0"),
+                             (False, "state 0 unreachable from state {}")):
+        seen = [False] * num_states
+        seen[0] = True
+        queue = [0]
+        while queue:
+            state = queue.pop(0)
+            for frm, to, _, _ in transitions:
+                src, dst = (frm, to) if forward else (to, frm)
+                if src == state and not seen[dst]:
+                    seen[dst] = True
+                    queue.append(dst)
+        if not all(seen):
+            return "chain is not irreducible: " + message.format(seen.index(False))
+    return None
+
+
 def live_unknowns(model: ShsModel) -> list[int]:
     """Flat indices ``q * c + j`` of the correlation unknowns to solve for,
     one unknown at a time. First every unknown is taken as never zeroed, and

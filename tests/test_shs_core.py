@@ -29,7 +29,13 @@ from aoi_shs.two_sensor import (
     TwoSensorParams,
     build_two_sensor_chain,
 )
-from oracles import live_unknowns, single_queue_average_age, single_queue_model, stage_systems
+from oracles import (
+    live_unknowns,
+    single_queue_average_age,
+    single_queue_model,
+    stage_systems,
+    unreachable_state,
+)
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -315,6 +321,24 @@ def copy_fed_model(lam=0.7, mu=1.9, loop=0.4):
     return build_model(2, 3, transitions, [[1, 0, 0], [1, 1, 1]])
 
 
+def random_chain(rng):
+    """1-5 states, 1-3 components and 1-9 transitions drawn at random, with
+    integer rates 1-3 so that every coefficient sum is exact. Each reset-map
+    column copies a random component with probability 0.6 and is empty
+    otherwise; each slope is 1 with probability 0.5. Most such chains are
+    not strongly connected."""
+    n, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    transitions = []
+    for _ in range(int(rng.integers(1, 10))):
+        amap = np.zeros((c, c))
+        for j in range(c):
+            if rng.random() < 0.6:
+                amap[rng.integers(0, c), j] = 1.0
+        transitions.append((int(rng.integers(0, n)), int(rng.integers(0, n)),
+                            float(rng.integers(1, 4)), amap))
+    return n, c, transitions, (rng.random((n, c)) < 0.5).astype(float)
+
+
 class TestLiveSet:
     @pytest.mark.parametrize("chain, size", [
         pytest.param(_CHAIN, 21, id="nine-state"),
@@ -384,6 +408,33 @@ class TestLiveSet:
     def test_never_zeroed_unknowns_are_solved_for(self):
         model = build_model(1, 2, [(0, 0, 2.0, [[0, 0], [1, 1]])], [[1, 0]])
         assert model.live.tolist() == live_unknowns(model) == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_chains_match_oracles(self, seed):
+        # a rejected chain raises the oracle's message; a built one has the
+        # oracle's live set and, at its rates, the oracle's stage systems
+        rng = np.random.default_rng(600 + seed)
+        built = 0
+        for _ in range(500):
+            n, c, transitions, slopes = random_chain(rng)
+            message = unreachable_state(n, transitions)
+            if message is not None:
+                with pytest.raises(ValueError) as exc:
+                    build_model(n, c, transitions, slopes)
+                assert str(exc.value) == message
+                continue
+            built += 1
+            model = build_model(n, c, transitions, slopes)
+            live = live_unknowns(model)
+            assert model.live.tolist() == live
+            rates = np.array([t.rate for t in model.transitions])
+            balance, correlation = stage_systems(model)
+            compiled = (rates @ model.balance).reshape(n, n)
+            compiled[-1] = 1.0
+            assert compiled.tolist() == balance.tolist()
+            assert ((rates @ model.correlation).reshape(len(live), len(live)).tolist()
+                    == correlation[np.ix_(live, live)].tolist())
+        assert 100 < built < 400
 
 
 class TestCorrelation:
