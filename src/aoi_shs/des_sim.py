@@ -16,6 +16,17 @@ blocking simulator, and the preemptive pair is one channel holding both
 servers. Horizon times the total rate (lambda1+lambda2+mu1+mu2, lambda+mu
 and lambda+2mu respectively) may not exceed ``MAX_EXPECTED_EVENTS``.
 
+A trial runs as a stream of blocks. Each channel yields its deliveries in
+time order, one block of at most ``_DRAW_BLOCK`` draws per stream at a
+time; the runner merges the channels' blocks and integrates the age as the
+deliveries come, through buffers allocated once per run and reused across
+blocks and trials. What grows with the trial is 8 bytes per delivery in the
+window (the areas of the age integral, summed once) and, in a blocking
+channel, 8 bytes per accepted update (its busy times, summed once). Both are
+single sums over the whole trial so that the values are those of a run held
+in memory at once; summing per block would drop them and the event cap, but
+would move every value in its last bits.
+
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
 the accepted updates' generation and delivery instants are the running sum
@@ -24,12 +35,15 @@ busy form a Poisson process on the busy time; they change nothing at the
 monitor and are only counted (and, in a trace, placed). This is exact in
 distribution and walks no blocked arrival.
 
-The preemptive pair runs on arrays as well. Every arrival enters service,
+The preemptive pair runs on blocks as well. Every arrival enters service,
 and update m-1 is still in service at arrival m iff its delivery instant
 ``a[m-1] + s[m-1]`` lies past ``a[m]``; such a busy arrival replaces the
 older update in service, if any. So update k is delivered iff its delivery
-instant falls by the horizon and by the first busy arrival from k+2 on. This
-makes the draws of a per-arrival walk and gives its results bit for bit.
+instant falls by the horizon and by the first busy arrival from k+2 on. An
+update whose first such arrival is not yet drawn waits for the next block. A
+block's kept deliveries all fall by its last busy arrival, which every later
+update's delivery follows, so they are final once sorted. This makes the
+draws of a per-arrival walk and gives its results bit for bit.
 
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
@@ -50,7 +64,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,27 +73,23 @@ from .two_sensor import TwoSensorParams
 
 DEFAULT_SEED = 12345
 
-#: Draws per stream in one cumsummed block of a running sum: the pair's
-#: arrival gaps, or a blocking channel's wait and service pairs. Each block
-#: is carried on from the last sum of the block before, so this size fixes
-#: the rounding, and so the bits, of every instant.
+#: Draws per stream in one block: the pair's arrival gaps, or a blocking
+#: channel's wait and service pairs. Each block is cumsummed and carried on
+#: from the last sum of the block before, so this size fixes the rounding,
+#: and so the bits, of every instant. The age integral's scratch and the
+#: trace writer's row batches are as long; that length changes no value.
 _DRAW_BLOCK = 1 << 14
 
-#: Entries per pass of the chunked loops (the preemption limit, the age
-#: integral and the trace writer), whose temporaries never outgrow it or the
-#: run. It changes no value: the loops carry an exact running minimum or
-#: maximum, sum once over the whole run, or write rows in order.
-_CHUNK = 1 << 14
-
 #: A run is rejected when horizon times the model's total rate, the expected
-#: events of one trial, exceeds this cap. Trials run one after another, so
-#: memory follows one trial. Measured peak RSS growth per expected event of
-#: one trial, over lambda/mu from 0.25 to 50: at most 10 B for the
-#: two-sensor system (lambda/mu = 2), 6 B for the single queue
-#: (lambda/mu = 1) and 18 B for the preemptive pair (lambda/mu = 50); with a
-#: trace directory, at most 43 B (the preemptive pair at lambda/mu = 10).
-#: 2e7 * 43 B = 0.9 GB, so every model stays under 2 GB at the cap with room
-#: for the interpreter.
+#: events of one trial, exceeds this cap. A trial streams through buffers
+#: reused from one to the next; what grows with it is 8 B per delivery and,
+#: in a blocking channel, 8 B per accepted update. Measured peak RSS growth
+#: per expected event of one trial of 1e7 expected events, over lambda/mu
+#: from 0.25 to 50: at most 4.8 B for the two-sensor system (lambda/mu = 2),
+#: 4.6 B for the single queue (lambda/mu = 1) and 3.2 B for the preemptive
+#: pair (lambda/mu = 2); with a trace directory (2e6 expected events), at
+#: most 47 B (the preemptive pair at lambda/mu = 10). 2e7 * 47 B = 0.94 GB,
+#: so every model stays under 2 GB at the cap with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 _INF = math.inf
@@ -151,46 +160,10 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
             raise ValueError("delivery times must be sorted ascending")
         if (gens > times).any():
             raise ValueError("an update cannot be delivered before it is generated")
-
-    # sorted, so the deliveries up to t0 and those inside the window are slices
-    start = int(np.searchsorted(times, t0, side="right"))
-    stop = int(np.searchsorted(times, t1, side="left"))
-    floor = t0 - initial_age
-    if start:
-        floor = max(floor, float(gens[:start].max()))
-    # Segment i runs from bounds[i] to bounds[i + 1], bounds being [t0,
-    # *times[start:stop], t1], at held[i], the running maximum of [floor,
-    # *gens[start:stop]] up to i: that reproduces the staleness filter. It is
-    # built chunk by chunk in scratch, the maximum carried over as a scalar;
-    # fmax is maximum on this input, checked finite above, without NaN tests.
-    segments = stop - start + 1
-    area = np.empty(segments)
-    width = min(_CHUNK, segments)
-    held_buf, bounds_buf = np.empty(width), np.empty(width + 1)
-    for lo in range(0, segments, width):
-        hi = min(lo + width, segments)
-        first, last = lo == 0, hi == segments
-        bounds = bounds_buf[:hi - lo + 1]
-        bounds[first:bounds.size - last] = times[start + lo - 1 + first:start + hi - last]
-        held = held_buf[:hi - lo]
-        held[first:] = gens[start + lo - 1 + first:start + hi - 1]
-        if first:
-            bounds[0], held[0] = t0, floor
-        else:
-            held[0] = max(held[0], floor)
-        if last:
-            bounds[-1] = t1
-        np.fmax.accumulate(held, out=held)
-        floor = held[-1]
-        left, right = bounds[:-1], bounds[1:]
-        # (right - left) * (0.5 * (left + right) - held), in two buffers
-        chunk = area[lo:hi]
-        np.add(left, right, out=chunk)
-        chunk *= 0.5
-        np.subtract(chunk, held, out=held)
-        np.subtract(right, left, out=chunk)
-        chunk *= held
-    return float(np.sum(area)) / (t1 - t0)
+    integral = _AgeIntegral(t0, t1, times.size + 1)
+    integral.start(t0 - initial_age)
+    integral.add(times, gens)
+    return integral.value()
 
 
 def simulate_two_sensor(
@@ -228,8 +201,8 @@ def simulate_mm2_preemptive(
     draws and results are those of a per-arrival walk, bit for bit.
     """
     _require_positive(lam=lam, mu=mu)
-    channel = partial(_preemptive_pair, lam, mu, config.horizon)
-    return _run_trials(config, trace_dir, lam + 2 * mu, (channel,))
+    channel = _PreemptivePair(lam, mu, config.horizon)
+    return _run_trials(config, trace_dir, lam + 2 * mu, [channel])
 
 
 # -- internals ---------------------------------------------------------------
@@ -239,7 +212,7 @@ def _simulate_blocking(rates, config: SimConfig, trace_dir) -> SimResult:
     """Blocking channels at ``rates``, ``(lam, mu)`` pairs; channel k is sensor
     k+1. The total rate sums the lams, then the mus, in channel order."""
     lams, mus = zip(*rates)
-    channels = [partial(_blocking_channel, lam, mu, config.horizon, k + 1)
+    channels = [_BlockingChannel(lam, mu, config.horizon, k + 1)
                 for k, (lam, mu) in enumerate(rates)]
     return _run_trials(config, trace_dir, sum(lams + mus), channels)
 
@@ -250,13 +223,44 @@ def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     )
 
 
+def _room(buf, used: int, size: int):
+    """``buf`` if it holds ``size`` entries, else a buffer of at least that
+    many (twice ``buf`` or more) holding the first ``used`` of it."""
+    if size <= buf.size:
+        return buf
+    grown = np.empty(max(size, 2 * buf.size), dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
+class _Column:
+    """A trial-length array written block by block into one buffer, kept
+    from trial to trial; the buffer is sized for ``reserve`` entries at
+    first use and grown if need be."""
+
+    def __init__(self, reserve: int, dtype=float):
+        self.data, self.size, self.reserve = np.empty(0, dtype), 0, reserve
+
+    def extend(self, count: int):
+        """A view of ``count`` new entries at the end."""
+        self.data = _room(self.data, self.size, max(self.size + count, self.reserve))
+        self.size += count
+        return self.data[self.size - count:self.size]
+
+    def values(self):
+        return self.data[:self.size]
+
+
 def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult:
     """Run every channel of every trial and average the merged deliveries.
 
-    A channel is a callable ``(arrival_rng, service_rng, trace) ->
-    (deliveries, generations, arrivals)``; channel k gets streams 2k and
-    2k+1. ``trace`` is None, or a list to which the channel appends its rows
-    as one column chunk ``(times, kind codes, sensors, generation times)``.
+    A channel is called as ``channel(arrival_rng, service_rng, trace)`` and
+    returns a generator: it yields ``(deliveries, generations)`` blocks in
+    time order, each no earlier than the last delivery yielded before, and
+    returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
+    is None, or a list to which the channel appends its rows, after its last
+    block, as one column chunk ``(times, kind codes, sensors, generation
+    times)``. A channel's ``expected`` is about its deliveries in a trial.
     Events processed are arrivals plus deliveries; a run is refused when it
     expects more than ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
     """
@@ -266,58 +270,206 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
             f"event budget exceeded: horizon * total rate = {expected:.3e} "
             f"is above the cap {MAX_EXPECTED_EVENTS:.0e}"
         )
+    t0 = config.warmup * config.horizon
+    deliveries = sum(channel.expected for channel in channels)
+    integral = _AgeIntegral(t0, config.horizon, int(deliveries) + _DRAW_BLOCK)
+    merge = _Merge()
     values = []
     events = 0
     for trial in range(config.num_trials):
-        trace = [] if trace_dir is not None else None
-        dep_lists, gen_lists = [], []
-        for k, channel in enumerate(channels):
-            deps, gens, n_arrivals = channel(
-                _rng(config.seed, trial, 2 * k),
-                _rng(config.seed, trial, 2 * k + 1),
-                trace,
-            )
-            dep_lists.append(deps)
-            gen_lists.append(gens)
-            events += n_arrivals + len(deps)
-        if trace is not None:  # first, as it frees the trace's columns
-            _write_trace(trace_dir, trial, trace)
-        values.append(_windowed_average(dep_lists, gen_lists, config))
+        traces = [[] if trace_dir is not None else None for _ in channels]
+        streams = [
+            channel(_rng(config.seed, trial, 2 * k), _rng(config.seed, trial, 2 * k + 1), trace)
+            for k, (channel, trace) in enumerate(zip(channels, traces))
+        ]
+        # the monitor age is zero at time zero, hence equals t0 at the window
+        # start: the held generation time is 0
+        integral.start(0.0)
+        events += merge(streams, integral.add)
+        if trace_dir is not None:
+            _write_trace(trace_dir, trial, [trace.pop() for trace in traces])
+        values.append(integral.value())
     return _summarize(values, events)
 
 
-def _blocking_channel(lam, mu, horizon, sensor, arrival_rng, service_rng, trace):
-    """One blocking channel in renewal form: accepted updates are the running
-    sum of alternating Exp(lam) waits and Exp(mu) services; deliveries
-    completing past the horizon are dropped, and the blocked arrivals are one
-    Poisson count over the busy time."""
-    draws = np.empty(_DRAW_BLOCK)
+class _AgeIntegral:
+    """The exact integral of the sawtooth age over ``(t0, t1)``, fed sorted
+    deliveries in batches (see :func:`time_average_age`).
 
-    def fill(out):
-        np.multiply(arrival_rng.standard_exponential(out=draws), 1.0 / lam, out=out[0::2])
-        np.multiply(service_rng.standard_exponential(out=draws), 1.0 / mu, out=out[1::2])
+    The window's segments run between t0, the delivery instants inside the
+    window and t1; segment i lies at ``held``, the running maximum of the
+    generation times delivered before it, which is the staleness filter.
+    Each segment's area goes into one buffer, grown if need be, and the
+    value is one sum over it; the running maximum and the last instant carry
+    from batch to batch, so where the batches split changes no bit."""
 
-    # two steps per cycle of mean length 1/lam + 1/mu
-    expected = 2 * horizon / (1.0 / lam + 1.0 / mu)
-    instants = _running_sum(fill, 2 * _DRAW_BLOCK, horizon, expected)
-    gens, deps = instants[0::2], instants[1::2]
-    accepted = int(np.searchsorted(gens, horizon, side="right"))
-    kept = int(np.searchsorted(deps, horizon, side="right"))
-    # gens[i + 1] >= deps[i], so only the last accepted update can end past
-    # the horizon, where its busy time is cut
-    busy = np.subtract(deps[:accepted], gens[:accepted])
-    if accepted > kept:
-        busy[-1] = horizon - gens[accepted - 1]
-    n_blocked = int(arrival_rng.poisson(lam * float(busy.sum())))
-    if trace is not None:
-        blocked = _busy_uniform(arrival_rng, gens[:accepted], busy, n_blocked)
-        trace.append((
-            np.concatenate((gens[:accepted], blocked, deps[:kept])),
-            np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]), (accepted, n_blocked, kept)),
-            np.full(accepted + n_blocked + kept, sensor, dtype=np.int8),
-            np.concatenate((gens[:accepted], blocked, gens[:kept])),
-        ))
-    return deps[:kept], gens[:kept], accepted + n_blocked
+    def __init__(self, t0: float, t1: float, reserve: int):
+        self.t0, self.t1 = t0, t1
+        self.area = _Column(reserve)
+        width = min(_DRAW_BLOCK, reserve)
+        self.left, self.held = np.empty(width), np.empty(width)
+
+    def start(self, floor) -> None:
+        """A new integral whose monitor holds generation time ``floor`` at t0."""
+        self.floor, self.last, self.closed = float(floor), self.t0, False
+        self.area.size = 0
+
+    def add(self, times, gens) -> None:
+        if self.closed:
+            return
+        start = int(np.searchsorted(times, self.t0, side="right"))
+        if start:
+            self.floor = max(self.floor, float(gens[:start].max()))
+        stop = int(np.searchsorted(times, self.t1, side="left"))
+        self.closed = stop < times.size
+        width = self.held.size
+        for lo in range(start, stop, width):
+            hi = min(lo + width, stop)
+            chunk = self.area.extend(hi - lo)
+            right = times[lo:hi]
+            left, held = self.left[:hi - lo], self.held[:hi - lo]
+            left[0], left[1:] = self.last, times[lo:hi - 1]
+            held[0], held[1:] = self.floor, gens[lo:hi - 1]
+            # fmax is maximum on finite input, without NaN tests
+            np.fmax.accumulate(held, out=held)
+            self.floor = max(float(held[-1]), float(gens[hi - 1]))
+            self.last = float(times[hi - 1])
+            # (right - left) * (0.5 * (left + right) - held), in two buffers
+            np.add(left, right, out=chunk)
+            chunk *= 0.5
+            np.subtract(chunk, held, out=held)
+            np.subtract(right, left, out=chunk)
+            chunk *= held
+
+    def value(self) -> float:
+        t0, t1, last = self.t0, self.t1, self.last
+        self.area.extend(1)[0] = (t1 - last) * ((last + t1) * 0.5 - self.floor)
+        return float(np.sum(self.area.values())) / (t1 - t0)
+
+
+class _Merge:
+    """Feeds ``sink`` the deliveries of all channel streams in time order and
+    returns the events processed, arrivals plus deliveries.
+
+    Each channel holds one block of deliveries at a time. Let F be the
+    earliest of the blocks' last deliveries and c the first channel whose
+    block ends at F. A channel's later deliveries come no earlier than its
+    block's last, so none comes before F, and at F only from channel c,
+    after its held ones, or from a later channel. So every held delivery
+    before F is final, and so is every one at F from channel c or an
+    earlier one. That takes all of channel c's block, and c draws its next.
+    The final deliveries of several channels are concatenated in channel
+    order and stably sorted, so equal instants keep the channel order; one
+    channel's pass straight through. The sort's buffers are kept from trial
+    to trial."""
+
+    def __init__(self):
+        self.out = [np.empty(0) for _ in range(4)]
+
+    def __call__(self, streams, sink) -> int:
+        events = 0
+        held = {}  # channel: its block's deliveries not yet released, never empty
+        live = set(range(len(streams)))
+
+        def draw(k):
+            nonlocal events
+            while True:
+                try:
+                    deps, gens = next(streams[k])
+                except StopIteration as stop:
+                    events += stop.value
+                    live.remove(k)
+                    return
+                events += deps.size
+                if deps.size:
+                    held[k] = deps, gens
+                    return
+
+        for k in range(len(streams)):
+            draw(k)
+        while held:
+            bound = min(deps[-1] for deps, _ in held.values())
+            first = min(k for k, (deps, _) in held.items() if deps[-1] == bound)
+            parts = []
+            for k in sorted(held):
+                deps, gens = held.pop(k)
+                cut = int(np.searchsorted(deps, bound, side="right" if k <= first else "left"))
+                if cut:
+                    parts.append((deps[:cut], gens[:cut]))
+                if cut < deps.size:
+                    held[k] = deps[cut:], gens[cut:]
+            if len(parts) == 1:
+                sink(*parts[0])
+            else:
+                total = sum(deps.size for deps, _ in parts)
+                self.out = [_room(buf, 0, total) for buf in self.out]
+                merged_d, merged_g, deps, gens = (buf[:total] for buf in self.out)
+                np.concatenate([deps for deps, _ in parts], out=merged_d)
+                np.concatenate([gens for _, gens in parts], out=merged_g)
+                order = np.argsort(merged_d, kind="stable")
+                np.take(merged_d, order, out=deps, mode="clip")
+                np.take(merged_g, order, out=gens, mode="clip")
+                sink(deps, gens)
+            for k in sorted(live - held.keys()):
+                draw(k)
+        return events
+
+
+class _BlockingChannel:
+    """One blocking channel in renewal form, sensor ``sensor``: accepted
+    updates are the running sum of alternating Exp(lam) waits and Exp(mu)
+    services, a block of each at a time; deliveries completing past the
+    horizon are dropped, and the blocked arrivals are one Poisson count over
+    the busy time, drawn after the last block."""
+
+    def __init__(self, lam, mu, horizon, sensor):
+        self.lam, self.mu, self.horizon, self.sensor = lam, mu, horizon, sensor
+        # one accepted update, and about one delivery, per cycle of mean
+        # length 1/lam + 1/mu
+        self.expected = horizon / (1.0 / lam + 1.0 / mu)
+        self.block, self.draws = np.empty(2 * _DRAW_BLOCK), np.empty(_DRAW_BLOCK)
+        self.busy = _Column(int(self.expected) + _DRAW_BLOCK)
+
+    def __call__(self, arrival_rng, service_rng, trace):
+        lam, mu, horizon, block, busy = self.lam, self.mu, self.horizon, self.block, self.busy
+        gens, deps = block[0::2], block[1::2]
+        busy.size = 0
+        if trace is not None:  # accepted updates' generation, kept ones' delivery
+            starts, ends = (_Column(int(self.expected) + _DRAW_BLOCK) for _ in range(2))
+        base = 0.0
+        while base <= horizon:
+            np.multiply(arrival_rng.standard_exponential(out=self.draws), 1.0 / lam, out=gens)
+            np.multiply(service_rng.standard_exponential(out=self.draws), 1.0 / mu, out=deps)
+            np.cumsum(block, out=block)
+            block += base
+            base = float(block[-1])
+            now = kept = gens.size
+            if base > horizon:
+                now = int(np.searchsorted(gens, horizon, side="right"))
+                kept = int(np.searchsorted(deps, horizon, side="right"))
+            part = np.subtract(deps[:now], gens[:now], out=busy.extend(now))
+            # gens[i + 1] >= deps[i], so only the last accepted update can end
+            # past the horizon, where its busy time is cut
+            if now > kept:
+                part[-1] = horizon - gens[now - 1]
+            if trace is not None:
+                starts.extend(now)[:] = gens[:now]
+                ends.extend(kept)[:] = deps[:kept]
+            yield deps[:kept], gens[:kept]
+        busy = busy.values()
+        accepted = busy.size
+        n_blocked = int(arrival_rng.poisson(lam * float(busy.sum())))
+        if trace is not None:
+            starts, ends = starts.values(), ends.values()
+            blocked = _busy_uniform(arrival_rng, starts, busy, n_blocked)
+            trace.append((
+                np.concatenate((starts, blocked, ends)),
+                np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]),
+                          (accepted, n_blocked, ends.size)),
+                np.full(accepted + n_blocked + ends.size, self.sensor, dtype=np.int8),
+                np.concatenate((starts, blocked, starts[:ends.size])),
+            ))
+        return accepted + n_blocked
 
 
 def _busy_uniform(rng, starts, busy, count):
@@ -330,90 +482,91 @@ def _busy_uniform(rng, starts, busy, count):
     return starts[index] + (offsets - begins[index])
 
 
-def _preemptive_pair(lam, mu, horizon, arrival_rng, service_rng, trace):
-    """One source feeding two preemptive servers, on arrays (see the module
-    docstring): ``busy[m]`` iff update m-1 is in service at arrival m."""
-    def fill(out):
-        arrival_rng.standard_exponential(out=out)
-        out *= 1.0 / lam
+class _PreemptivePair:
+    """One source feeding two preemptive servers, a block of arrivals at a
+    time (see the module docstring). Update k is kept iff ``d[k] <=
+    limit[k + 2]``, where ``limit[j]`` is the instant of the first busy
+    arrival at or after j, or the horizon if there is none."""
 
-    arrivals = _running_sum(fill, _DRAW_BLOCK, horizon, lam * horizon)
-    n = int(np.searchsorted(arrivals, horizon, side="right"))
-    a = arrivals[:n]
-    d = service_rng.standard_exponential(n)
-    d *= 1.0 / mu
-    d += a
-    busy = np.zeros(n + 2, dtype=bool)
-    np.greater(d[:-1], a[1:], out=busy[1:n])
-    kept = np.flatnonzero(_kept_mask(a, d, busy, horizon))
-    if trace is not None:  # rows in index order; the writer sorts by time
-        trace.append(_pair_rows(a, d, busy, kept))
-    # drops busy and d before the sort, and each array it reorders once replaced
-    del busy
-    deps = d[kept]
-    del d
-    order = np.argsort(deps, kind="stable")
-    deps = deps[order]
-    kept = kept[order]
-    del order
-    return deps, a[kept], n
+    def __init__(self, lam, mu, horizon):
+        self.lam, self.mu, self.horizon = lam, mu, horizon
+        # at most one delivery per arrival, and mu per server and unit time
+        self.expected = min(lam, 2.0 * mu) * horizon
+        # the undecided updates, then the block: arrival and delivery instants
+        self.a, self.d = np.empty(2 * _DRAW_BLOCK), np.empty(2 * _DRAW_BLOCK)
+
+    def __call__(self, arrival_rng, service_rng, trace):
+        lam, mu, horizon, a, d = self.lam, self.mu, self.horizon, self.a, self.d
+        base, prev = 0.0, -_INF  # prev: the delivery instant of the update before the block
+        first = pending = n = 0  # the index of update a[0], and how many are undecided
+        if trace is not None:  # every arrival and delivery instant, and the kept updates
+            columns = (_Column(int(lam * horizon) + _DRAW_BLOCK),
+                       _Column(int(lam * horizon) + _DRAW_BLOCK),
+                       _Column(int(self.expected) + _DRAW_BLOCK, np.intp))
+        while base <= horizon:
+            if pending + _DRAW_BLOCK > a.size:
+                a = self.a = _room(a, pending, pending + _DRAW_BLOCK)
+                d = self.d = _room(d, pending, pending + _DRAW_BLOCK)
+            block = a[pending:pending + _DRAW_BLOCK]
+            arrival_rng.standard_exponential(out=block)
+            block *= 1.0 / lam
+            np.cumsum(block, out=block)
+            block += base
+            base = float(block[-1])
+            last = base > horizon
+            end = pending + (int(np.searchsorted(block, horizon, side="right")) if last
+                             else block.size)
+            new = d[pending:end]
+            service_rng.standard_exponential(out=new)
+            new *= 1.0 / mu
+            new += a[pending:end]
+            # busy[j - pending] iff update j-1 is in service at arrival j
+            busy = np.empty(end - pending, dtype=bool)
+            if busy.size:
+                busy[0] = prev > a[pending]
+                np.greater(d[pending:end - 1], a[pending + 1:end], out=busy[1:])
+                prev = float(d[end - 1])
+            # updates up to L - 2 are decided, L being the last busy arrival:
+            # a kept one delivers by a[L], and every later update delivers
+            # after a[L] (update L - 1 is in service then), so the block's
+            # kept deliveries precede all later ones. The last block decides
+            # the rest.
+            decided = end
+            if not last:
+                decided = max(end - 2 - int(busy[::-1].argmax()), 0) if busy.any() else 0
+            # limit[k] for update k; no arrival before the block is busy from
+            # k + 2 on, or update k would have been decided. From 0 at a busy
+            # arrival and the horizon elsewhere, the max with a gives a and
+            # the horizon, as a <= horizon, without a branch on random data.
+            limit = np.full(decided, horizon)
+            lo, hi = max(pending, 2), min(end, decided + 2)
+            if hi > lo:
+                part = limit[lo - 2:hi - 2]
+                np.logical_not(busy[lo - pending:hi - pending], out=part)
+                part *= horizon
+                np.maximum(part, a[lo:hi], out=part)
+            # fmin is minimum on this NaN-free input, without NaN tests
+            np.fmin.accumulate(limit[::-1], out=limit[::-1])
+            kept = np.flatnonzero(d[:decided] <= limit)
+            if trace is not None:
+                for column, values in zip(columns, (a[pending:end], d[pending:end], kept + first)):
+                    column.extend(values.size)[:] = values
+            # in time order, equal instants in arrival order
+            deps = d.take(kept)
+            order = np.argsort(deps, kind="stable")
+            yield deps[order], a.take(kept[order])
+            a[:end - decided] = a[decided:end]
+            d[:end - decided] = d[decided:end]
+            first, pending, n = first + decided, end - decided, n + end - pending
+        if trace is not None:
+            trace.append(_pair_rows(*(column.values() for column in columns)))
+        return n
 
 
-def _kept_mask(a, d, busy, horizon):
-    """Whether each update of the pair is delivered: update k is delivered
-    iff ``d[k] <= limit[k + 2]``, where ``limit[j]`` is the instant of the
-    first busy arrival at or after j, or the horizon if there is none.
-
-    From 0 at a busy arrival and the horizon elsewhere, the max with a gives
-    a and the horizon, as 0 <= a <= horizon, without a branch on random data.
-    The limit is built backwards chunk by chunk in scratch, the minimum of
-    the later chunks carried over as a scalar; fmin is minimum on this
-    NaN-free input, without NaN tests."""
-    n = a.size
-    mask = np.empty(n, dtype=bool)
-    scratch = np.empty(min(_CHUNK, n))
-    carry = horizon
-    for hi in range(n, 0, -_CHUNK):
-        lo = max(hi - _CHUNK, 0)
-        limit = scratch[:hi - lo]
-        np.logical_not(busy[lo + 2:hi + 2], out=limit)
-        limit *= horizon
-        later = a[lo + 2:hi + 2]
-        np.maximum(limit[:later.size], later, out=limit[:later.size])
-        np.fmin.accumulate(limit[::-1], out=limit[::-1])
-        np.fmin(limit, carry, out=limit)
-        carry = limit[0]
-        np.less_equal(d[lo:hi], limit, out=mask[lo:hi])
-    return mask
-
-
-def _running_sum(fill, width, horizon, expected):
-    """Running sum of blocks of ``width`` steps, each written in place by
-    ``fill(block)``, cumsummed and carried on from the last sum of the block
-    before, up to the first block whose last sum passes ``horizon``.
-
-    The blocks go into one buffer sized for ``expected`` steps plus two
-    blocks, which doubles only if the sum runs past it."""
-    out = np.empty(width * (int(expected // width) + 2))
-    end = 0
-    base = 0.0
-    while base <= horizon:
-        if end == out.size:
-            grown = np.empty(2 * out.size)
-            grown[:end] = out
-            out = grown
-        block = out[end:end + width]
-        fill(block)
-        np.cumsum(block, out=block)
-        block += base
-        base = float(block[-1])
-        end += width
-    return out[:end]
-
-
-def _pair_rows(a, d, busy, kept):
+def _pair_rows(a, d, kept):
     """Trace columns of the preemptive pair: kept deliveries, then arrivals.
 
+    Arrival m is busy iff update m-1 is in service then, ``d[m-1] > a[m]``.
     Only a busy arrival J preempts, and it keeps update J-1 in service; an
     update before a non-busy arrival has left by then. So the one update
     older than m-1 that can be in service at arrival m is J-1, for the last
@@ -422,8 +575,9 @@ def _pair_rows(a, d, busy, kept):
     server if only an older update is in service, and server 1 if both are
     idle."""
     n = a.size
+    busy = np.zeros(n, dtype=bool)
+    np.greater(d[:-1], a[1:], out=busy[1:])
     index = np.arange(n, dtype=np.int32)
-    busy = busy[:n]
     # last[m]: J-1 for the last busy arrival J <= m, or 0 (long gone) if none
     last = np.where(busy, index - 1, 0)
     np.maximum.accumulate(last, out=last)
@@ -447,25 +601,6 @@ def _pair_rows(a, d, busy, kept):
         np.concatenate((server[kept], server)),
         np.concatenate((a[kept], a)),
     )
-
-
-def _windowed_average(dep_lists, gen_lists, config: SimConfig) -> float:
-    if len(dep_lists) == 1:  # one channel delivers in time order already
-        (deps,), (gens,) = dep_lists, gen_lists
-    else:
-        deps = np.concatenate(dep_lists)
-        gens = np.concatenate(gen_lists)
-        # drops these references to the channels' arrays (the deliveries are
-        # views of them) before the sort and the integration
-        dep_lists.clear()
-        gen_lists.clear()
-        order = np.argsort(deps, kind="stable")
-        deps = deps[order]
-        gens = gens[order]
-        del order
-    t0 = config.warmup * config.horizon
-    # monitor age is zero at time zero, hence equals t0 at the window start
-    return time_average_age(deps, gens, (t0, config.horizon), initial_age=t0)
 
 
 def _summarize(values, events: int) -> SimResult:
@@ -495,8 +630,8 @@ def _write_trace(trace_dir, trial: int, chunks) -> None:
     held = 0.0
     with open(path / f"trial_{trial:03d}.csv", "w") as out:
         out.write(_TRACE_HEADER + "\n")
-        for start in range(0, order.size, _CHUNK):
-            rows = order[start:start + _CHUNK]
+        for start in range(0, order.size, _DRAW_BLOCK):
+            rows = order[start:start + _DRAW_BLOCK]
             for t, kind, sensor, gen in zip(
                 times[rows].tolist(), kinds[rows].tolist(),
                 sensors[rows].tolist(), gens[rows].tolist(),

@@ -82,6 +82,19 @@ def delivery_sequences(draw):
     return times, gens, t0, t1, initial_age
 
 
+@st.composite
+def tied_delivery_sequences(draw):
+    """Deliveries on a grid of quarter units, so that instants repeat and the
+    window's ends can fall on a delivery."""
+    grid = st.integers(min_value=1, max_value=40).map(lambda q: q / 4)
+    times = sorted(draw(st.lists(grid, max_size=12)))
+    gens = [t * draw(st.floats(min_value=0.0, max_value=1.0)) for t in times]
+    t0 = draw(st.sampled_from([0.0, *times]))
+    t1 = t0 + draw(st.sampled_from([0.25, 1.0, 5.5, 11.0]))
+    initial_age = draw(st.floats(min_value=0.0, max_value=5.0))
+    return times, gens, t0, t1, initial_age
+
+
 class TestTimeAverageAge:
     def test_empty_window_is_linear_ramp(self):
         assert time_average_age([], [], (0.0, 10.0)) == pytest.approx(5.0)
@@ -173,10 +186,10 @@ class TestTimeAverageAge:
         grid = sawtooth_average_grid(times, gens, 0.5, 9.0, initial_age=0.5)
         assert fast == pytest.approx(grid, rel=2e-3)
 
-    # windows of 1, 2 and about one, two and more chunks of segments (a
+    # windows of 1, 2 and about one, two and more blocks of segments (a
     # window holding m deliveries has m + 1 segments)
-    @pytest.mark.parametrize("segments", [1, 2, des_sim._CHUNK - 1, des_sim._CHUNK,
-                                          des_sim._CHUNK + 1, 2 * des_sim._CHUNK + 1])
+    @pytest.mark.parametrize("segments", [1, 2, des_sim._DRAW_BLOCK - 1, des_sim._DRAW_BLOCK,
+                                          des_sim._DRAW_BLOCK + 1, 2 * des_sim._DRAW_BLOCK + 1])
     def test_chunks_match_whole_array_integration(self, segments):
         rng = np.random.default_rng(segments)
         # deliveries before, inside and after the window; a quarter of them
@@ -202,9 +215,10 @@ class TestTimeAverageAge:
         assert time_average_age([], [], (2.0, 9.0), 1.0) == integrate_whole(
             [], [], (2.0, 9.0), 1.0)
 
+    # the integral's scratch is one draw block long
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     def test_any_chunk_size_matches_whole_array_integration(self, monkeypatch, chunk):
-        monkeypatch.setattr(des_sim, "_CHUNK", chunk)
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", chunk)
         rng = np.random.default_rng(chunk)
         times = np.cumsum(rng.exponential(1.0, 300))
         # every third delivery is stale
@@ -212,6 +226,25 @@ class TestTimeAverageAge:
         for window, initial_age in (((10.0, 250.0), 0.0), ((0.1, 400.0), 3.0)):
             assert time_average_age(times, gens, window, initial_age) == integrate_whole(
                 times, gens, window, initial_age)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_delivery_sequences(), data=st.data())
+    def test_batches_split_anywhere_match_whole_call(self, case, data):
+        # the simulators feed the integral one merged block at a time
+        times, gens, t0, t1, initial_age = case
+        cuts = {0, len(times)}
+        for instant in (t0, t1):  # at the window's ends, on either side
+            cuts.update(np.searchsorted(times, instant, side=side) for side in ("left", "right"))
+        # between equal instants
+        cuts.update(i for i in range(1, len(times)) if times[i - 1] == times[i])
+        cuts.update(data.draw(st.lists(st.integers(0, len(times)), max_size=4)))
+        cuts = sorted(cuts)
+        # a small area buffer has to grow, and a small one sets small scratch
+        integral = des_sim._AgeIntegral(t0, t1, data.draw(st.integers(1, 16)))
+        integral.start(t0 - initial_age)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            integral.add(np.array(times[lo:hi]), np.array(gens[lo:hi]))
+        assert integral.value() == time_average_age(times, gens, (t0, t1), initial_age)
 
 
 class TestConfig:
@@ -450,6 +483,21 @@ def _simulate_blocking(channels, config):
     return simulate_two_sensor(TwoSensorParams(l1, l2, m1, m2), config)
 
 
+def _drain(stream):
+    """A channel's blocks joined, and its arrival count; checks that each
+    block starts no earlier than the last delivery before it."""
+    deps, gens, last = [], [], -math.inf
+    while True:
+        try:
+            block_deps, block_gens = next(stream)
+        except StopIteration as stop:
+            return np.concatenate(deps), np.concatenate(gens), stop.value
+        assert (np.diff(block_deps, prepend=last) >= 0).all()
+        last = block_deps[-1] if block_deps.size else last
+        deps.append(block_deps.copy())
+        gens.append(block_gens.copy())
+
+
 def _mean_and_stderr(values):
     arr = np.asarray(values, dtype=float)
     return arr.mean(), arr.std(ddof=1) / math.sqrt(arr.size)
@@ -485,7 +533,8 @@ class TestRenewalChannel:
         # the accepted updates run past two draw blocks
         horizon = 2.5 * des_sim._DRAW_BLOCK * (1.0 / lam + 1.0 / mu)
         streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
-        deps, gens, n_arrivals = des_sim._blocking_channel(lam, mu, horizon, 1, *streams, None)
+        deps, gens, n_arrivals = _drain(
+            des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
         streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
             lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
@@ -522,71 +571,136 @@ class TestRenewalChannel:
 
 
 class TestPeakMemory:
-    """One trial's tracemalloc peak per offered arrival (lambda * horizon).
-    The bounds lie between the figures of the whole-array temporaries
-    (26.6, 29.3 and 8.4 B) and those of the chunked scratch (18.6, 22.3 and
-    5.5 B)."""
+    """One trial's tracemalloc peak per offered arrival (the total arrival
+    rate times the horizon; the two sensors share it evenly). A trial
+    streams through block buffers, so what grows with it is 8 B per
+    delivery (the age integral's areas) and, in a blocking channel, 8 B per
+    accepted update (its busy times). Each bound is about a quarter above
+    the streamed figure (2.3, 5.9, 4.2, 4.4 and 10.3 B, in the order
+    below); the whole-trial arrays took 19.3, 22.3, 22.2, 5.5 and 13.9 B."""
 
     @pytest.mark.parametrize("model,lam,horizon,bound", [
-        ("mm2p", 50.0, 2e4, 22.5),
-        ("mm2p", 4.0, 2e5, 26.0),
-        ("mm11", 4.0, 2e5, 7.0),
+        ("mm2p", 50.0, 2e4, 3.0),
+        ("mm2p", 4.0, 2e5, 7.5),
+        ("mm2p", 4.0, 2e6, 5.5),
+        ("mm11", 4.0, 2e5, 5.5),
+        ("two_sensor", 4.0, 2e5, 13.0),
     ])
     def test_bytes_per_offered_arrival(self, model, lam, horizon, bound):
-        simulate = simulate_mm2_preemptive if model == "mm2p" else simulate_mm11
+        simulate = {
+            "mm2p": lambda config: simulate_mm2_preemptive(lam, 1.0, config),
+            "mm11": lambda config: simulate_mm11(lam, 1.0, config),
+            "two_sensor": lambda config: simulate_two_sensor(
+                TwoSensorParams(lam / 2, lam / 2, 1.0, 1.0), config),
+        }[model]
         config = SimConfig(horizon=horizon, num_trials=1)
         tracemalloc.start()
         try:
-            simulate(lam, 1.0, config)
+            simulate(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / (lam * horizon) < bound
 
 
-class TestRunningSum:
-    """The one presized buffer of the running sum against its blocks joined
-    at the end. No step is expected, so the buffer starts at two blocks and
-    has to grow twice to hold the five this horizon takes."""
+def _oracle_trial(model, channels, config: SimConfig, trial: int):
+    """One trial's value and events from the oracles of tests/oracles.py: the
+    per-arrival pair, or the step-by-step blocking channels merged by one
+    stable sort, both drawing in blocks of ``des_sim._DRAW_BLOCK``, and the
+    whole-array age integral."""
+    block = des_sim._DRAW_BLOCK
+    if model == "mm2p":
+        ((lam, mu),) = channels
+        deps, gens, n_arrivals, _ = preemptive_pair_scan(
+            lam, mu, config.horizon, des_sim._rng(config.seed, trial, 0),
+            des_sim._rng(config.seed, trial, 1), block)
+        events = n_arrivals + len(deps)
+    else:
+        deps, gens, events = [], [], 0
+        for k, (lam, mu) in enumerate(channels):
+            d, g, n_arrivals = blocking_channel_loop(
+                lam, mu, config.horizon, des_sim._rng(config.seed, trial, 2 * k),
+                des_sim._rng(config.seed, trial, 2 * k + 1), block)
+            deps += d
+            gens += g
+            events += n_arrivals + len(d)
+        order = np.argsort(deps, kind="stable")
+        deps, gens = np.asarray(deps)[order], np.asarray(gens)[order]
+    t0 = config.warmup * config.horizon
+    return integrate_whole(deps, gens, (t0, config.horizon), t0), events
 
-    LAM, MU = 2.0, 1.5
 
-    def pair(self):
-        rng = des_sim._rng(3, 0, 0)
+class TestBlockEdges:
+    """Small draw blocks put the pair's pending decisions and held
+    deliveries, and the two-channel merge, across many block edges; trial
+    values and event counts still equal the oracles' bit for bit, traced or
+    not."""
 
-        def fill(out):
-            rng.standard_exponential(out=out)
-            out *= 1.0 / self.LAM
+    CASES = {  # model, (lambda, mu) per channel, horizon
+        # lambda/mu = 0.01: a busy arrival is rare, so updates stay pending
+        # for about a hundred arrivals
+        "mm2p-0.01": ("mm2p", ((0.01, 1.0),), 4e4),
+        "mm2p-1": ("mm2p", ((1.0, 1.0),), 400.0),
+        "mm2p-50": ("mm2p", ((50.0, 1.0),), 8.0),
+        "mm11-0.01": ("mm11", ((0.01, 1.0),), 4e4),
+        "mm11-50": ("mm11", ((50.0, 1.0),), 400.0),
+        "two_sensor-1": ("two_sensor", ((1.0, 1.0), (1.0, 1.0)), 400.0),
+        # sensor 1's blocks span far more time than sensor 2's
+        "two_sensor-skewed": ("two_sensor", ((0.05, 1.0), (2.0, 1.0)), 600.0),
+    }
 
-        oracle_rng = des_sim._rng(3, 0, 0)
-        return (des_sim._DRAW_BLOCK, 1.0 / self.LAM, fill,
-                lambda: oracle_rng.exponential(1.0 / self.LAM, des_sim._DRAW_BLOCK))
+    @pytest.mark.parametrize("block", [3, 7, 64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_oracles(self, monkeypatch, tmp_path, case, block):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        model, channels, horizon = self.CASES[case]
+        config = SimConfig(horizon=horizon, num_trials=2, seed=31, warmup=0.05)
+        if model == "mm2p":
+            def run(trace_dir):
+                return simulate_mm2_preemptive(*channels[0], config, trace_dir)
+        else:
+            def run(trace_dir):
+                return des_sim._simulate_blocking(channels, config, trace_dir)
+        result = run(None)
+        expected = [_oracle_trial(model, channels, config, trial) for trial in range(2)]
+        assert result.trial_values == tuple(value for value, _ in expected)
+        assert result.events_processed == sum(events for _, events in expected)
+        assert result.events_processed > 10 * block  # several blocks per trial
+        assert run(tmp_path) == result
 
-    def channel(self):
-        rngs = [des_sim._rng(3, 0, s) for s in (0, 1)]
-        draws = np.empty(des_sim._DRAW_BLOCK)
 
-        def fill(out):
-            for rng, rate, half in zip(rngs, (self.LAM, self.MU), (out[0::2], out[1::2])):
-                np.multiply(rng.standard_exponential(out=draws), 1.0 / rate, out=half)
+def _stream(times, gens, cuts, arrivals):
+    """A channel stream yielding ``times`` and ``gens`` split at ``cuts``."""
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield np.array(times[lo:hi], dtype=float), np.array(gens[lo:hi], dtype=float)
+    return arrivals
 
-        oracle_rngs = [des_sim._rng(3, 0, s) for s in (0, 1)]
 
-        def draw():
-            out = np.empty(2 * des_sim._DRAW_BLOCK)
-            out[0::2] = oracle_rngs[0].exponential(1.0 / self.LAM, des_sim._DRAW_BLOCK)
-            out[1::2] = oracle_rngs[1].exponential(1.0 / self.MU, des_sim._DRAW_BLOCK)
-            return out
-
-        return 2 * des_sim._DRAW_BLOCK, (1.0 / self.LAM + 1.0 / self.MU) / 2, fill, draw
-
-    @pytest.mark.parametrize("shape", ["pair", "channel"])
-    def test_grown_buffer_matches_joined_blocks(self, shape):
-        width, mean_step, fill, draw = getattr(self, shape)()
-        horizon = 4.5 * width * mean_step
-        instants = des_sim._running_sum(fill, width, horizon, expected=0)
-        assert instants.size == 5 * width
-        assert np.array_equal(instants, running_sum_blocks(draw, horizon))
+class TestMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_stable_sort_of_all_channels(self, data):
+        # instants on a quarter grid repeat within and across channels and
+        # blocks, some blocks are empty, and each generation time names its
+        # delivery, so the order of equal instants is seen
+        streams, times, gens = [], [], []
+        for k in range(data.draw(st.integers(1, 3))):
+            mine = sorted(data.draw(st.lists(st.integers(0, 12).map(lambda q: q / 4),
+                                             max_size=15)))
+            cuts = sorted([0, len(mine), *data.draw(st.lists(st.integers(0, len(mine)),
+                                                             max_size=5))])
+            named = [100.0 * k + i for i in range(len(mine))]
+            streams.append(_stream(mine, named, cuts, arrivals=k + 1))
+            times += mine
+            gens += named
+        batches = []
+        events = des_sim._Merge()(streams, lambda d, g: batches.append((d.copy(), g.copy())))
+        order = np.argsort(times, kind="stable")
+        merged = np.concatenate([d for d, _ in batches] or [np.empty(0)])
+        assert np.array_equal(merged, np.asarray(times)[order])
+        assert np.array_equal(np.concatenate([g for _, g in batches] or [np.empty(0)]),
+                              np.asarray(gens)[order])
+        assert events == len(times) + sum(range(1, len(streams) + 1))
 
 
 TRACE_KIND_CODES = {"arrival": 0, "delivery": 2, "preempt": 3}
@@ -604,7 +718,8 @@ class TestPreemptivePair:
     def check(self, lam, mu, horizon, seed):
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         trace = []
-        deps, gens, n_arrivals = des_sim._preemptive_pair(lam, mu, horizon, *streams, trace)
+        deps, gens, n_arrivals = _drain(
+            des_sim._PreemptivePair(lam, mu, horizon)(*streams, trace))
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals, rows = preemptive_pair_scan(
             lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
@@ -628,12 +743,13 @@ class TestPreemptivePair:
         assert n_arrivals > des_sim._DRAW_BLOCK
         assert {"arrival", "preempt", "delivery"} <= set(rows[1])
 
-    # n arrivals build the preemption limit in chunks from the end: put n
-    # and n + 2 just below, at and just above a multiple of the chunk size
+    # n arrivals fill whole draw blocks: put n and n + 2 just below, at and
+    # just above a multiple of the block size, so that the last block holds
+    # none or a few of them and decides the updates left pending
     @pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1])
     @pytest.mark.parametrize("lam,mu", [(4.0, 1.0), (50.0, 1.0)])
     def test_matches_per_arrival_loop_across_chunk_edges(self, lam, mu, offset):
-        n = 2 * des_sim._CHUNK + offset
+        n = 2 * des_sim._DRAW_BLOCK + offset
         rng = des_sim._rng(3, 0, 0)
         arrivals = running_sum_blocks(
             lambda: rng.exponential(1.0 / lam, des_sim._DRAW_BLOCK), (n + 1) / lam * 1.2)
@@ -642,11 +758,11 @@ class TestPreemptivePair:
         assert n_arrivals == n
         assert {"arrival", "preempt", "delivery"} <= set(rows[1])
 
-    # small chunks put many chunk edges inside one short run
+    # small draw blocks put many block edges inside one short run
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0)])
     def test_any_chunk_size_matches_per_arrival_loop(self, monkeypatch, lam, mu, chunk):
-        monkeypatch.setattr(des_sim, "_CHUNK", chunk)
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", chunk)
         assert self.check(lam, mu, 500.0 / lam, 8)[0] > 400
 
     @pytest.mark.parametrize("seed", [1, 12345])
