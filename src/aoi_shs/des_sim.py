@@ -20,12 +20,12 @@ A trial runs as a stream of blocks. Each channel yields its deliveries in
 time order, one block of at most ``_DRAW_BLOCK`` draws per stream at a
 time; the runner merges the channels' blocks and integrates the age as the
 deliveries come, through buffers allocated once per run and reused across
-blocks and trials. What grows with the trial is 8 bytes per delivery in the
-window (the areas of the age integral, summed once) and, in a blocking
-channel, 8 bytes per accepted update (its busy times, summed once). Both are
-single sums over the whole trial so that the values are those of a run held
-in memory at once; summing per block would drop them and the event cap, but
-would move every value in its last bits.
+blocks and trials. Every sum over a trial is a running sum over chunks of
+``_DRAW_BLOCK`` terms: the age integral's areas, counted from the window's
+first segment, and a blocking channel's busy times, one draw block at a
+time. So an untraced trial runs in memory that does not grow with the
+horizon, and the block size fixes the bits of each value (summed whole, a
+trial of more than one chunk would differ in its last bits).
 
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
@@ -76,20 +76,24 @@ DEFAULT_SEED = 12345
 #: Draws per stream in one block: the pair's arrival gaps, or a blocking
 #: channel's wait and service pairs. Each block is cumsummed and carried on
 #: from the last sum of the block before, so this size fixes the rounding,
-#: and so the bits, of every instant. The age integral's scratch and the
-#: trace writer's row batches are as long; that length changes no value.
+#: and so the bits, of every instant. It also fixes the summation order, and
+#: so the bits, of every trial value: the age integral sums its areas, and a
+#: blocking channel its busy times, in chunks this long. The trace writer's
+#: row batches are as long too; their length changes no byte.
 _DRAW_BLOCK = 1 << 14
 
 #: A run is rejected when horizon times the model's total rate, the expected
-#: events of one trial, exceeds this cap. A trial streams through buffers
-#: reused from one to the next; what grows with it is 8 B per delivery and,
-#: in a blocking channel, 8 B per accepted update. Measured peak RSS growth
-#: per expected event of one trial of 1e7 expected events, over lambda/mu
-#: from 0.25 to 50: at most 4.8 B for the two-sensor system (lambda/mu = 2),
-#: 4.6 B for the single queue (lambda/mu = 1) and 3.2 B for the preemptive
-#: pair (lambda/mu = 2); with a trace directory (2e6 expected events), at
-#: most 47 B (the preemptive pair at lambda/mu = 10). 2e7 * 47 B = 0.94 GB,
-#: so every model stays under 2 GB at the cap with room for the interpreter.
+#: events of one trial, exceeds this cap. An untraced trial streams through
+#: buffers reused from one to the next and sums per block, so nothing in it
+#: grows with the horizon; a traced one keeps its trace columns. Measured
+#: peak RSS growth per expected event over lambda/mu from 0.25 to 50 (mu =
+#: 1, one trial, against a trial of a few events): untraced, at 1e7 expected
+#: events, at most 0.26 B for the two-sensor system (lambda/mu = 0.25),
+#: 0.04 B for the single queue and 0.20 B for the preemptive pair
+#: (lambda/mu = 0.5), the block buffers alone; with a trace directory, at
+#: 2e6 expected events, at most 43 B (the preemptive pair at lambda/mu =
+#: 10). The traced growth binds: 2e7 * 43 B = 0.86 GB, so every model stays
+#: under 2 GB at the cap with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 _INF = math.inf
@@ -141,7 +145,10 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     no listed delivery occurred. Stale deliveries contribute nothing,
     matching the monitor discipline. ``t0``, ``t1`` and ``initial_age`` must
     be real numbers (numpy scalars included; bools and strings raise
-    ``ValueError``).
+    ``ValueError``). The segment areas are summed as in the simulators, in
+    chunks of ``_DRAW_BLOCK`` from the window's first segment, so a window
+    of more segments than that differs from one whole-array sum in its last
+    bits.
     """
     t0, t1 = window[0], window[1]
     if not (_is_a(numbers.Real, t0) and _is_a(numbers.Real, t1) and -_INF < t0 < t1 < _INF):
@@ -160,7 +167,7 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
             raise ValueError("delivery times must be sorted ascending")
         if (gens > times).any():
             raise ValueError("an update cannot be delivered before it is generated")
-    integral = _AgeIntegral(t0, t1, times.size + 1)
+    integral = _AgeIntegral(t0, t1)
     integral.start(t0 - initial_age)
     integral.add(times, gens)
     return integral.value()
@@ -234,9 +241,9 @@ def _room(buf, used: int, size: int):
 
 
 class _Column:
-    """A trial-length array written block by block into one buffer, kept
-    from trial to trial; the buffer is sized for ``reserve`` entries at
-    first use and grown if need be."""
+    """A trace column: a trial-length array written block by block into one
+    buffer, sized for ``reserve`` entries at first use and grown if need
+    be."""
 
     def __init__(self, reserve: int, dtype=float):
         self.data, self.size, self.reserve = np.empty(0, dtype), 0, reserve
@@ -260,9 +267,9 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
     is None, or a list to which the channel appends its rows, after its last
     block, as one column chunk ``(times, kind codes, sensors, generation
-    times)``. A channel's ``expected`` is about its deliveries in a trial.
-    Events processed are arrivals plus deliveries; a run is refused when it
-    expects more than ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
+    times)``. Events processed are arrivals plus deliveries; a run is
+    refused when it expects more than ``MAX_EXPECTED_EVENTS``, ``horizon *
+    total_rate``.
     """
     expected = config.horizon * total_rate
     if expected > MAX_EXPECTED_EVENTS:
@@ -270,9 +277,7 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
             f"event budget exceeded: horizon * total rate = {expected:.3e} "
             f"is above the cap {MAX_EXPECTED_EVENTS:.0e}"
         )
-    t0 = config.warmup * config.horizon
-    deliveries = sum(channel.expected for channel in channels)
-    integral = _AgeIntegral(t0, config.horizon, int(deliveries) + _DRAW_BLOCK)
+    integral = _AgeIntegral(config.warmup * config.horizon, config.horizon)
     merge = _Merge()
     values = []
     events = 0
@@ -299,20 +304,21 @@ class _AgeIntegral:
     The window's segments run between t0, the delivery instants inside the
     window and t1; segment i lies at ``held``, the running maximum of the
     generation times delivered before it, which is the staleness filter.
-    Each segment's area goes into one buffer, grown if need be, and the
-    value is one sum over it; the running maximum and the last instant carry
-    from batch to batch, so where the batches split changes no bit."""
+    The areas go into one ``_DRAW_BLOCK``-long scratch, whose sum is added
+    to a running total each time it fills; the value adds the last, partial
+    chunk, which holds the final segment. Chunks start every
+    ``_DRAW_BLOCK`` segments from the first, and the running maximum and
+    the last instant carry from batch to batch, so where the batches split
+    changes no bit."""
 
-    def __init__(self, t0: float, t1: float, reserve: int):
+    def __init__(self, t0: float, t1: float):
         self.t0, self.t1 = t0, t1
-        self.area = _Column(reserve)
-        width = min(_DRAW_BLOCK, reserve)
-        self.left, self.held = np.empty(width), np.empty(width)
+        self.area, self.left, self.held = (np.empty(_DRAW_BLOCK) for _ in range(3))
 
     def start(self, floor) -> None:
         """A new integral whose monitor holds generation time ``floor`` at t0."""
         self.floor, self.last, self.closed = float(floor), self.t0, False
-        self.area.size = 0
+        self.total, self.filled = 0.0, 0
 
     def add(self, times, gens) -> None:
         if self.closed:
@@ -322,10 +328,10 @@ class _AgeIntegral:
             self.floor = max(self.floor, float(gens[:start].max()))
         stop = int(np.searchsorted(times, self.t1, side="left"))
         self.closed = stop < times.size
-        width = self.held.size
-        for lo in range(start, stop, width):
-            hi = min(lo + width, stop)
-            chunk = self.area.extend(hi - lo)
+        lo = start
+        while lo < stop:
+            hi = min(lo + self.area.size - self.filled, stop)
+            chunk = self.area[self.filled:self.filled + hi - lo]
             right = times[lo:hi]
             left, held = self.left[:hi - lo], self.held[:hi - lo]
             left[0], left[1:] = self.last, times[lo:hi - 1]
@@ -340,11 +346,16 @@ class _AgeIntegral:
             np.subtract(chunk, held, out=held)
             np.subtract(right, left, out=chunk)
             chunk *= held
+            self.filled += hi - lo
+            if self.filled == self.area.size:
+                self.total += float(np.sum(self.area))
+                self.filled = 0
+            lo = hi
 
     def value(self) -> float:
-        t0, t1, last = self.t0, self.t1, self.last
-        self.area.extend(1)[0] = (t1 - last) * ((last + t1) * 0.5 - self.floor)
-        return float(np.sum(self.area.values())) / (t1 - t0)
+        t0, t1, last, filled = self.t0, self.t1, self.last, self.filled
+        self.area[filled] = (t1 - last) * ((last + t1) * 0.5 - self.floor)
+        return (self.total + float(np.sum(self.area[:filled + 1]))) / (t1 - t0)
 
 
 class _Merge:
@@ -360,11 +371,12 @@ class _Merge:
     earlier one. That takes all of channel c's block, and c draws its next.
     The final deliveries of several channels are concatenated in channel
     order and stably sorted, so equal instants keep the channel order; one
-    channel's pass straight through. The sort's buffers are kept from trial
-    to trial."""
+    channel's pass straight through. A channel's block holds at most
+    ``_DRAW_BLOCK`` deliveries, so the sort's buffers are sized for one
+    block per channel at their first use and kept from trial to trial."""
 
     def __init__(self):
-        self.out = [np.empty(0) for _ in range(4)]
+        self.out = []
 
     def __call__(self, streams, sink) -> int:
         events = 0
@@ -402,7 +414,8 @@ class _Merge:
                 sink(*parts[0])
             else:
                 total = sum(deps.size for deps, _ in parts)
-                self.out = [_room(buf, 0, total) for buf in self.out]
+                if not self.out:
+                    self.out = [np.empty(len(streams) * _DRAW_BLOCK) for _ in range(4)]
                 merged_d, merged_g, deps, gens = (buf[:total] for buf in self.out)
                 np.concatenate([deps for deps, _ in parts], out=merged_d)
                 np.concatenate([gens for _, gens in parts], out=merged_g)
@@ -420,26 +433,24 @@ class _BlockingChannel:
     updates are the running sum of alternating Exp(lam) waits and Exp(mu)
     services, a block of each at a time; deliveries completing past the
     horizon are dropped, and the blocked arrivals are one Poisson count over
-    the busy time, drawn after the last block."""
+    the busy time, summed per block and drawn after the last block."""
 
     def __init__(self, lam, mu, horizon, sensor):
         self.lam, self.mu, self.horizon, self.sensor = lam, mu, horizon, sensor
-        # one accepted update, and about one delivery, per cycle of mean
-        # length 1/lam + 1/mu
-        self.expected = horizon / (1.0 / lam + 1.0 / mu)
         self.block, self.draws = np.empty(2 * _DRAW_BLOCK), np.empty(_DRAW_BLOCK)
-        self.busy = _Column(int(self.expected) + _DRAW_BLOCK)
 
     def __call__(self, arrival_rng, service_rng, trace):
-        lam, mu, horizon, block, busy = self.lam, self.mu, self.horizon, self.block, self.busy
+        lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
         gens, deps = block[0::2], block[1::2]
-        busy.size = 0
         if trace is not None:  # accepted updates' generation, kept ones' delivery
-            starts, ends = (_Column(int(self.expected) + _DRAW_BLOCK) for _ in range(2))
-        base = 0.0
+            # one accepted update per cycle of mean length 1/lam + 1/mu
+            reserve = int(horizon / (1.0 / lam + 1.0 / mu)) + _DRAW_BLOCK
+            starts, ends = _Column(reserve), _Column(reserve)
+        base = busy = 0.0
+        accepted = 0
         while base <= horizon:
-            np.multiply(arrival_rng.standard_exponential(out=self.draws), 1.0 / lam, out=gens)
-            np.multiply(service_rng.standard_exponential(out=self.draws), 1.0 / mu, out=deps)
+            np.multiply(arrival_rng.standard_exponential(out=draws), 1.0 / lam, out=gens)
+            np.multiply(service_rng.standard_exponential(out=draws), 1.0 / mu, out=deps)
             np.cumsum(block, out=block)
             block += base
             base = float(block[-1])
@@ -447,21 +458,24 @@ class _BlockingChannel:
             if base > horizon:
                 now = int(np.searchsorted(gens, horizon, side="right"))
                 kept = int(np.searchsorted(deps, horizon, side="right"))
-            part = np.subtract(deps[:now], gens[:now], out=busy.extend(now))
+            # the block's busy times, in the draws it no longer needs
+            part = np.subtract(deps[:now], gens[:now], out=draws[:now])
             # gens[i + 1] >= deps[i], so only the last accepted update can end
             # past the horizon, where its busy time is cut
             if now > kept:
                 part[-1] = horizon - gens[now - 1]
+            busy += float(part.sum())
+            accepted += now
             if trace is not None:
                 starts.extend(now)[:] = gens[:now]
                 ends.extend(kept)[:] = deps[:kept]
             yield deps[:kept], gens[:kept]
-        busy = busy.values()
-        accepted = busy.size
-        n_blocked = int(arrival_rng.poisson(lam * float(busy.sum())))
+        n_blocked = int(arrival_rng.poisson(lam * busy))
         if trace is not None:
             starts, ends = starts.values(), ends.values()
-            blocked = _busy_uniform(arrival_rng, starts, busy, n_blocked)
+            # the busy times as in the blocks, the last one cut at the horizon
+            durations = np.concatenate((ends - starts[:ends.size], horizon - starts[ends.size:]))
+            blocked = _busy_uniform(arrival_rng, starts, durations, n_blocked)
             trace.append((
                 np.concatenate((starts, blocked, ends)),
                 np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]),
@@ -490,8 +504,6 @@ class _PreemptivePair:
 
     def __init__(self, lam, mu, horizon):
         self.lam, self.mu, self.horizon = lam, mu, horizon
-        # at most one delivery per arrival, and mu per server and unit time
-        self.expected = min(lam, 2.0 * mu) * horizon
         # the undecided updates, then the block: arrival and delivery instants
         self.a, self.d = np.empty(2 * _DRAW_BLOCK), np.empty(2 * _DRAW_BLOCK)
 
@@ -500,9 +512,10 @@ class _PreemptivePair:
         base, prev = 0.0, -_INF  # prev: the delivery instant of the update before the block
         first = pending = n = 0  # the index of update a[0], and how many are undecided
         if trace is not None:  # every arrival and delivery instant, and the kept updates
+            # at most one delivery per arrival, and mu per server and unit time
             columns = (_Column(int(lam * horizon) + _DRAW_BLOCK),
                        _Column(int(lam * horizon) + _DRAW_BLOCK),
-                       _Column(int(self.expected) + _DRAW_BLOCK, np.intp))
+                       _Column(int(min(lam, 2.0 * mu) * horizon) + _DRAW_BLOCK, np.intp))
         while base <= horizon:
             if pending + _DRAW_BLOCK > a.size:
                 a = self.a = _room(a, pending, pending + _DRAW_BLOCK)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from aoi_shs import des_sim
 from aoi_shs.shs_core import ShsModel, build_model
 
 
@@ -92,11 +93,17 @@ def sawtooth_average_walk(times, gens, t0, t1, initial_age=0.0) -> float:
     return total / (t1 - t0)
 
 
-def integrate_whole(times, gens, window, initial_age=0.0) -> float:
+def integrate_whole(times, gens, window, initial_age=0.0, chunk=None) -> float:
     """``des_sim.time_average_age`` as it was before it ran in chunks: every
-    temporary as long as the window's deliveries, the same ufuncs in the
-    same order and one sum. Inputs are assumed valid (the package checks
-    them); the arithmetic is copied verbatim, so the two agree bit for bit.
+    temporary as long as the window's deliveries and the same ufuncs in the
+    same order. Inputs are assumed valid (the package checks them); the
+    arithmetic is copied verbatim, so the two agree bit for bit.
+
+    The areas are summed as the package sums them: ``np.sum`` over each run
+    of ``chunk`` areas from the first, added in turn to a total that starts
+    at 0.0. ``chunk`` None is ``des_sim._DRAW_BLOCK`` as it is at the call,
+    so a patched block size holds; ``chunk=math.inf`` gives one sum over the
+    whole array.
     """
     t0, t1 = float(window[0]), float(window[1])
     times = np.asarray(times, dtype=float)
@@ -119,7 +126,11 @@ def integrate_whole(times, gens, window, initial_age=0.0) -> float:
     np.subtract(area, held, out=held)
     np.subtract(right, left, out=area)
     area *= held
-    return float(np.sum(area)) / (t1 - t0)
+    step = int(min(des_sim._DRAW_BLOCK if chunk is None else chunk, area.size))
+    total = 0.0
+    for lo in range(0, area.size, step):
+        total += float(np.sum(area[lo:lo + step]))
+    return total / (t1 - t0)
 
 
 def sawtooth_average_grid(times, gens, t0, t1, initial_age=0.0, points=40001) -> float:
@@ -273,8 +284,8 @@ def blocking_channel_loop(lam: float, mu: float, horizon: float, arrival_rng, se
     ``horizon``; a wait ends at a generation, the service after it at that
     update's delivery. The blocked arrivals are one Poisson(lam * busy time)
     count drawn from ``arrival_rng`` after the waits, the busy time being
-    summed by numpy, as in the package, so that the Poisson mean has the
-    same bits.
+    summed as in the package, ``np.sum`` over each block's busy times added
+    in turn to a total from 0.0, so that the Poisson mean has the same bits.
 
     Returns the delivery instants by ``horizon``, their generation times,
     and the number of arrivals by ``horizon`` (accepted plus blocked).
@@ -291,8 +302,11 @@ def blocking_channel_loop(lam: float, mu: float, horizon: float, arrival_rng, se
             total += service
             deps.append(total + base)
         base = deps[-1]
-    busy = [min(d, horizon) - g for g, d in zip(gens, deps) if g <= horizon]
-    n_blocked = int(arrival_rng.poisson(lam * float(np.sum(busy))))
+    busy = np.array([min(d, horizon) - g for g, d in zip(gens, deps) if g <= horizon])
+    total = 0.0
+    for lo in range(0, busy.size, block):
+        total += float(np.sum(busy[lo:lo + block]))
+    n_blocked = int(arrival_rng.poisson(lam * total))
     kept = [(d, g) for g, d in zip(gens, deps) if d <= horizon]
     return [d for d, _ in kept], [g for _, g in kept], len(busy) + n_blocked
 

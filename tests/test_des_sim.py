@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,12 +240,13 @@ class TestTimeAverageAge:
         cuts.update(i for i in range(1, len(times)) if times[i - 1] == times[i])
         cuts.update(data.draw(st.lists(st.integers(0, len(times)), max_size=4)))
         cuts = sorted(cuts)
-        # a small area buffer has to grow, and a small one sets small scratch
-        integral = des_sim._AgeIntegral(t0, t1, data.draw(st.integers(1, 16)))
-        integral.start(t0 - initial_age)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            integral.add(np.array(times[lo:hi]), np.array(gens[lo:hi]))
-        assert integral.value() == time_average_age(times, gens, (t0, t1), initial_age)
+        # small scratch puts chunk edges inside and between the batches
+        with mock.patch.object(des_sim, "_DRAW_BLOCK", data.draw(st.integers(1, 16))):
+            integral = des_sim._AgeIntegral(t0, t1)
+            integral.start(t0 - initial_age)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                integral.add(np.array(times[lo:hi]), np.array(gens[lo:hi]))
+            assert integral.value() == time_average_age(times, gens, (t0, t1), initial_age)
 
 
 class TestConfig:
@@ -571,13 +573,28 @@ class TestRenewalChannel:
 
 
 class TestPeakMemory:
-    """One trial's tracemalloc peak per offered arrival (the total arrival
-    rate times the horizon; the two sensors share it evenly). A trial
-    streams through block buffers, so what grows with it is 8 B per
-    delivery (the age integral's areas) and, in a blocking channel, 8 B per
-    accepted update (its busy times). Each bound is about a quarter above
-    the streamed figure (2.3, 5.9, 4.2, 4.4 and 10.3 B, in the order
-    below); the whole-trial arrays took 19.3, 22.3, 22.2, 5.5 and 13.9 B."""
+    """One untraced trial's tracemalloc peak. A trial streams through block
+    buffers and sums per block, so its memory does not grow with the
+    horizon. Per offered arrival (the total arrival rate times the horizon;
+    the two sensors share it evenly) the peaks are 2.0, 1.9, 0.19, 1.0 and
+    3.1 B, in the order below; with the areas and busy times held for one
+    sum they were 2.3, 5.9, 4.2, 4.4 and 8.8 B, and with whole-trial arrays
+    19.3, 22.3, 22.2, 5.5 and 13.9 B."""
+
+    @staticmethod
+    def peak(model, lam, horizon):
+        simulate = {
+            "mm2p": lambda config: simulate_mm2_preemptive(lam, 1.0, config),
+            "mm11": lambda config: simulate_mm11(lam, 1.0, config),
+            "two_sensor": lambda config: simulate_two_sensor(
+                TwoSensorParams(lam / 2, lam / 2, 1.0, 1.0), config),
+        }[model]
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(horizon=horizon, num_trials=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("model,lam,horizon,bound", [
         ("mm2p", 50.0, 2e4, 3.0),
@@ -587,27 +604,19 @@ class TestPeakMemory:
         ("two_sensor", 4.0, 2e5, 13.0),
     ])
     def test_bytes_per_offered_arrival(self, model, lam, horizon, bound):
-        simulate = {
-            "mm2p": lambda config: simulate_mm2_preemptive(lam, 1.0, config),
-            "mm11": lambda config: simulate_mm11(lam, 1.0, config),
-            "two_sensor": lambda config: simulate_two_sensor(
-                TwoSensorParams(lam / 2, lam / 2, 1.0, 1.0), config),
-        }[model]
-        config = SimConfig(horizon=horizon, num_trials=1)
-        tracemalloc.start()
-        try:
-            simulate(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (lam * horizon) < bound
+        assert self.peak(model, lam, horizon) / (lam * horizon) < bound
+
+    @pytest.mark.parametrize("model", ["mm2p", "mm11", "two_sensor"])
+    def test_peak_does_not_grow_with_horizon(self, model):
+        short, long = (self.peak(model, 4.0, horizon) for horizon in (2e5, 2e6))
+        assert long <= 1.1 * short
 
 
-def _oracle_trial(model, channels, config: SimConfig, trial: int):
-    """One trial's value and events from the oracles of tests/oracles.py: the
-    per-arrival pair, or the step-by-step blocking channels merged by one
-    stable sort, both drawing in blocks of ``des_sim._DRAW_BLOCK``, and the
-    whole-array age integral."""
+def _oracle_deliveries(model, channels, config: SimConfig, trial: int):
+    """One trial's deliveries, generation times and events from the oracles
+    of tests/oracles.py: the per-arrival pair, or the step-by-step blocking
+    channels merged by one stable sort, both drawing in blocks of
+    ``des_sim._DRAW_BLOCK``."""
     block = des_sim._DRAW_BLOCK
     if model == "mm2p":
         ((lam, mu),) = channels
@@ -626,6 +635,13 @@ def _oracle_trial(model, channels, config: SimConfig, trial: int):
             events += n_arrivals + len(d)
         order = np.argsort(deps, kind="stable")
         deps, gens = np.asarray(deps)[order], np.asarray(gens)[order]
+    return np.asarray(deps), np.asarray(gens), events
+
+
+def _oracle_trial(model, channels, config: SimConfig, trial: int):
+    """One trial's value and events from the oracles: the deliveries of
+    ``_oracle_deliveries`` and the whole-array age integral."""
+    deps, gens, events = _oracle_deliveries(model, channels, config, trial)
     t0 = config.warmup * config.horizon
     return integrate_whole(deps, gens, (t0, config.horizon), t0), events
 
@@ -667,6 +683,25 @@ class TestBlockEdges:
         assert result.events_processed == sum(events for _, events in expected)
         assert result.events_processed > 10 * block  # several blocks per trial
         assert run(tmp_path) == result
+
+    # trials of two or three chunks of areas at the package's block size
+    @pytest.mark.parametrize("model,channels,horizon", [
+        ("mm2p", ((1.0, 1.0),), 4e4),
+        ("mm11", ((1.0, 1.0),), 8e4),
+        ("two_sensor", ((1.0, 1.0), (0.5, 2.0)), 5e4),
+    ])
+    def test_chunked_sum_within_ulps_of_one_whole_sum(self, model, channels, horizon):
+        config = SimConfig(horizon=horizon, num_trials=1, seed=8, warmup=0.05)
+        if model == "mm2p":
+            (value,) = simulate_mm2_preemptive(*channels[0], config).trial_values
+        else:
+            (value,) = des_sim._simulate_blocking(channels, config, None).trial_values
+        deps, gens, _ = _oracle_deliveries(model, channels, config, 0)
+        window = (config.warmup * config.horizon, config.horizon)
+        assert ((deps > window[0]) & (deps < window[1])).sum() > des_sim._DRAW_BLOCK
+        assert value == integrate_whole(deps, gens, window, window[0])
+        whole = integrate_whole(deps, gens, window, window[0], chunk=math.inf)
+        assert value == pytest.approx(whole, rel=1e-13, abs=0.0)
 
 
 def _stream(times, gens, cuts, arrivals):
