@@ -36,6 +36,19 @@ M-matrix; a second right-hand side of ones in the same solve certifies that
 and gives the exact infinity-norm condition number, ``inf`` when the
 certificate fails.
 
+Each stage first computes everything its guards read, for every point of
+a block: the condition number (in the correlation stage, with the
+certificate's own bounds), the largest residual, the lowest entry of the
+solution, and in the balance stage the sum of the probabilities. One check
+then passes the whole block when every point is within every bound and has
+no negative entry. Only when that check fails do the guards run one by one,
+in a fixed order: in the balance stage the condition number, the balance
+residual, a negative probability and then, with negative entries clipped
+to 0, the normalization; in the correlation stage the condition number,
+the residual and a negative expectation, after which negative entries are
+clipped to 0. The first guard that flags a point raises
+:class:`IllConditionedSystemError` naming the first point it flags.
+
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
 """
@@ -79,20 +92,15 @@ _TINY_NEGATIVE = -1e-12
 #: Points solved together; bounds the memory of the stacked systems and of
 #: the balance inverses. Only the five-state grid chain (11 x 11 live
 #: correlation systems) is solved in batches larger than one, so the size is
-#: chosen for it: ``_solve`` on 500 such points, one BLAS thread on a shared
-#: 2-CPU host, medians of 15 interleaved runs, took 3.4-3.6, 2.9-3.0,
-#: 2.7-2.9 and 3.2 ms at blocks of 64, 128, 256 and 512 (two runs).
+#: chosen for it: ``_solve`` on 500 such points (best of 5 calls, medians of
+#: 15 interleaved rounds, one BLAS thread on a shared 2-CPU host) took
+#: 4.96-5.02, 4.52-4.59, 4.28-4.35 and 4.54-4.58 ms at blocks of 64, 128,
+#: 256 and 512 (two runs, with one stage check per block).
 BATCH_BLOCK = 256
 
 
 class IllConditionedSystemError(RuntimeError):
     """A balance or correlation system is numerically singular."""
-
-
-def _read_only(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 def _is_a(kind, value) -> bool:
@@ -136,7 +144,9 @@ class ShsModel:
     unknown's equation holds only copies of other such unknowns and no
     source term, and on them the system is nonsingular, so each is exactly
     0; a never-zeroed unknown stays in the solved system, whose M-matrix
-    certificate then rejects the chain. ``balance[t]`` and
+    certificate then rejects the chain. ``live_states`` and ``live_slopes``
+    hold each live unknown's state q and slope, the right-hand side
+    ``slope * pi_q`` of its equation. ``balance[t]`` and
     ``correlation[t]`` hold, flattened, what one unit of the rate of
     transition ``t`` contributes to the balance system (n, n) and to the
     correlation system on the live unknowns (L, L).
@@ -147,6 +157,8 @@ class ShsModel:
     transitions: tuple[TransitionSpec, ...]
     slopes: np.ndarray
     live: np.ndarray = field(repr=False, compare=False)
+    live_states: np.ndarray = field(repr=False, compare=False)
+    live_slopes: np.ndarray = field(repr=False, compare=False)
     balance: np.ndarray = field(repr=False, compare=False)
     correlation: np.ndarray = field(repr=False, compare=False)
 
@@ -266,11 +278,13 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     never_zeroed = set(range(n * c)) - _reachable(copies, zeroed)
     seeds = never_zeroed.union(np.flatnonzero(slopes).tolist())
     live = np.array(sorted(_reachable(copies, seeds)), dtype=np.intp)
+    live_states, live_slopes = live // c, slopes.ravel()[live]
     balance = balance.reshape(len(specs), n * n)
     correlation = correlation[:, live][:, :, live].reshape(len(specs), len(live) ** 2)
-    for array in (live, balance, correlation):
+    for array in (live, live_states, live_slopes, balance, correlation):
         array.setflags(write=False)
-    return ShsModel(n, c, tuple(specs), slopes, live, balance, correlation)
+    return ShsModel(n, c, tuple(specs), slopes, live, live_states, live_slopes,
+                    balance, correlation)
 
 
 def _reachable(edges, seeds) -> set:
@@ -288,6 +302,20 @@ def _reachable(edges, seeds) -> set:
 
 def _model_rates(model: ShsModel) -> np.ndarray:
     return np.array([[t.rate for t in model.transitions]])
+
+
+def _passes(quantities, ceilings) -> bool:
+    """A stage's one check over a block: each guard quantity (B,) at or below
+    its ceiling at every point; NaN fails. Callers pass the tolerances as
+    they read them at the call, as the guards do."""
+    return bool((np.array(quantities) <= np.array(ceilings)[:, None]).all())
+
+
+def _no_negative_ceiling() -> float:
+    """Ceiling of ``-lowest`` in a stage's one check: with no negative entry
+    a point needs no clip, and it passes a negativity guard whatever its
+    scale while :data:`_TINY_NEGATIVE` is not positive."""
+    return 0.0 if _TINY_NEGATIVE <= 0.0 else -math.inf
 
 
 def _reject(bad: np.ndarray, rates: np.ndarray, offset: int, describe) -> None:
@@ -321,20 +349,24 @@ def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> None:
 
 def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.ndarray):
     """Solve a stack of Z-matrices (no positive entry off the diagonal), the
-    form of every correlation system, and certify each a nonsingular
-    M-matrix, in one batched call ``A [x, w] = [rhs, 1]`` (``rhs`` (B, L,
-    k)). With ``w > 0`` and the certificate's own residual ``|A w - 1|``
-    below 1/2, ``A w > 0`` for a positive ``w``. Then
+    form of every correlation system, certify each a nonsingular M-matrix
+    and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``
+    (``rhs`` (B, L, k)). With ``w > 0`` and the certificate's own residual
+    ``|A w - 1|`` below 1/2, ``A w > 0`` for a positive ``w``. Then
     ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
     condition number is ``|A|_inf max(w)``, exact up to round-off, at no
     cost beyond a second right-hand side (Berman & Plemmons, Nonnegative
     Matrices in the Mathematical Sciences, ch. 6). An uncertified member
-    reads ``inf`` and is rejected; a stationary age vector exists exactly
-    when the certificate holds. An exactly singular member fails the whole
-    batched solve, and only then is the stack handed to
-    :func:`_guard_condition`, which names it. Returns the solutions
-    ``[x, w]`` (B, L, k + 1), their absolute residuals, same shape, and the
-    condition numbers (B,)."""
+    reads ``inf``; a stationary age vector exists exactly when the
+    certificate holds. An exactly singular member fails the whole batched
+    solve, and only then is the stack handed to :func:`_guard_condition`,
+    which names it. The guards read, per point, the condition number, the
+    largest absolute residual of ``x`` and its lowest entry, and one check
+    passes the block; only when it fails do they run in order (condition,
+    residual, negative entry below :data:`_TINY_NEGATIVE` times
+    ``max(1, max |x|)``) and raise for the first flagged point, after which
+    entries below 0 are clipped to 0. Returns ``x`` (B, L, k), its largest
+    residuals and the condition numbers, both (B,)."""
     both = np.ones((*rhs.shape[:-1], rhs.shape[-1] + 1))
     both[..., :-1] = rhs
     try:
@@ -344,18 +376,44 @@ def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.nd
         raise
     residual = np.abs(systems @ solution - both)
     w = solution[..., -1]
-    certified = (w.min(axis=1) > 0.0) & (residual[..., -1].max(axis=1) < 0.5)
-    norm = np.abs(systems).sum(axis=-1).max(axis=-1)
-    cond = np.where(certified, norm * w.max(axis=1), np.inf)
-    _reject_condition(cond, label, rates, offset)
-    return solution, residual, cond
+    w_lowest, w_residual = w.min(axis=1), residual[..., -1].max(axis=1)
+    cond = np.abs(systems).sum(axis=-1).max(axis=-1) * w.max(axis=1)
+    x, residual = solution[..., :-1], residual[..., :-1].max(axis=(1, 2))
+    lowest = x.min(axis=(1, 2))
+    # the certificate's strict bounds as ceilings: -min(w) at most minus the
+    # least positive float is min(w) > 0, and |A w - 1| below 1/2 is at most
+    # the float just below it
+    if not _passes((-w_lowest, w_residual, cond, residual, -lowest),
+                   (-math.ulp(0.0), math.nextafter(0.5, 0.0), CONDITION_LIMIT,
+                    CORRELATION_RESIDUAL_TOL, _no_negative_ceiling())):
+        cond = np.where((w_lowest > 0.0) & (w_residual < 0.5), cond, np.inf)
+        _reject_condition(cond, label, rates, offset)
+        _reject(
+            residual > CORRELATION_RESIDUAL_TOL, rates, offset,
+            lambda i: f"{label} solve left residual {residual[i]:.3e} "
+                      f"above {CORRELATION_RESIDUAL_TOL:.0e}",
+        )
+        scale = np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
+        _reject(
+            lowest < _TINY_NEGATIVE * scale, rates, offset,
+            lambda i: f"{label} solve produced negative expectation {lowest[i]:.3e}; "
+                      "the chain likely has an age component that can drift without reset",
+        )
+        x[x < 0.0] = 0.0
+    return x, residual, cond
 
 
 def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset: int):
     """Stationary stage of :func:`solve_stationary` for a block of points:
     ``weights`` (B, T) holds each point's transition rates and ``rates`` the
     rows that guard messages name; ``offset`` is the index of the block's
-    first point. Returns the probabilities (B, n), condition numbers and
+    first point. The guards read, per point, the condition number, the
+    largest balance residual, the lowest probability and the sum of the
+    probabilities, and one check passes the block; only when it fails do
+    they run in order (condition, residual, probability below
+    :data:`_TINY_NEGATIVE`, then, with entries below 0 clipped to 0, a sum
+    off 1 by more than :data:`NORMALIZATION_TOL`) and raise for the first
+    flagged point. Returns the probabilities (B, n), condition numbers and
     max balance residuals (B,).
     """
     n = model.num_states
@@ -370,28 +428,31 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     # the same |A|_1 |A^-1|_1 as _guard_condition, from this inverse
     cond = (np.abs(system).sum(axis=-2).max(axis=-1)
             * np.abs(inverse).sum(axis=-2).max(axis=-1))
-    _reject_condition(cond, "stationary balance", rates, offset)
     # the right-hand side is the last unit vector, so pi is the last column
     probs = inverse[:, :, -1:]
-
     residual = np.abs(balance @ probs).max(axis=(1, 2))
     probs = probs[..., 0]
-    _reject(
-        residual > BALANCE_RESIDUAL_TOL, rates, offset,
-        lambda i: f"stationary solve left balance residual {residual[i]:.3e} "
-                  f"above {BALANCE_RESIDUAL_TOL:.0e}",
-    )
     lowest = probs.min(axis=1)
-    _reject(
-        lowest < _TINY_NEGATIVE, rates, offset,
-        lambda i: f"stationary solve produced negative probability {lowest[i]:.3e}",
-    )
-    probs[probs < 0.0] = 0.0
     total = probs.sum(axis=1)
-    _reject(
-        np.abs(total - 1.0) > NORMALIZATION_TOL, rates, offset,
-        lambda i: f"stationary probabilities sum to {float(total[i])!r}, not 1",
-    )
+    if not _passes((cond, residual, -lowest, np.abs(total - 1.0)),
+                   (CONDITION_LIMIT, BALANCE_RESIDUAL_TOL, _no_negative_ceiling(),
+                    NORMALIZATION_TOL)):
+        _reject_condition(cond, "stationary balance", rates, offset)
+        _reject(
+            residual > BALANCE_RESIDUAL_TOL, rates, offset,
+            lambda i: f"stationary solve left balance residual {residual[i]:.3e} "
+                      f"above {BALANCE_RESIDUAL_TOL:.0e}",
+        )
+        _reject(
+            lowest < _TINY_NEGATIVE, rates, offset,
+            lambda i: f"stationary solve produced negative probability {lowest[i]:.3e}",
+        )
+        probs[probs < 0.0] = 0.0
+        total = probs.sum(axis=1)
+        _reject(
+            np.abs(total - 1.0) > NORMALIZATION_TOL, rates, offset,
+            lambda i: f"stationary probabilities sum to {float(total[i])!r}, not 1",
+        )
     return probs, cond, residual
 
 
@@ -399,36 +460,21 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
                  probs: np.ndarray, offset: int):
     """Correlation stage of :func:`solve_correlation` for a block of points,
     given as for :func:`_stationary`, and their stationary probabilities
-    (B, n). Solves on the live unknowns and returns the vectors (B, n, c),
-    zero off the live set, condition numbers and max residuals (B,). With
-    no live unknown there is no system: every vector is 0, each condition
-    number 1 (that of the empty system, as of an identity) and residual 0.
+    (B, n). Solves and guards on the live unknowns through
+    :func:`_certify_m_matrix` and returns the vectors (B, n, c), zero off
+    the live set, condition numbers and max residuals (B,). With no live
+    unknown there is no system: every vector is 0, each condition number 1
+    (that of the empty system, as of an identity) and residual 0.
     """
     n, c = model.num_states, model.num_components
     live = model.live
     if not len(live):
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
     system = (weights @ model.correlation).reshape(-1, len(live), len(live))
-    rhs = (model.slopes * probs[:, :, None]).reshape(len(rates), n * c)[:, live, None]
-
-    solution, residual, cond = _certify_m_matrix(system, "correlation", rates, offset, rhs)
-    residual = residual[..., 0].max(axis=1)
-    stacked = solution[..., 0]
-    _reject(
-        residual > CORRELATION_RESIDUAL_TOL, rates, offset,
-        lambda i: f"correlation solve left residual {residual[i]:.3e} "
-                  f"above {CORRELATION_RESIDUAL_TOL:.0e}",
-    )
-    scale = np.maximum(1.0, np.abs(stacked).max(axis=1))
-    lowest = stacked.min(axis=1)
-    _reject(
-        lowest < _TINY_NEGATIVE * scale, rates, offset,
-        lambda i: f"correlation solve produced negative expectation {lowest[i]:.3e}; "
-                  "the chain likely has an age component that can drift without reset",
-    )
-    stacked[stacked < 0.0] = 0.0
+    rhs = (probs[:, model.live_states] * model.live_slopes)[..., None]
+    x, residual, cond = _certify_m_matrix(system, "correlation", rates, offset, rhs)
     vectors = np.zeros((len(rates), n * c))
-    vectors[:, live] = stacked
+    vectors[:, live] = x[..., 0]
     return vectors.reshape(len(rates), n, c), cond, residual
 
 
@@ -442,9 +488,12 @@ def _solve(model: ShsModel, rates: np.ndarray, columns):
     :data:`BATCH_BLOCK`: a single block's arrays are returned as they are,
     and more blocks are copied into arrays of N rows as they are solved, so
     no block outlives its solve. Rates must already be positive and finite.
-    A point that fails a guard raises :class:`IllConditionedSystemError`
-    naming its index and rates. Returns each stage's read-only ``(values,
-    condition, residual)``, every array with leading dimension N.
+    Each stage guards a block with one check and, only when it fails, runs
+    its guards in order: a point that fails one raises
+    :class:`IllConditionedSystemError` naming its index and rates, the
+    first flagged point of the first failing guard of the first failing
+    stage of the first failing block. Returns each stage's read-only
+    ``(values, condition, residual)``, every array with leading dimension N.
     """
     stages = None
     for start in range(0, len(rates), BATCH_BLOCK):
@@ -465,9 +514,11 @@ def _solve(model: ShsModel, rates: np.ndarray, columns):
 
 
 def _first_point(result, stage):
-    """Point 0 of a stage's ``(values, condition, residual)`` as ``result``."""
+    """Point 0 of a stage's ``(values, condition, residual)`` as ``result``,
+    its values a read-only view."""
     values, condition, residual = stage
-    return result(_read_only(values[0]), float(condition[0]), float(residual[0]))
+    values.setflags(write=False)
+    return result(values[0], float(condition[0]), float(residual[0]))
 
 
 def solve_stationary(model: ShsModel) -> StationaryDistribution:

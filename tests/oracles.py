@@ -6,6 +6,8 @@ formulas, separate from the vectorized/solver code paths under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from aoi_shs import des_sim
@@ -160,27 +162,66 @@ def single_queue_model(lam: float, mu: float) -> ShsModel:
     return build_model(2, 2, transitions, slopes)
 
 
-def stage_systems(model: ShsModel):
+def stage_systems(model: ShsModel, rates=None):
     """The stationary and correlation stages' matrices, written out entry by
     entry from the transitions: the balance rows ``sum over transitions
     leaving q of rate * pi_q - sum over transitions entering q of rate *
     pi_src`` with the last row replaced by normalization, and the equations
     ``v_q * (total outgoing rate of q) - sum over incoming transitions of
     rate * (v_src @ A) = slope_q * pi_q`` over the stacked unknown
-    ``v[q * c + j]``."""
+    ``v[q * c + j]``. ``rates`` holds one rate per transition in place of the
+    model's own floats; then the matrices are object arrays whose entries
+    are sums of those rates and integers, exact for ``Fraction`` rates."""
     n, c = model.num_states, model.num_components
-    balance = np.zeros((n, n))
-    correlation = np.zeros((n * c, n * c))
-    for t in model.transitions:
-        balance[t.from_state, t.from_state] += t.rate
-        balance[t.to_state, t.from_state] -= t.rate
+    dtype = float if rates is None else object
+    rates = [t.rate for t in model.transitions] if rates is None else rates
+    balance = np.zeros((n, n), dtype=dtype)
+    correlation = np.zeros((n * c, n * c), dtype=dtype)
+    for t, rate in zip(model.transitions, rates):
+        balance[t.from_state, t.from_state] += rate
+        balance[t.to_state, t.from_state] -= rate
         for j in range(c):
-            correlation[t.from_state * c + j, t.from_state * c + j] += t.rate
+            correlation[t.from_state * c + j, t.from_state * c + j] += rate
             for i in range(c):
                 if t.reset_map[i, j]:
-                    correlation[t.to_state * c + j, t.from_state * c + i] -= t.rate
-    balance[n - 1, :] = 1.0
+                    correlation[t.to_state * c + j, t.from_state * c + i] -= rate
+    balance[n - 1, :] = 1
     return balance, correlation
+
+
+def gauss_jordan(matrix, rhs) -> list:
+    """The exact solution of ``matrix x = rhs`` over ``Fraction``: each
+    column's first nonzero entry at or below the diagonal is the pivot, and
+    every other row is cleared in that column. Raises ``ValueError`` for a
+    singular matrix."""
+    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            raise ValueError(f"singular matrix: no pivot in column {k}")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = [a / rows[k][k] for a in rows[k]]
+        rows[k] = top
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                factor = row[k]
+                rows[i] = [a - factor * b for a, b in zip(row, top)]
+    return [row[-1] for row in rows]
+
+
+def exact_solve(model: ShsModel, transition_rates):
+    """The exact stationary distribution and correlation vectors of
+    ``model`` with ``transition_rates`` (one per transition), by
+    :func:`gauss_jordan` on :func:`stage_systems`' entries over the whole
+    stacked unknown, live or not. Each rate is converted to ``Fraction``,
+    exactly for a binary float, so any float rate point has an exact
+    reference. Returns pi (n Fractions) and the vectors (n rows of c)."""
+    n, c = model.num_states, model.num_components
+    balance, correlation = stage_systems(model, [Fraction(r) for r in transition_rates])
+    pi = gauss_jordan(balance, [0] * (n - 1) + [1])
+    slopes = model.slopes.astype(int).tolist()
+    flat = gauss_jordan(correlation, [slopes[q][j] * pi[q] for q in range(n) for j in range(c)])
+    return pi, [flat[q * c:(q + 1) * c] for q in range(n)]
 
 
 def unreachable_state(num_states: int, transitions) -> str | None:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, inv
 
+from aoi_shs import shs_core
 from aoi_shs.shs_core import (
     BALANCE_RESIDUAL_TOL,
     BATCH_BLOCK,
@@ -25,6 +27,7 @@ from aoi_shs.shs_core import (
 from aoi_shs.two_sensor import (
     _CHAIN,
     _GRID_CHAIN,
+    _GRID_RATE_OF,
     _RATE_OF,
     TwoSensorParams,
     build_two_sensor_chain,
@@ -306,6 +309,111 @@ class TestMMatrixCertificate:
                         build_two_sensor_chain(TwoSensorParams(*row))), np.inf)
                     for row in rates]
         assert condition.tolist() == pytest.approx(expected, rel=1e-12)
+
+
+def guard_quantities(chain, columns, row) -> dict:
+    """What each solver guard reads at one rate point, solved alone under the
+    default tolerances; a point's values do not depend on its batch."""
+    (probs, balance_cond, balance_res), (vectors, corr_cond, corr_res) = _solve(
+        chain, np.array([row], dtype=float), columns)
+    return {
+        "balance condition": float(balance_cond[0]),
+        "balance residual": float(balance_res[0]),
+        "lowest probability": float(probs.min()),
+        "total": float(probs.sum(axis=1)[0]),
+        "correlation condition": float(corr_cond[0]),
+        "correlation residual": float(corr_res[0]),
+        "lowest expectation": float(vectors.reshape(-1)[chain.live].min()),
+    }
+
+
+# The seven guards in the order the solver checks them. Each entry: a rate
+# point the guard rejects once its tolerance is patched; the tolerance; the
+# patched value, from the quantities of that point and of the all-ones point
+# (every other point of the batch); the message, from the point's quantities
+# and the patched value. The two negativity guards share a tolerance, so each
+# patched value also keeps the other guard quiet: the first stays at or below
+# the all-ones point's lowest expectation (its scale is 1), whose block is
+# solved first, and the second at the point's own lowest probability.
+GUARDS = {
+    "balance condition": (
+        (20.0, 20.0, 0.05, 0.05), "CONDITION_LIMIT",
+        lambda q, ones: q["balance condition"] / 2,
+        lambda q, tol: "stationary balance system is ill-conditioned (condition "
+                       f"estimate {q['balance condition']:.3e} exceeds {tol:.0e})"),
+    "balance residual": (
+        (0.3, 2.0, 0.7, 40.0), "BALANCE_RESIDUAL_TOL",
+        lambda q, ones: q["balance residual"] / 2,
+        lambda q, tol: "stationary solve left balance residual "
+                       f"{q['balance residual']:.3e} above {tol:.0e}"),
+    "negative probability": (
+        (1.0, 1.0, 50.0, 50.0), "_TINY_NEGATIVE",
+        lambda q, ones: min(ones["lowest probability"], ones["lowest expectation"]),
+        lambda q, tol: "stationary solve produced negative probability "
+                       f"{q['lowest probability']:.3e}"),
+    "normalization": (
+        (1.0, 1.0, 50.0, 50.0), "NORMALIZATION_TOL",
+        lambda q, ones: abs(q["total"] - 1.0) / 2,
+        lambda q, tol: f"stationary probabilities sum to {q['total']!r}, not 1"),
+    "correlation condition": (
+        (0.05, 0.05, 20.0, 20.0), "CONDITION_LIMIT",
+        lambda q, ones: q["correlation condition"] / 2,
+        lambda q, tol: "correlation system is ill-conditioned (condition "
+                       f"estimate {q['correlation condition']:.3e} exceeds {tol:.0e})"),
+    "correlation residual": (
+        (5.0, 0.2, 3.0, 0.05), "CORRELATION_RESIDUAL_TOL",
+        lambda q, ones: q["correlation residual"] / 2,
+        lambda q, tol: "correlation solve left residual "
+                       f"{q['correlation residual']:.3e} above {tol:.0e}"),
+    "negative expectation": (
+        (1.0, 1.0, 50.0, 50.0), "_TINY_NEGATIVE",
+        lambda q, ones: q["lowest probability"],
+        lambda q, tol: "correlation solve produced negative expectation "
+                       f"{q['lowest expectation']:.3e}; the chain likely has an age "
+                       "component that can drift without reset"),
+}
+
+
+def fire(chain, columns, failing):
+    """Solve ``BATCH_BLOCK + 10`` all-ones points with guard ``failing[i]``'s
+    point at index ``i`` (in the second block) and its tolerance patched;
+    return the raised message and the message each guard expects."""
+    ones = guard_quantities(chain, columns, (1.0,) * 4)
+    rates = np.ones((BATCH_BLOCK + 10, 4))
+    patches, expected = {}, {}
+    for index, guard in failing.items():
+        row, name, patched, message = GUARDS[guard]
+        quantities = guard_quantities(chain, columns, row)
+        patches[name] = patched(quantities, ones)
+        rates[index] = row
+        expected[guard] = f"point {index} (rates {list(row)}): " \
+                          f"{message(quantities, patches[name])}"
+    with mock.patch.multiple(shs_core, **patches):
+        with pytest.raises(IllConditionedSystemError) as caught:
+            _solve(chain, rates, columns)
+    return str(caught.value), expected
+
+
+@pytest.mark.parametrize("chain, columns", [(_CHAIN, _RATE_OF), (_GRID_CHAIN, _GRID_RATE_OF)],
+                         ids=["nine-state", "grid"])
+class TestGuards:
+    """Every guard of both stages fires, names its point and keeps its message."""
+
+    @pytest.mark.parametrize("guard", GUARDS)
+    def test_guard_names_its_point(self, chain, columns, guard):
+        raised, expected = fire(chain, columns, {BATCH_BLOCK + 3: guard})
+        assert raised == expected[guard]
+
+    @pytest.mark.parametrize("earlier, later", [
+        ("balance condition", "normalization"),
+        ("balance residual", "correlation condition"),
+    ])
+    def test_earlier_guard_wins_over_earlier_point(self, chain, columns, earlier, later):
+        # the later guard's point comes first in its block, but each guard
+        # scans the whole block before the next guard runs
+        raised, expected = fire(chain, columns,
+                                {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
+        assert raised == expected[earlier]
 
 
 def copy_fed_model(lam=0.7, mu=1.9, loop=0.4):

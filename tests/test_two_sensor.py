@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,10 @@ from aoi_shs.shs_core import (
     solve_stationary,
 )
 from aoi_shs.two_sensor import (
+    _CHAIN,
     _GRID_CHAIN,
     _GRID_RATE_OF,
+    _RATE_OF,
     MONITOR_COMPONENT,
     TwoSensorParams,
     average_aoi_equal_service,
@@ -26,7 +31,7 @@ from aoi_shs.two_sensor import (
     stationary_closed_form,
     zero_wait_limit,
 )
-from oracles import five_state_residual, nine_state_residual
+from oracles import exact_solve, five_state_residual, nine_state_residual
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -287,6 +292,34 @@ class TestGrid:
             ))
         assert verdicts == [(False, False)] * 3 + [(True, True)] * 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", [(1, 1, -1, -1), (-1, -1, 1, 1)],
+                             ids=["fast-arrivals", "fast-service"])
+    def test_extreme_rates_fail_the_condition_guard_cleanly(self, direction):
+        # every decade from the first refused one up to 1e100: both solvers
+        # refuse on the condition number, with no floating-point warning from
+        # the quantities the other guards read
+        for s in 10.0 ** np.arange(6, 101):
+            row = tuple(s ** sign for sign in direction)
+            for solve in (lambda: average_aoi_grid([row]),
+                          lambda: average_aoi_general(TwoSensorParams(*row))):
+                with pytest.raises(IllConditionedSystemError, match="ill-conditioned"):
+                    solve()
+
+    def test_round_off_negatives_are_clipped_to_zero(self):
+        # at rates up to eight decades apart some solves leave probabilities
+        # a little below 0; those points pass their guards with the entries
+        # clipped to 0, which no exact probability is
+        clipped = 0
+        for row in log_uniform_rates(53, 1000, 1e-4, 1e4):
+            try:
+                (probs, _, _), (vectors, _, _) = _solve(_CHAIN, row[None], _RATE_OF)
+            except IllConditionedSystemError:
+                continue
+            assert probs.min() >= 0.0 and vectors.min() >= 0.0
+            clipped += probs.min() == 0.0
+        assert clipped >= 5
+
     def test_failing_point_is_named(self):
         rates = np.ones((BATCH_BLOCK + 10, 4))
         rates[BATCH_BLOCK + 3] = (1e6, 1e6, 1e-6, 1e-6)
@@ -380,3 +413,53 @@ class TestClosedForms:
     def test_non_real_rates_rejected(self, func, arity, bad):
         with pytest.raises(ValueError, match="must be strictly positive and finite, got"):
             func(bad, *[1.0] * (arity - 1))
+
+
+def exact_age(chain, columns, row) -> Fraction:
+    """The exact average monitor age of ``chain`` at a (lambda1, lambda2,
+    mu1, mu2) row, from the exact rational oracle."""
+    _, vectors = exact_solve(chain, np.asarray(row, dtype=float)[columns])
+    return sum(v[MONITOR_COMPONENT] for v in vectors)
+
+
+# small-integer rate points, for which the exact solves stay fast
+EXACT_POINTS = np.random.default_rng(7).integers(1, 6, size=(20, 4)).astype(float)
+
+
+@pytest.fixture(scope="module")
+def exact_ages():
+    """Exact ages at every point, on the grid chain and on the nine-state one."""
+    return ([exact_age(_GRID_CHAIN, _GRID_RATE_OF, row) for row in EXACT_POINTS],
+            [exact_age(_CHAIN, _RATE_OF, row) for row in EXACT_POINTS])
+
+
+class TestExact:
+    """Both solvers and the closed forms against exact rational solves."""
+
+    # over 400 points with integer rates 1 to 5 (numpy seeds 0 to 3) both
+    # solvers stayed within 3.5 ulps of the exact age
+    ULPS = 4
+
+    def test_both_chains_give_the_same_exact_age(self, exact_ages):
+        grid, nine = exact_ages
+        assert grid == nine
+
+    def test_solvers_within_ulps_of_exact(self, exact_ages):
+        solved = zip(average_aoi_grid(EXACT_POINTS),
+                     [average_aoi_general(TwoSensorParams(*row)).average_aoi
+                      for row in EXACT_POINTS])
+        for exact, ages in zip(exact_ages[0], solved):
+            ulps = [float(abs(Fraction(age) - exact)) / math.ulp(float(exact)) for age in ages]
+            assert max(ulps) <= self.ULPS, ulps
+
+    def test_closed_forms_are_exact_identities(self):
+        assert average_aoi_symmetric(Fraction(1), Fraction(1)) == Fraction(103, 64)
+        assert average_aoi_equal_service(Fraction(1, 2), Fraction(3, 2), Fraction(1)) \
+            == Fraction(849, 500)
+        for l1, l2, mu in EXACT_POINTS[:8, :3].astype(int).tolist():
+            equal_service = (l1, l2, mu, mu)
+            symmetric = (l1, l1, mu, mu)
+            assert average_aoi_equal_service(Fraction(l1), Fraction(l2), Fraction(mu)) \
+                == exact_age(_GRID_CHAIN, _GRID_RATE_OF, equal_service)
+            assert average_aoi_symmetric(Fraction(l1), Fraction(mu)) \
+                == exact_age(_GRID_CHAIN, _GRID_RATE_OF, symmetric)
