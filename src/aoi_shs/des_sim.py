@@ -92,7 +92,7 @@ _DRAW_BLOCK = 1 << 14
 #: 0.04 B for the single queue and 0.20 B for the preemptive pair
 #: (lambda/mu = 0.5), the block buffers alone; with a trace directory, at
 #: 2e6 expected events, at most 43 B (the preemptive pair at lambda/mu =
-#: 10). The traced growth binds: 2e7 * 43 B = 0.86 GB, so every model stays
+#: 50). The traced growth binds: 2e7 * 43 B = 0.86 GB, so every model stays
 #: under 2 GB at the cap with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
@@ -242,15 +242,14 @@ def _room(buf, used: int, size: int):
 
 class _Column:
     """A trace column: a trial-length array written block by block into one
-    buffer, sized for ``reserve`` entries at first use and grown if need
-    be."""
+    buffer, grown by :func:`_room` as the blocks come."""
 
-    def __init__(self, reserve: int, dtype=float):
-        self.data, self.size, self.reserve = np.empty(0, dtype), 0, reserve
+    def __init__(self, dtype=float):
+        self.data, self.size = np.empty(0, dtype), 0
 
     def extend(self, count: int):
         """A view of ``count`` new entries at the end."""
-        self.data = _room(self.data, self.size, max(self.size + count, self.reserve))
+        self.data = _room(self.data, self.size, self.size + count)
         self.size += count
         return self.data[self.size - count:self.size]
 
@@ -443,9 +442,7 @@ class _BlockingChannel:
         lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
         gens, deps = block[0::2], block[1::2]
         if trace is not None:  # accepted updates' generation, kept ones' delivery
-            # one accepted update per cycle of mean length 1/lam + 1/mu
-            reserve = int(horizon / (1.0 / lam + 1.0 / mu)) + _DRAW_BLOCK
-            starts, ends = _Column(reserve), _Column(reserve)
+            starts, ends = _Column(), _Column()
         base = busy = 0.0
         accepted = 0
         while base <= horizon:
@@ -512,10 +509,7 @@ class _PreemptivePair:
         base, prev = 0.0, -_INF  # prev: the delivery instant of the update before the block
         first = pending = n = 0  # the index of update a[0], and how many are undecided
         if trace is not None:  # every arrival and delivery instant, and the kept updates
-            # at most one delivery per arrival, and mu per server and unit time
-            columns = (_Column(int(lam * horizon) + _DRAW_BLOCK),
-                       _Column(int(lam * horizon) + _DRAW_BLOCK),
-                       _Column(int(min(lam, 2.0 * mu) * horizon) + _DRAW_BLOCK, np.intp))
+            columns = (_Column(), _Column(), _Column(np.intp))
         while base <= horizon:
             if pending + _DRAW_BLOCK > a.size:
                 a = self.a = _room(a, pending, pending + _DRAW_BLOCK)

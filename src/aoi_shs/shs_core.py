@@ -347,7 +347,7 @@ def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> None:
     _reject_condition(np.linalg.cond(systems, 1), label, rates, offset)
 
 
-def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.ndarray):
+def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
     """Solve a stack of Z-matrices (no positive entry off the diagonal), the
     form of every correlation system, certify each a nonsingular M-matrix
     and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``
@@ -372,7 +372,7 @@ def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.nd
     try:
         solution = np.linalg.solve(systems, both)
     except np.linalg.LinAlgError:
-        _guard_condition(systems, label, rates, offset)
+        _guard_condition(systems, "correlation", rates, offset)
         raise
     residual = np.abs(systems @ solution - both)
     w = solution[..., -1]
@@ -387,16 +387,16 @@ def _certify_m_matrix(systems: np.ndarray, label: str, rates, offset, rhs: np.nd
                    (-math.ulp(0.0), math.nextafter(0.5, 0.0), CONDITION_LIMIT,
                     CORRELATION_RESIDUAL_TOL, _no_negative_ceiling())):
         cond = np.where((w_lowest > 0.0) & (w_residual < 0.5), cond, np.inf)
-        _reject_condition(cond, label, rates, offset)
+        _reject_condition(cond, "correlation", rates, offset)
         _reject(
             residual > CORRELATION_RESIDUAL_TOL, rates, offset,
-            lambda i: f"{label} solve left residual {residual[i]:.3e} "
+            lambda i: f"correlation solve left residual {residual[i]:.3e} "
                       f"above {CORRELATION_RESIDUAL_TOL:.0e}",
         )
         scale = np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
         _reject(
             lowest < _TINY_NEGATIVE * scale, rates, offset,
-            lambda i: f"{label} solve produced negative expectation {lowest[i]:.3e}; "
+            lambda i: f"correlation solve produced negative expectation {lowest[i]:.3e}; "
                       "the chain likely has an age component that can drift without reset",
         )
         x[x < 0.0] = 0.0
@@ -472,45 +472,33 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
     system = (weights @ model.correlation).reshape(-1, len(live), len(live))
     rhs = (probs[:, model.live_states] * model.live_slopes)[..., None]
-    x, residual, cond = _certify_m_matrix(system, "correlation", rates, offset, rhs)
+    x, residual, cond = _certify_m_matrix(system, rates, offset, rhs)
     vectors = np.zeros((len(rates), n * c))
     vectors[:, live] = x[..., 0]
     return vectors.reshape(len(rates), n, c), cond, residual
 
 
 def _solve(model: ShsModel, rates: np.ndarray, columns):
-    """Both solves for every row of an (N, k) rate array, N >= 1.
+    """Both solves for every row of an (N, k) rate array, N >= 1, in blocks.
 
     ``columns`` maps each of the model's T transitions onto a column of
     ``rates``: point i's transition rates are ``rates[i, columns]``, so a
     chain whose transitions share a few named rates is solved, and its guard
-    messages are written, in those rates. Points are solved in blocks of
-    :data:`BATCH_BLOCK`: a single block's arrays are returned as they are,
-    and more blocks are copied into arrays of N rows as they are solved, so
-    no block outlives its solve. Rates must already be positive and finite.
-    Each stage guards a block with one check and, only when it fails, runs
-    its guards in order: a point that fails one raises
+    messages are written, in those rates. Rates must already be positive and
+    finite. Yields, for each block of at most :data:`BATCH_BLOCK` rows in
+    order, the block's two stages, each ``(values, condition, residual)``
+    with one entry per row; callers keep what they need of a block before
+    asking for the next. Each stage guards a block with one check and, only
+    when it fails, runs its guards in order: a point that fails one raises
     :class:`IllConditionedSystemError` naming its index and rates, the
     first flagged point of the first failing guard of the first failing
-    stage of the first failing block. Returns each stage's read-only
-    ``(values, condition, residual)``, every array with leading dimension N.
+    stage, before any later block is solved.
     """
-    stages = None
     for start in range(0, len(rates), BATCH_BLOCK):
         rows = rates[start:start + BATCH_BLOCK]
         weights = rows[:, columns]
         stationary = _stationary(model, rows, weights, start)
-        block = (*stationary, *_correlation(model, rows, weights, stationary[0], start))
-        if len(rows) == len(rates):
-            stages = block
-        else:
-            if stages is None:
-                stages = [np.empty((len(rates), *values.shape[1:])) for values in block]
-            for out, values in zip(stages, block):
-                out[start:start + len(rows)] = values
-    for values in stages:
-        values.setflags(write=False)
-    return stages[:3], stages[3:]
+        yield stationary, _correlation(model, rows, weights, stationary[0], start)
 
 
 def _first_point(result, stage):

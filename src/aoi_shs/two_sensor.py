@@ -215,7 +215,7 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     :func:`average_aoi_grid` matches to about 1e-15 relative.
     """
     rates = np.array([[getattr(params, name) for name in _RATE_NAMES]])
-    stationary, correlation = _solve(_CHAIN, rates, _RATE_OF)
+    [(stationary, correlation)] = _solve(_CHAIN, rates, _RATE_OF)
     return AoiBreakdown(
         average_aoi=float(_monitor_ages(correlation)[0]),
         stationary=_first_point(StationaryDistribution, stationary),
@@ -258,7 +258,8 @@ def average_aoi_grid(rates) -> np.ndarray:
         point, column = np.argwhere(bad)[0]
         _require_positive(
             **{f"point {point}: {_RATE_NAMES[column]}": float(rates[point, column])})
-    return _monitor_ages(_solve(_GRID_CHAIN, rates, _GRID_RATE_OF)[1])
+    return np.concatenate([_monitor_ages(correlation)
+                           for _, correlation in _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)])
 
 
 def _monitor_ages(correlation) -> np.ndarray:

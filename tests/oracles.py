@@ -1,7 +1,9 @@
-"""Independent reference implementations used to check the package.
+"""Independent reference implementations used to check the package, and
+:func:`solve_joined`, which joins the solver's blocks for tests that read
+whole-grid arrays.
 
-Everything here is deliberately written as plain scalar loops or explicit
-formulas, separate from the vectorized/solver code paths under test.
+Everything else here is deliberately written as plain scalar loops or
+explicit formulas, separate from the vectorized/solver code paths under test.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from aoi_shs import des_sim
-from aoi_shs.shs_core import ShsModel, build_model
+from aoi_shs.shs_core import ShsModel, _solve, build_model
+
+
+def solve_joined(model: ShsModel, rates, columns):
+    """Both stages of ``shs_core._solve`` over every row of ``rates``, each
+    ``(values, condition, residual)`` joined across the blocks it yields."""
+    blocks = list(_solve(model, rates, columns))
+    return tuple(tuple(map(np.concatenate, zip(*stage))) for stage in zip(*blocks))
 
 
 def nine_state_residual(l1, l2, m1, m2, pi, v) -> float:

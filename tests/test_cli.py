@@ -150,6 +150,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m aoi_shs`` in a child process that imports the package from
+    the same directory as this process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aoi_shs.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "aoi_shs", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestTheory:
     def test_symmetric_closed_form(self, capsys):
         code, out, _ = run(capsys, "theory", "--l1", "1", "--l2", "1",
@@ -579,8 +587,14 @@ class TestPinnedOutputs:
         argv = ("theory", "--l1", "1", "--l2", "1", "--m", "1", "--method", "eq17",
                 "--format", "csv")
         _, out, _ = run(capsys, *argv)
-        # the child imports the package from the same directory as this process
-        env = {**os.environ, "PYTHONPATH": str(Path(aoi_shs.__file__).parents[1])}
-        child = subprocess.run([sys.executable, "-m", "aoi_shs", *argv], env=env,
-                               capture_output=True, text=True, check=True)
+        child = run_module(*argv)
+        assert child.returncode == 0
         assert child.stdout == out
+        assert out.splitlines()[-1] == "1.0,1.0,1.0,1.0,eq17,1.609375"
+
+    def test_module_entry_point_exits_with_main_code(self):
+        child = run_module("theory", "--l1", "1", "--l2", "2", "--m", "1",
+                           "--method", "eq17", "--format", "csv")
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == \
+            "error: method eq17 requires equal arrival rates: --l1 == --l2\n"

@@ -16,7 +16,6 @@ from aoi_shs.shs_core import (
     IllConditionedSystemError,
     _certify_m_matrix,
     _guard_condition,
-    _solve,
     average_age,
     build_model,
     model_from_json,
@@ -36,6 +35,7 @@ from oracles import (
     live_unknowns,
     single_queue_average_age,
     single_queue_model,
+    solve_joined,
     stage_systems,
     unreachable_state,
 )
@@ -273,6 +273,19 @@ class TestConditionGuard:
                            match=r"point 37 \(rates \[37\.0, .*condition estimate inf "):
             _guard_condition(systems, "correlation", rates, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_singular_member_of_balance_stack_is_named(self):
+        # no weight on any transition into or out of states 2 and 3: two
+        # balance rows are exactly zero, so the batched inverse fails
+        weights = np.ones((2, len(_CHAIN.transitions)))
+        weights[1, [t for t, (frm, to, _, _) in enumerate(_CHAIN.transitions)
+                    if {frm, to} & {2, 3}]] = 0.0
+        with pytest.raises(IllConditionedSystemError) as caught:
+            shs_core._stationary(_CHAIN, weights, weights, 10)
+        assert str(caught.value) == (
+            f"point 11 (rates {weights[1].tolist()}): stationary balance system is "
+            "ill-conditioned (condition estimate inf exceeds 1e+12)")
+
 
 class TestMMatrixCertificate:
     def test_z_matrix_that_is_not_an_m_matrix_reads_inf(self):
@@ -284,7 +297,7 @@ class TestMMatrixCertificate:
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
                                  r"exceeds 1e\+12"):
-            _certify_m_matrix(systems, "correlation", rates, 0, np.ones((1, 2, 1)))
+            _certify_m_matrix(systems, rates, 0, np.ones((1, 2, 1)))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_correlation_stack_is_named(self):
@@ -292,19 +305,19 @@ class TestMMatrixCertificate:
         rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
         systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
         rhs = np.ones((BATCH_BLOCK, 21, 1))
-        _, _, condition = _certify_m_matrix(systems, "correlation", rates, 0, rhs)
+        _, _, condition = _certify_m_matrix(systems, rates, 0, rhs)
         assert np.isfinite(condition).all()
         systems[37, :, 5] = 0.0
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 37 \(rates \[.*\]\): correlation system is "
                                  r"ill-conditioned \(condition estimate inf "):
-            _certify_m_matrix(systems, "correlation", rates, 0, rhs)
+            _certify_m_matrix(systems, rates, 0, rhs)
 
     def test_two_sensor_condition_is_exact_one_norm_number(self):
         # the infinity-norm number of the live system, from the certificate
         rng = np.random.default_rng(47)
         rates = np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(200, 4)))
-        _, (_, condition, _) = _solve(_CHAIN, rates, _RATE_OF)
+        _, (_, condition, _) = solve_joined(_CHAIN, rates, _RATE_OF)
         expected = [np.linalg.cond(live_correlation_system(
                         build_two_sensor_chain(TwoSensorParams(*row))), np.inf)
                     for row in rates]
@@ -314,7 +327,7 @@ class TestMMatrixCertificate:
 def guard_quantities(chain, columns, row) -> dict:
     """What each solver guard reads at one rate point, solved alone under the
     default tolerances; a point's values do not depend on its batch."""
-    (probs, balance_cond, balance_res), (vectors, corr_cond, corr_res) = _solve(
+    (probs, balance_cond, balance_res), (vectors, corr_cond, corr_res) = solve_joined(
         chain, np.array([row], dtype=float), columns)
     return {
         "balance condition": float(balance_cond[0]),
@@ -376,8 +389,8 @@ GUARDS = {
 
 def fire(chain, columns, failing):
     """Solve ``BATCH_BLOCK + 10`` all-ones points with guard ``failing[i]``'s
-    point at index ``i`` (in the second block) and its tolerance patched;
-    return the raised message and the message each guard expects."""
+    point at index ``i`` and its tolerance patched; return the raised
+    message and the message each guard expects."""
     ones = guard_quantities(chain, columns, (1.0,) * 4)
     rates = np.ones((BATCH_BLOCK + 10, 4))
     patches, expected = {}, {}
@@ -390,7 +403,7 @@ def fire(chain, columns, failing):
                           f"{message(quantities, patches[name])}"
     with mock.patch.multiple(shs_core, **patches):
         with pytest.raises(IllConditionedSystemError) as caught:
-            _solve(chain, rates, columns)
+            solve_joined(chain, rates, columns)
     return str(caught.value), expected
 
 
@@ -414,6 +427,12 @@ class TestGuards:
         raised, expected = fire(chain, columns,
                                 {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
         assert raised == expected[earlier]
+
+    def test_earlier_block_wins_over_earlier_guard(self, chain, columns):
+        # a failing block raises before any later block is solved
+        raised, expected = fire(chain, columns,
+                                {3: "normalization", BATCH_BLOCK + 3: "balance condition"})
+        assert raised == expected["normalization"]
 
 
 def copy_fed_model(lam=0.7, mu=1.9, loop=0.4):

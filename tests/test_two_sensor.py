@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from aoi_shs.shs_core import (
     BATCH_BLOCK,
     IllConditionedSystemError,
-    _solve,
     average_age,
     model_from_json,
     model_to_json,
@@ -31,7 +30,7 @@ from aoi_shs.two_sensor import (
     stationary_closed_form,
     zero_wait_limit,
 )
-from oracles import exact_solve, five_state_residual, nine_state_residual
+from oracles import exact_solve, five_state_residual, nine_state_residual, solve_joined
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -221,7 +220,7 @@ class TestGridChain:
 
     def test_hand_written_equations_residual(self):
         rates = log_uniform_rates(48, 200, 0.02, 50.0)
-        (probs, _, _), (vectors, _, _) = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        (probs, _, _), (vectors, _, _) = solve_joined(_GRID_CHAIN, rates, _GRID_RATE_OF)
         for row, pi, v in zip(rates, probs, vectors):
             assert five_state_residual(*row, pi, v) < 1e-10
 
@@ -232,7 +231,7 @@ class TestGridChain:
         # systems' condition numbers, up to 6e3, allow 1.3e-12
         lumps = ([0], [1, 2], [4, 5], [6, 8], [3, 7])
         rates = log_uniform_rates(49, 200, 0.02, 50.0)
-        (probs, _, _), _ = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        (probs, _, _), _ = solve_joined(_GRID_CHAIN, rates, _GRID_RATE_OF)
         for row, pi in zip(rates, probs):
             nine = stationary_closed_form(TwoSensorParams(*row)).probs
             lumped = [nine[states].sum() for states in lumps]
@@ -240,20 +239,19 @@ class TestGridChain:
 
 
 class TestReadOnly:
-    """The solver's results are read-only on both of its block paths."""
-
-    @pytest.mark.parametrize("size", [1, BATCH_BLOCK, BATCH_BLOCK + 1])
-    def test_solve_returns_read_only_arrays(self, size):
-        rates = log_uniform_rates(52, size, 0.05, 20.0)
-        stationary, correlation = _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)
-        for values in (*stationary, *correlation):
-            assert len(values) == size
-            assert values.flags.writeable is False
+    """Every solved result type carries read-only arrays: the breakdown of a
+    single point and the results of the two public stage solves."""
 
     def test_breakdown_arrays_are_read_only(self):
         breakdown = average_aoi_general(TwoSensorParams(0.5, 0.8, 1.0, 1.4))
         assert breakdown.stationary.probs.flags.writeable is False
         assert breakdown.correlations.vectors.flags.writeable is False
+
+    def test_stage_solve_arrays_are_read_only(self):
+        chain = build_two_sensor_chain(TwoSensorParams(0.5, 0.8, 1.0, 1.4))
+        pi = solve_stationary(chain)
+        assert pi.probs.flags.writeable is False
+        assert solve_correlation(chain, pi).vectors.flags.writeable is False
 
 
 class TestGrid:
@@ -313,7 +311,7 @@ class TestGrid:
         clipped = 0
         for row in log_uniform_rates(53, 1000, 1e-4, 1e4):
             try:
-                (probs, _, _), (vectors, _, _) = _solve(_CHAIN, row[None], _RATE_OF)
+                (probs, _, _), (vectors, _, _) = solve_joined(_CHAIN, row[None], _RATE_OF)
             except IllConditionedSystemError:
                 continue
             assert probs.min() >= 0.0 and vectors.min() >= 0.0
