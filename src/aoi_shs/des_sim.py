@@ -126,12 +126,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Across-trial summary of the time-averaged monitor age."""
+    """Across-trial summary of the time-averaged monitor age; one trial has
+    no spread to estimate, so its ``stderr`` and ``ci95_halfwidth`` are None."""
 
     mean_aoi: float
     trial_values: tuple[float, ...]
-    stderr: float
-    ci95_halfwidth: float
+    stderr: float | None
+    ci95_halfwidth: float | None
     events_processed: int
 
 
@@ -613,12 +614,12 @@ def _pair_rows(a, d, kept):
 def _summarize(values, events: int) -> SimResult:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
     return SimResult(
         mean_aoi=mean,
         trial_values=tuple(float(x) for x in arr),
         stderr=stderr,
-        ci95_halfwidth=1.96 * stderr,
+        ci95_halfwidth=None if stderr is None else 1.96 * stderr,
         events_processed=int(events),
     )
 

@@ -41,13 +41,13 @@ a block: the condition number (in the correlation stage, with the
 certificate's own bounds), the largest residual, the lowest entry of the
 solution, and in the balance stage the sum of the probabilities. One check
 then passes the whole block when every point is within every bound and has
-no negative entry. Only when that check fails do the guards run one by one,
-in a fixed order: in the balance stage the condition number, the balance
-residual, a negative probability and then, with negative entries clipped
-to 0, the normalization; in the correlation stage the condition number,
-the residual and a negative expectation, after which negative entries are
-clipped to 0. The first guard that flags a point raises
-:class:`IllConditionedSystemError` naming the first point it flags.
+no negative entry. Only when that check fails does one scan run the
+stage's guards in a fixed order: in the balance stage the condition
+number, the balance residual, a negative probability and then, with
+negative entries clipped to 0, the normalization; in the correlation stage
+the condition number, the residual and a negative expectation, after which
+negative entries are clipped to 0. The first guard that flags a point
+raises :class:`IllConditionedSystemError` naming the first point it flags.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -318,33 +318,25 @@ def _no_negative_ceiling() -> float:
     return 0.0 if _TINY_NEGATIVE <= 0.0 else -math.inf
 
 
-def _reject(bad: np.ndarray, rates: np.ndarray, offset: int, describe) -> None:
-    """Raise for the first point flagged in ``bad``; ``describe(i)`` says why."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IllConditionedSystemError(
-            f"point {offset + i} (rates {rates[i].tolist()}): {describe(i)}"
-        )
+def _guard(rates: np.ndarray, offset: int, checks) -> None:
+    """Scan a stage's guards, ``(bad, describe)`` pairs in guard order: the
+    first check whose ``bad`` (B,) flags any point raises for its first
+    flagged point ``i``, and ``describe(i)`` says why."""
+    for bad, describe in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IllConditionedSystemError(
+                f"point {offset + i} (rates {rates[i].tolist()}): {describe(i)}")
 
 
-def _reject_condition(cond: np.ndarray, label: str, rates, offset) -> None:
-    """Reject the first point whose condition number is not at most
-    :data:`CONDITION_LIMIT` (``inf`` and NaN included)."""
-    _reject(
-        ~(cond <= CONDITION_LIMIT), rates, offset,
-        lambda i: f"{label} system is ill-conditioned "
-                  f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})",
-    )
-
-
-def _guard_condition(systems: np.ndarray, label: str, rates, offset) -> None:
-    """Check each system's 1-norm condition number ``|A|_1 |A^-1|_1``, the
-    number LAPACK's ``gecon`` estimates, here exact from one batched inverse
-    that does not stop at a singular member. Such a member reads ``inf`` and is
-    rejected by index, like any other point above :data:`CONDITION_LIMIT`;
-    both stages hand their stack here only when their own LAPACK call
-    fails on an exactly singular member, so that it is named."""
-    _reject_condition(np.linalg.cond(systems, 1), label, rates, offset)
+def _condition_check(cond: np.ndarray, label: str):
+    """The :func:`_guard` check that flags a condition number (B,) not at
+    most :data:`CONDITION_LIMIT` (``inf`` and NaN included). When a stage's
+    LAPACK call fails, ``cond`` is ``np.linalg.cond(systems, 1)``, from one
+    batched inverse that does not stop at a singular member but reads ``inf``."""
+    return (~(cond <= CONDITION_LIMIT),
+            lambda i: f"{label} system is ill-conditioned "
+                      f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})")
 
 
 def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
@@ -359,20 +351,21 @@ def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
     Matrices in the Mathematical Sciences, ch. 6). An uncertified member
     reads ``inf``; a stationary age vector exists exactly when the
     certificate holds. An exactly singular member fails the whole batched
-    solve, and only then is the stack handed to :func:`_guard_condition`,
-    which names it. The guards read, per point, the condition number, the
+    solve, and only then is the stack's 1-norm condition number checked, so
+    that it is named. The guards read, per point, the condition number, the
     largest absolute residual of ``x`` and its lowest entry, and one check
-    passes the block; only when it fails do they run in order (condition,
-    residual, negative entry below :data:`_TINY_NEGATIVE` times
-    ``max(1, max |x|)``) and raise for the first flagged point, after which
-    entries below 0 are clipped to 0. Returns ``x`` (B, L, k), its largest
-    residuals and the condition numbers, both (B,)."""
+    passes the block; only when it fails does one :func:`_guard` scan run
+    them in order (condition, residual, negative entry below
+    :data:`_TINY_NEGATIVE` times ``max(1, max |x|)``) and raise for the
+    first flagged point, after which entries below 0 are clipped to 0.
+    Returns ``x`` (B, L, k), its largest residuals and the condition
+    numbers, both (B,)."""
     both = np.ones((*rhs.shape[:-1], rhs.shape[-1] + 1))
     both[..., :-1] = rhs
     try:
         solution = np.linalg.solve(systems, both)
     except np.linalg.LinAlgError:
-        _guard_condition(systems, "correlation", rates, offset)
+        _guard(rates, offset, [_condition_check(np.linalg.cond(systems, 1), "correlation")])
         raise
     residual = np.abs(systems @ solution - both)
     w = solution[..., -1]
@@ -387,18 +380,16 @@ def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
                    (-math.ulp(0.0), math.nextafter(0.5, 0.0), CONDITION_LIMIT,
                     CORRELATION_RESIDUAL_TOL, _no_negative_ceiling())):
         cond = np.where((w_lowest > 0.0) & (w_residual < 0.5), cond, np.inf)
-        _reject_condition(cond, "correlation", rates, offset)
-        _reject(
-            residual > CORRELATION_RESIDUAL_TOL, rates, offset,
-            lambda i: f"correlation solve left residual {residual[i]:.3e} "
-                      f"above {CORRELATION_RESIDUAL_TOL:.0e}",
-        )
         scale = np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
-        _reject(
-            lowest < _TINY_NEGATIVE * scale, rates, offset,
-            lambda i: f"correlation solve produced negative expectation {lowest[i]:.3e}; "
-                      "the chain likely has an age component that can drift without reset",
-        )
+        _guard(rates, offset, (
+            _condition_check(cond, "correlation"),
+            (residual > CORRELATION_RESIDUAL_TOL,
+             lambda i: f"correlation solve left residual {residual[i]:.3e} "
+                       f"above {CORRELATION_RESIDUAL_TOL:.0e}"),
+            (lowest < _TINY_NEGATIVE * scale,
+             lambda i: f"correlation solve produced negative expectation {lowest[i]:.3e}; "
+                       "the chain likely has an age component that can drift without reset"),
+        ))
         x[x < 0.0] = 0.0
     return x, residual, cond
 
@@ -409,11 +400,11 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     rows that guard messages name; ``offset`` is the index of the block's
     first point. The guards read, per point, the condition number, the
     largest balance residual, the lowest probability and the sum of the
-    probabilities, and one check passes the block; only when it fails do
-    they run in order (condition, residual, probability below
-    :data:`_TINY_NEGATIVE`, then, with entries below 0 clipped to 0, a sum
-    off 1 by more than :data:`NORMALIZATION_TOL`) and raise for the first
-    flagged point. Returns the probabilities (B, n), condition numbers and
+    probabilities, and one check passes the block; only when it fails are
+    entries below 0 clipped to 0, the sum taken again, and one
+    :func:`_guard` scan run in order (condition, residual, probability
+    below :data:`_TINY_NEGATIVE` before the clip, then a sum off 1 by more
+    than :data:`NORMALIZATION_TOL`) to raise for the first flagged point. Returns the probabilities (B, n), condition numbers and
     max balance residuals (B,).
     """
     n = model.num_states
@@ -423,9 +414,9 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     try:
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
-        _guard_condition(system, "stationary balance", rates, offset)
+        _guard(rates, offset, [_condition_check(np.linalg.cond(system, 1), "stationary balance")])
         raise
-    # the same |A|_1 |A^-1|_1 as _guard_condition, from this inverse
+    # the same |A|_1 |A^-1|_1 as np.linalg.cond(system, 1), from this inverse
     cond = (np.abs(system).sum(axis=-2).max(axis=-1)
             * np.abs(inverse).sum(axis=-2).max(axis=-1))
     # the right-hand side is the last unit vector, so pi is the last column
@@ -437,22 +428,18 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     if not _passes((cond, residual, -lowest, np.abs(total - 1.0)),
                    (CONDITION_LIMIT, BALANCE_RESIDUAL_TOL, _no_negative_ceiling(),
                     NORMALIZATION_TOL)):
-        _reject_condition(cond, "stationary balance", rates, offset)
-        _reject(
-            residual > BALANCE_RESIDUAL_TOL, rates, offset,
-            lambda i: f"stationary solve left balance residual {residual[i]:.3e} "
-                      f"above {BALANCE_RESIDUAL_TOL:.0e}",
-        )
-        _reject(
-            lowest < _TINY_NEGATIVE, rates, offset,
-            lambda i: f"stationary solve produced negative probability {lowest[i]:.3e}",
-        )
         probs[probs < 0.0] = 0.0
         total = probs.sum(axis=1)
-        _reject(
-            np.abs(total - 1.0) > NORMALIZATION_TOL, rates, offset,
-            lambda i: f"stationary probabilities sum to {float(total[i])!r}, not 1",
-        )
+        _guard(rates, offset, (
+            _condition_check(cond, "stationary balance"),
+            (residual > BALANCE_RESIDUAL_TOL,
+             lambda i: f"stationary solve left balance residual {residual[i]:.3e} "
+                       f"above {BALANCE_RESIDUAL_TOL:.0e}"),
+            (lowest < _TINY_NEGATIVE,
+             lambda i: f"stationary solve produced negative probability {lowest[i]:.3e}"),
+            (np.abs(total - 1.0) > NORMALIZATION_TOL,
+             lambda i: f"stationary probabilities sum to {float(total[i])!r}, not 1"),
+        ))
     return probs, cond, residual
 
 

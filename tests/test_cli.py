@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_by_cells
+from test_des_sim import TRACE_SHA256
 
 import aoi_shs
 from aoi_shs import des_sim
@@ -296,13 +297,30 @@ class TestSimulate:
         assert code == 2
 
     def test_trace_dir(self, capsys, tmp_path):
-        trace = tmp_path / "traces"
-        code, _, _ = run(capsys, "simulate", "--model", "mm2p", "--l1", "2",
-                         "--m", "1", "--horizon", "200", "--trials", "2",
-                         "--trace-dir", str(trace))
+        # the TRACE_RUNS runs of test_des_sim, through the command line
+        for model, rates in (("mm2p", ("--l1", "3", "--m", "1")),
+                             ("two_sensor", ("--l1", "0.6", "--l2", "0.9",
+                                             "--m1", "1.0", "--m2", "1.2"))):
+            trace = tmp_path / model
+            code, _, _ = run(capsys, "simulate", "--model", model, *rates, "--horizon", "200",
+                             "--trials", "2", "--seed", "9", "--warmup", "0",
+                             "--trace-dir", str(trace))
+            assert code == 0
+            files = sorted(trace.glob("*.csv"))
+            assert [p.name for p in files] == ["trial_000.csv", "trial_001.csv"]
+            assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in files) == TRACE_SHA256[model]
+
+    def test_single_trial_writes_null_and_empty_cells(self, capsys):
+        args = ("simulate", "--model", "mm11", "--l1", "1", "--m", "1",
+                "--horizon", "300", "--trials", "1")
+        code, out, _ = run(capsys, *args)
         assert code == 0
-        assert sorted(p.name for p in trace.glob("*.csv")) == [
-            "trial_000.csv", "trial_001.csv"]
+        doc = json.loads(out)
+        assert doc["stderr"] is None and doc["ci95_halfwidth"] is None
+        code, out, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-3:-1] == ["", ""]
 
 
 class TestSweep:

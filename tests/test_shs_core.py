@@ -15,7 +15,8 @@ from aoi_shs.shs_core import (
     CORRELATION_RESIDUAL_TOL,
     IllConditionedSystemError,
     _certify_m_matrix,
-    _guard_condition,
+    _condition_check,
+    _guard,
     average_age,
     build_model,
     model_from_json,
@@ -187,6 +188,17 @@ class TestBuildModel:
 
 
 class TestStationary:
+    def test_negative_probability_is_read_before_the_clip(self):
+        # a negative weight on transition 0->1 makes one probability truly
+        # negative; read after the clip it would be 0, and the point would
+        # fail the normalization guard instead
+        weights = np.ones((5, len(_CHAIN.transitions)))
+        weights[3, 0] = -0.5
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"^point 3 \(rates \[-0\.5, .*\]\): stationary solve "
+                                 r"produced negative probability -5\.357e-02$"):
+            shs_core._stationary(_CHAIN, weights, weights, 0)
+
     def test_two_state_balance(self):
         a, b = 1.3, 0.4
         model = single_queue_model(a, b)
@@ -271,7 +283,7 @@ class TestConditionGuard:
         rates = np.arange(BATCH_BLOCK, dtype=float)[:, None] * np.ones(4)
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 37 \(rates \[37\.0, .*condition estimate inf "):
-            _guard_condition(systems, "correlation", rates, 0)
+            _guard(rates, 0, [_condition_check(np.linalg.cond(systems, 1), "correlation")])
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_balance_stack_is_named(self):
@@ -293,7 +305,6 @@ class TestMMatrixCertificate:
         systems = np.array([[[1.0, -2.0], [-2.0, 1.0]]])
         rates = np.ones((1, 4))
         assert np.linalg.cond(systems, 1).tolist() == [3.0]
-        _guard_condition(systems, "correlation", rates, 0)
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
                                  r"exceeds 1e\+12"):
@@ -433,6 +444,21 @@ class TestGuards:
         raised, expected = fire(chain, columns,
                                 {3: "normalization", BATCH_BLOCK + 3: "balance condition"})
         assert raised == expected["normalization"]
+
+
+@pytest.mark.parametrize("chain, columns", [(_CHAIN, _RATE_OF), (_GRID_CHAIN, _GRID_RATE_OF)],
+                         ids=["nine-state", "grid"])
+@pytest.mark.parametrize("earlier, later", [
+    ("balance condition", "balance residual"),
+    ("balance condition", "negative probability"),
+    ("correlation condition", "correlation residual"),
+    ("correlation residual", "negative expectation"),
+])
+def test_guard_order_within_a_stage(chain, columns, earlier, later):
+    # as in TestGuards, but both guards in one stage; the pairs are those
+    # whose patched tolerances leave each other's point quiet
+    raised, expected = fire(chain, columns, {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
+    assert raised == expected[earlier]
 
 
 def copy_fed_model(lam=0.7, mu=1.9, loop=0.4):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -461,3 +462,12 @@ class TestExact:
                 == exact_age(_GRID_CHAIN, _GRID_RATE_OF, equal_service)
             assert average_aoi_symmetric(Fraction(l1), Fraction(mu)) \
                 == exact_age(_GRID_CHAIN, _GRID_RATE_OF, symmetric)
+
+    def test_stationary_closed_form_is_an_exact_identity(self):
+        # a duck-typed params object keeps the Fraction rates that
+        # TwoSensorParams would turn into floats
+        for row in EXACT_POINTS:
+            l1, l2, m1, m2 = map(Fraction, row.tolist())
+            params = SimpleNamespace(lambda1=l1, lambda2=l2, mu1=m1, mu2=m2)
+            assert stationary_closed_form(params).probs.tolist() \
+                == exact_solve(_CHAIN, row[_RATE_OF])[0]
