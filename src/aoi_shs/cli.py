@@ -177,13 +177,13 @@ def _csv(header: str, rows) -> str:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # json serves an indent only from its pure-Python encoder, so rows are encoded
 # by the C one with the indented item separator; no encoded scalar holds a
 # newline, so only the object's braces need indenting by hand
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
 
 
 def _table(fmt: str, header: str, rows) -> str:

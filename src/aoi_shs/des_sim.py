@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,10 @@ _DRAW_BLOCK = 1 << 14
 #: under 2 GB at the cap with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
+#: Longest horizon: a trial's age integral is at most horizon**2, which
+#: overflows a float above this.
+MAX_HORIZON = math.sqrt(sys.float_info.max)
+
 _INF = math.inf
 
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
@@ -107,7 +112,8 @@ _ARRIVAL, _BLOCKED, _DELIVERY, _PREEMPT = range(4)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation protocol: horizon, replications, seed, warmup fraction."""
+    """Simulation protocol: horizon, replications, seed, warmup fraction.
+    The horizon is stored as a float and may not exceed ``MAX_HORIZON``."""
 
     horizon: float = 2e5
     num_trials: int = 10
@@ -116,6 +122,10 @@ class SimConfig:
 
     def __post_init__(self):
         _require_positive(horizon=self.horizon)
+        object.__setattr__(self, "horizon", float(self.horizon))
+        if not self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be at most {MAX_HORIZON:.4e}, so that the age "
+                             f"integral stays finite, got {self.horizon!r}")
         if not (_is_a(numbers.Integral, self.num_trials) and self.num_trials >= 1):
             raise ValueError(f"num_trials must be an integer >= 1, got {self.num_trials!r}")
         if not (_is_a(numbers.Real, self.warmup) and 0 <= self.warmup < 1):
@@ -146,7 +156,8 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     no listed delivery occurred. Stale deliveries contribute nothing,
     matching the monitor discipline. ``t0``, ``t1`` and ``initial_age`` must
     be real numbers (numpy scalars included; bools and strings raise
-    ``ValueError``). The segment areas are summed as in the simulators, in
+    ``ValueError``), and the window may not be so wide that its age integral
+    overflows a float. The segment areas are summed as in the simulators, in
     chunks of ``_DRAW_BLOCK`` from the window's first segment, so a window
     of more segments than that differs from one whole-array sum in its last
     bits.
@@ -157,6 +168,12 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     t0, t1 = float(t0), float(t1)
     if not (_is_a(numbers.Real, initial_age) and 0 <= initial_age < _INF):
         raise ValueError(f"initial_age must be nonnegative and finite, got {initial_age!r}")
+    # the age in the window is at most t1 - t0 + initial_age; a finite bound
+    # also keeps t0 + t1 finite, as no span at that magnitude has a finite square
+    span, initial_age = t1 - t0, float(initial_age)
+    if not span * (span + initial_age) < _INF:
+        raise ValueError(f"window ({t0}, {t1}) with initial_age {initial_age!r} is too wide: "
+                         "its age integral overflows a float")
     times = np.asarray(times, dtype=float)
     gens = np.asarray(gens, dtype=float)
     if times.shape != gens.shape or times.ndim != 1:
@@ -317,17 +334,14 @@ class _AgeIntegral:
 
     def start(self, floor) -> None:
         """A new integral whose monitor holds generation time ``floor`` at t0."""
-        self.floor, self.last, self.closed = float(floor), self.t0, False
+        self.floor, self.last = float(floor), self.t0
         self.total, self.filled = 0.0, 0
 
     def add(self, times, gens) -> None:
-        if self.closed:
-            return
         start = int(np.searchsorted(times, self.t0, side="right"))
         if start:
             self.floor = max(self.floor, float(gens[:start].max()))
         stop = int(np.searchsorted(times, self.t1, side="left"))
-        self.closed = stop < times.size
         lo = start
         while lo < stop:
             hi = min(lo + self.area.size - self.filled, stop)
@@ -452,10 +466,8 @@ class _BlockingChannel:
             np.cumsum(block, out=block)
             block += base
             base = float(block[-1])
-            now = kept = gens.size
-            if base > horizon:
-                now = int(np.searchsorted(gens, horizon, side="right"))
-                kept = int(np.searchsorted(deps, horizon, side="right"))
+            now = int(np.searchsorted(gens, horizon, side="right"))
+            kept = int(np.searchsorted(deps, horizon, side="right"))
             # the block's busy times, in the draws it no longer needs
             part = np.subtract(deps[:now], gens[:now], out=draws[:now])
             # gens[i + 1] >= deps[i], so only the last accepted update can end
@@ -507,8 +519,8 @@ class _PreemptivePair:
 
     def __call__(self, arrival_rng, service_rng, trace):
         lam, mu, horizon, a, d = self.lam, self.mu, self.horizon, self.a, self.d
-        base, prev = 0.0, -_INF  # prev: the delivery instant of the update before the block
-        first = pending = n = 0  # the index of update a[0], and how many are undecided
+        base = 0.0
+        first = pending = 0  # the index of update a[0], and how many are undecided
         if trace is not None:  # every arrival and delivery instant, and the kept updates
             columns = (_Column(), _Column(), _Column(np.intp))
         while base <= horizon:
@@ -521,38 +533,31 @@ class _PreemptivePair:
             np.cumsum(block, out=block)
             block += base
             base = float(block[-1])
-            last = base > horizon
-            end = pending + (int(np.searchsorted(block, horizon, side="right")) if last
-                             else block.size)
+            end = pending + int(np.searchsorted(block, horizon, side="right"))
             new = d[pending:end]
             service_rng.standard_exponential(out=new)
             new *= 1.0 / mu
             new += a[pending:end]
-            # busy[j - pending] iff update j-1 is in service at arrival j
-            busy = np.empty(end - pending, dtype=bool)
-            if busy.size:
-                busy[0] = prev > a[pending]
-                np.greater(d[pending:end - 1], a[pending + 1:end], out=busy[1:])
-                prev = float(d[end - 1])
+            # busy[j] iff update j-1 is in service at arrival j (busy[0] False)
+            busy = np.zeros(end, dtype=bool)
+            np.greater(d[:end][:-1], a[1:end], out=busy[1:])
             # updates up to L - 2 are decided, L being the last busy arrival:
             # a kept one delivers by a[L], and every later update delivers
             # after a[L] (update L - 1 is in service then), so the block's
-            # kept deliveries precede all later ones. The last block decides
-            # the rest.
+            # kept deliveries precede all later ones. After the first decision
+            # the window starts at update L - 1 of the block before, so L >= 1.
+            # The last block decides the rest.
             decided = end
-            if not last:
-                decided = max(end - 2 - int(busy[::-1].argmax()), 0) if busy.any() else 0
-            # limit[k] for update k; no arrival before the block is busy from
-            # k + 2 on, or update k would have been decided. From 0 at a busy
+            if base <= horizon:
+                decided = end - 2 - int(busy[::-1].argmax()) if busy.any() else 0
+            # limit[k] for update k, from arrival k + 2 on. From 0 at a busy
             # arrival and the horizon elsewhere, the max with a gives a and
             # the horizon, as a <= horizon, without a branch on random data.
             limit = np.full(decided, horizon)
-            lo, hi = max(pending, 2), min(end, decided + 2)
-            if hi > lo:
-                part = limit[lo - 2:hi - 2]
-                np.logical_not(busy[lo - pending:hi - pending], out=part)
-                part *= horizon
-                np.maximum(part, a[lo:hi], out=part)
+            part = limit[:max(end - 2, 0)]
+            np.logical_not(busy[2:2 + part.size], out=part)
+            part *= horizon
+            np.maximum(part, a[2:2 + part.size], out=part)
             # fmin is minimum on this NaN-free input, without NaN tests
             np.fmin.accumulate(limit[::-1], out=limit[::-1])
             kept = np.flatnonzero(d[:decided] <= limit)
@@ -565,10 +570,11 @@ class _PreemptivePair:
             yield deps[order], a.take(kept[order])
             a[:end - decided] = a[decided:end]
             d[:end - decided] = d[decided:end]
-            first, pending, n = first + decided, end - decided, n + end - pending
+            first, pending = first + decided, end - decided
         if trace is not None:
             trace.append(_pair_rows(*(column.values() for column in columns)))
-        return n
+        # the last block decides every update, so first counts the arrivals
+        return first
 
 
 def _pair_rows(a, d, kept):

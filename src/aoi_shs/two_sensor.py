@@ -289,7 +289,8 @@ def average_aoi_equal_service(lambda1: float, lambda2: float, mu: float) -> floa
                        + 17 * l2**4 + 16 * m**4)
     )
     denom = 4 * (l1 + l2) * m * (l1 + m) ** 3 * (l2 + m) ** 3
-    return (first + second) / denom / scale
+    return _closed_form(first + second, denom, scale,
+                        lambda1=lambda1, lambda2=lambda2, mu=mu)
 
 
 def average_aoi_symmetric(lam: float, mu: float) -> float:
@@ -308,11 +309,23 @@ def average_aoi_symmetric(lam: float, mu: float) -> float:
         5 * a**5 + 20 * a**4 * s + 34 * a**3 * s**2
         + 30 * a**2 * s**3 + 12 * a * s**4 + 2 * s**5
     )
-    return num / (4 * a * s * (a + s) ** 4) / scale
+    return _closed_form(num, 4 * a * s * (a + s) ** 4, scale, lam=lam, mu=mu)
 
 
 def zero_wait_limit(mu: float) -> float:
     """Saturation limit of the symmetric system: each sensor regenerates the
     instant it goes idle, leaving an average age of 5 / (4 mu)."""
     _require_positive(mu=mu)
-    return 5.0 / (4.0 * mu)
+    return _closed_form(5.0, 4.0 * mu, 1.0, mu=mu)
+
+
+def _closed_form(num, denom, scale, **rates) -> float:
+    """``num / denom / scale``, the last step of a closed form, or
+    ``ValueError`` naming ``rates`` if the denominator underflows to zero or
+    the age overflows: the rates lie outside the closed form's float range."""
+    if denom:
+        age = num / denom / scale
+        if age < math.inf:
+            return age
+    shown = ", ".join(f"{name}={float(value)!r}" for name, value in rates.items())
+    raise ValueError(f"rates {shown} lie outside the float range of the closed form")

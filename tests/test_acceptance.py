@@ -2,6 +2,13 @@
 [PASS]/[FAIL] line (run with ``pytest -s`` to see them on success).
 
 Set AOI_SHS_SLOW_TESTS=1 to enable the long-horizon convergence tier.
+
+Each simulation-against-theory comparison passes two gates: the relative
+gap under its bound, and ``z = (simulated - theory) / stderr`` inside the
+two-sided Student-t quantile for ``num_trials - 1`` degrees of freedom at a
+Bonferroni share of a 1% family-wise false-alarm rate over all
+``GATED_COMPARISONS``. The relative bound alone passes a simulator whose
+rates are 3% off (see ``test_z_gate_catches_a_rate_error``).
 """
 
 import os
@@ -9,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from aoi_shs.des_sim import SimConfig, simulate_mm11, simulate_two_sensor, simulate_mm2_preemptive
 from aoi_shs.shs_core import average_age, solve_correlation, solve_stationary
@@ -24,6 +32,27 @@ from aoi_shs.two_sensor import (
 from oracles import nine_state_residual, sawtooth_average_walk, single_queue_model
 
 BASE_SEED = 12345
+
+#: Sim-versus-theory comparisons under the z-gate, over both tiers: the
+#: 3x3 sweep grid, three single-queue points, the 81 cells of the full
+#: sweep and the long-horizon run.
+GATED_COMPARISONS = 9 + 3 + 81 + 1
+FAMILY_ALPHA = 0.01
+
+
+def z_limit(num_trials: int) -> float:
+    """The largest |z| a simulation of ``num_trials`` trials may show."""
+    return float(stats.t.ppf(1 - FAMILY_ALPHA / (2 * GATED_COMPARISONS), num_trials - 1))
+
+
+def gap_and_z(simulated: float, theory: float, stderr: float) -> tuple[float, float]:
+    """The relative gap of a simulated mean to theory, and its z."""
+    return (simulated - theory) / theory, (simulated - theory) / stderr
+
+
+def worst(values) -> float:
+    """The entry of largest magnitude, with its sign."""
+    return max(values, key=abs)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -103,7 +132,7 @@ def test_zero_wait_limit():
 
 def test_simulation_matches_theory_on_sweep_grid():
     start = time.perf_counter()
-    worst = 0.0
+    gaps, zs = [], []
     covered = 0
     cell = 0
     for l1 in (0.1, 0.5, 0.9):
@@ -112,15 +141,37 @@ def test_simulation_matches_theory_on_sweep_grid():
             theory = average_aoi_general(params).average_aoi
             config = SimConfig(horizon=2e5, num_trials=10, seed=BASE_SEED + cell)
             result = simulate_two_sensor(params, config)
-            worst = max(worst, abs(result.mean_aoi - theory) / theory)
+            gap, z = gap_and_z(result.mean_aoi, theory, result.stderr)
+            gaps.append(gap)
+            zs.append(z)
             covered += abs(result.mean_aoi - theory) <= result.ci95_halfwidth
             cell += 1
     elapsed = time.perf_counter() - start
+    limit = z_limit(10)
     report(
-        "simulated mean within 2% of the solver on the 3x3 sweep grid, "
-        "with theory inside the 95% CI in at least 8 of 9 cells",
-        worst < 0.02 and covered >= 8 and elapsed < 120.0,
-        f"worst rel gap {worst:.3%}, CI coverage {covered}/9, {elapsed:.1f}s",
+        f"simulated mean within 2% and |z| <= {limit:.2f} of the solver on the "
+        "3x3 sweep grid, with theory inside the 95% CI in at least 8 of 9 cells",
+        max(map(abs, gaps)) < 0.02 and max(map(abs, zs)) <= limit
+        and covered >= 8 and elapsed < 120.0,
+        f"worst rel gap {worst(gaps):+.3%}, worst z {worst(zs):+.2f}, "
+        f"CI coverage {covered}/9, {elapsed:.1f}s",
+    )
+
+
+def test_z_gate_catches_a_rate_error():
+    # cell (0.5, 0.8, 1, 1.4) of the sweep grid at its seed, simulated with
+    # mu2 3% fast: the relative bound passes it, the z-gate must not
+    start = time.perf_counter()
+    theory = average_aoi_general(TwoSensorParams(0.5, 0.8, 1.0, 1.4)).average_aoi
+    config = SimConfig(horizon=2e5, num_trials=10, seed=BASE_SEED + 4)
+    result = simulate_two_sensor(TwoSensorParams(0.5, 0.8, 1.0, 1.4 * 1.03), config)
+    gap, z = gap_and_z(result.mean_aoi, theory, result.stderr)
+    limit = z_limit(10)
+    elapsed = time.perf_counter() - start
+    report(
+        "a simulation with mu2 3% fast passes the 2% bound but fails the z-gate",
+        abs(gap) < 0.02 and abs(z) > limit and elapsed < 10.0,
+        f"rel gap {gap:+.3%}, z {z:+.2f} against {limit:.2f}, {elapsed:.1f}s",
     )
 
 
@@ -152,18 +203,22 @@ def test_two_sensor_beats_single_queue():
 
 def test_single_queue_cross_oracle():
     start = time.perf_counter()
-    worst = 0.0
+    gaps, zs = [], []
+    config = SimConfig()
     for lam, mu in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0)):
         model = single_queue_model(lam, mu)
         theory = average_age(solve_correlation(model, solve_stationary(model)))
-        result = simulate_mm11(lam, mu, SimConfig())
-        worst = max(worst, abs(result.mean_aoi - theory) / theory)
+        result = simulate_mm11(lam, mu, config)
+        gap, z = gap_and_z(result.mean_aoi, theory, result.stderr)
+        gaps.append(gap)
+        zs.append(z)
     elapsed = time.perf_counter() - start
+    limit = z_limit(config.num_trials)
     report(
         "two-state solve of the single blocking queue agrees with its "
-        "simulation within 2%",
-        worst < 0.02 and elapsed < 30.0,
-        f"worst rel gap {worst:.3%}, {elapsed:.1f}s",
+        f"simulation within 2% and |z| <= {limit:.2f}",
+        max(map(abs, gaps)) < 0.02 and max(map(abs, zs)) <= limit and elapsed < 30.0,
+        f"worst rel gap {worst(gaps):+.3%}, worst z {worst(zs):+.2f}, {elapsed:.1f}s",
     )
 
 
@@ -257,15 +312,16 @@ def test_full_sweep_simulation_tracks_theory():
     with redirect_stdout(buffer):
         code = main(["sweep-fig3", "--simulate", "--format", "json"])
     rows = json.loads(buffer.getvalue())
-    worst = max(
-        abs(row["sim_mean"] - row["theory_aoi"]) / row["theory_aoi"] for row in rows
-    )
+    gaps, zs = zip(*(gap_and_z(row["sim_mean"], row["theory_aoi"], row["sim_ci95"] / 1.96)
+                     for row in rows))
     elapsed = time.perf_counter() - start
+    limit = z_limit(SimConfig().num_trials)
     report(
-        "all 81 simulated sweep cells land within 2% of theory at the "
-        "default protocol",
-        code == 0 and len(rows) == 81 and worst < 0.02,
-        f"worst rel gap {worst:.3%}, {elapsed:.1f}s",
+        "all 81 simulated sweep cells land within 2% and |z| <= "
+        f"{limit:.2f} of theory at the default protocol",
+        code == 0 and len(rows) == 81
+        and max(map(abs, gaps)) < 0.02 and max(map(abs, zs)) <= limit,
+        f"worst rel gap {worst(gaps):+.3%}, worst z {worst(zs):+.2f}, {elapsed:.1f}s",
     )
 
 
@@ -275,10 +331,12 @@ def test_long_horizon_convergence():
     theory = average_aoi_symmetric(1.0, 1.0)
     config = SimConfig(horizon=2e6, num_trials=10, seed=BASE_SEED)
     result = simulate_two_sensor(TwoSensorParams(1.0, 1.0, 1.0, 1.0), config)
-    gap = abs(result.mean_aoi - theory) / theory
+    gap, z = gap_and_z(result.mean_aoi, theory, result.stderr)
     elapsed = time.perf_counter() - start
+    limit = z_limit(config.num_trials)
     report(
-        "long-horizon symmetric run converges to the closed form within 0.5%",
-        gap < 0.005,
-        f"rel gap {gap:.4%}, {elapsed:.1f}s",
+        f"long-horizon symmetric run converges to the closed form within 0.5% "
+        f"and |z| <= {limit:.2f}",
+        abs(gap) < 0.005 and abs(z) <= limit,
+        f"rel gap {gap:+.4%}, z {z:+.2f}, {elapsed:.1f}s",
     )

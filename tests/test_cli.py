@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -363,10 +364,16 @@ class TestSweep:
                          min_size=1, max_size=8, unique=True),
            data=st.data())
     def test_json_table_matches_indented_dumps(self, keys, data):
-        cells = st.one_of(st.none(), st.floats())
+        cells = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
         rows = data.draw(st.lists(st.tuples(*[cells] * len(keys)), min_size=1, max_size=6))
         expected = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
         assert _table("json", ",".join(keys), rows) == expected
+        # a non-finite cell has no JSON form, so it raises rather than print
+        row = data.draw(st.sampled_from(rows))
+        bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        at = data.draw(st.integers(0, len(keys) - 1))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _table("json", ",".join(keys), [(*row[:at], bad, *row[at + 1:])])
 
     def test_default_csv_is_pinned(self, capsys):
         code, out, _ = run(capsys, "sweep-fig3")
@@ -543,6 +550,34 @@ class TestExitCodes:
         assert f"{flags}: " in err and "exceed the cap of 500000" in err
         # one float per point of the grid alone would be 4 MB
         assert peak < 1_000_000
+
+    # results outside the float range: a closed form whose denominator
+    # underflows or whose age overflows, and an age integral past float max
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("theory", "--method", "eq17", "--l1", "1e-320", "--l2", "1e-320",
+                      "--m", "1e-320"),
+                     "rates lam=1e-320, mu=1e-320 lie outside the float range",
+                     id="eq17-overflow"),
+        pytest.param(("theory", "--method", "zero_wait", "--m", "1e-320"),
+                     "rates mu=1e-320 lie outside the float range", id="zero-wait-overflow"),
+        pytest.param(("theory", "--method", "eq17", "--l1", "1e300", "--l2", "1e300",
+                      "--m", "1e-300"),
+                     "rates lam=1e+300, mu=1e-300 lie outside the float range",
+                     id="eq17-underflow"),
+        pytest.param(("theory", "--method", "eq16", "--l1", "1e-300", "--l2", "1e300",
+                      "--m", "1"),
+                     "rates lambda1=1e-300, lambda2=1e+300, mu=1.0 lie outside the float range",
+                     id="eq16-underflow"),
+        pytest.param(("simulate", "--model", "mm11", "--l1", "1e-300", "--m", "1e-300",
+                      "--horizon", "1e300", "--trials", "2"),
+                     "horizon must be at most 1.3408e+154", id="simulate-horizon"),
+    ])
+    def test_result_outside_float_range_refused(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_grid_at_cap_is_built(self):
         (grid,) = _grids(((0.2, 5.0, MAX_GRID_POINTS), "--grid-lambda"))

@@ -125,6 +125,20 @@ class TestTimeAverageAge:
         with pytest.raises(ValueError, match="equal length"):
             time_average_age([1.0, 2.0], [0.5], (0.0, 10.0))
 
+    @pytest.mark.parametrize("window, initial_age", [
+        ((0.0, 1e160), 0.0),
+        ((-1e308, 1e308), 0.0),
+        ((0.0, 1e100), 1e300),
+        ((8e307, math.nextafter(8e307, math.inf)), 0.0),
+    ])
+    def test_window_whose_integral_overflows_rejected(self, window, initial_age):
+        with pytest.raises(ValueError, match="too wide: its age integral overflows"):
+            time_average_age([], [], window, initial_age)
+
+    def test_widest_windows_accepted(self):
+        assert time_average_age([], [], (0.0, 1e154)) == 5e153
+        assert time_average_age([], [], (-1e154, 1e153)) == pytest.approx(5.5e153, rel=1e-15)
+
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             time_average_age([], [], (3.0, 3.0))
@@ -296,6 +310,24 @@ class TestConfig:
         with pytest.raises(ValueError) as exc:
             SimConfig(horizon=np.float64(-1))
         assert str(exc.value) == "horizon must be strictly positive and finite, got -1.0"
+
+    def test_horizon_bound_keeps_the_age_integral_finite(self):
+        assert des_sim.MAX_HORIZON * des_sim.MAX_HORIZON < math.inf
+        assert SimConfig(horizon=des_sim.MAX_HORIZON).horizon == des_sim.MAX_HORIZON
+        for horizon in (math.nextafter(des_sim.MAX_HORIZON, math.inf), 1e300, 10**300):
+            with pytest.raises(ValueError, match="horizon must be at most 1.3408e"):
+                SimConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [200, np.int64(200), np.float32(200.5)],
+                             ids=["int", "int64", "float32"])
+    @pytest.mark.parametrize("simulate", [simulate_mm11, simulate_mm2_preemptive])
+    def test_horizon_runs_as_a_float(self, simulate, horizon):
+        # an int horizon gave the pair int limits, into which numpy refused
+        # to write the arrival instants; a float32 one rounded them
+        config = SimConfig(horizon=horizon, num_trials=2, seed=3)
+        assert type(config.horizon) is float
+        expected = simulate(3.0, 1.0, SimConfig(horizon=float(horizon), num_trials=2, seed=3))
+        assert simulate(3.0, 1.0, config) == expected
 
     def test_numpy_integer_seed_accepted(self):
         assert SimConfig(num_trials=np.int64(2), seed=np.uint64(7)).seed == 7

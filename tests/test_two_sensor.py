@@ -403,6 +403,18 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             func(*args)
 
+    @pytest.mark.parametrize("func, args", [
+        (average_aoi_symmetric, (1e-320, 1e-320)),
+        (average_aoi_symmetric, (1e300, 1e-300)),
+        (average_aoi_equal_service, (1e-300, 1e300, 1.0)),
+        (average_aoi_equal_service, (1e-320, 1e-320, 1e-320)),
+        (zero_wait_limit, (1e-320,)),
+    ])
+    def test_results_outside_the_float_range_rejected(self, func, args):
+        # the denominator underflows to zero, or the age overflows
+        with pytest.raises(ValueError, match="lie outside the float range of the closed form"):
+            func(*args)
+
     @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
     @pytest.mark.parametrize("func, arity", [
         (average_aoi_equal_service, 3),
