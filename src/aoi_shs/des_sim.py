@@ -47,10 +47,16 @@ draws of a per-arrival walk and gives its results bit for bit.
 
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
-draws from streams 2k and 2k+1. A blocking channel's stream 2k holds the
-accepted-arrival waits, then its blocked count, then the draws only a trace
-uses; stream 2k+1 holds its service times. The preemptive pair draws its
-arrival instants from stream 0 and its service times from stream 1. Results
+draws from streams 2k and 2k+1. A blocking channel's stream 2k holds only
+the accepted-arrival waits its trial reaches, as a block may stop short at
+the horizon; its blocked count, then the draws only a trace uses, come from
+stream 2k jumped (``bit_generator.jumped()``, taken before the first wait).
+Stream 2k+1 holds its service times. Trial values and delivery and
+generation instants are bit-identical to those of the earlier contract,
+which drew whole blocks and then the blocked count from stream 2k itself;
+event counts and blocked trace rows are statistically equivalent to its.
+The preemptive pair draws its arrival instants from stream 0 and its
+service times from stream 1. Results
 are therefore bit-identical across runs on one platform, a traced run gives
 the values of an untraced one, and each trial's value is independent of how
 many trials run alongside it. Simultaneous events have probability zero; for
@@ -79,8 +85,11 @@ DEFAULT_SEED = 12345
 #: from the last sum of the block before, so this size fixes the rounding,
 #: and so the bits, of every instant. It also fixes the summation order, and
 #: so the bits, of every trial value: the age integral sums its areas, and a
-#: blocking channel its busy times, in chunks this long. The trace writer's
-#: row batches are as long too; their length changes no byte.
+#: blocking channel its busy times, in chunks this long. A blocking channel
+#: draws a block in pieces, the last one only as far as the horizon needs;
+#: each piece carries the block's running sum, so the bits are those of the
+#: whole block. The trace writer's row batches are as long too; their length
+#: changes no byte.
 _DRAW_BLOCK = 1 << 14
 
 #: A run is rejected when horizon times the model's total rate, the expected
@@ -102,6 +111,11 @@ MAX_EXPECTED_EVENTS = 2e7
 MAX_HORIZON = math.sqrt(sys.float_info.max)
 
 _INF = math.inf
+
+#: The draws ``PCG64.jumped()`` skips, (phi - 1) * 2**128 as numpy documents
+#: it. A blocking channel advances one kept generator by it, from its wait
+#: stream's state, in place of seeding a new jumped one in every trial.
+_JUMP = 210306068529402873165736369884012333109
 
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
 
@@ -447,27 +461,50 @@ class _BlockingChannel:
     updates are the running sum of alternating Exp(lam) waits and Exp(mu)
     services, a block of each at a time; deliveries completing past the
     horizon are dropped, and the blocked arrivals are one Poisson count over
-    the busy time, summed per block and drawn after the last block."""
+    the busy time, summed per block and drawn after the last block from the
+    jumped wait stream.
+
+    A block is drawn in pieces of :func:`_cycles_due` cycles, so the last
+    one stops soon after the horizon. Each piece's first wait carries the
+    block's running sum so far, and the block's base is added after the
+    piece's cumsum, so every instant has the bits of one cumsum over the
+    whole block."""
 
     def __init__(self, lam, mu, horizon, sensor):
         self.lam, self.mu, self.horizon, self.sensor = lam, mu, horizon, sensor
         self.block, self.draws = np.empty(2 * _DRAW_BLOCK), np.empty(_DRAW_BLOCK)
+        self.counts = np.random.Generator(np.random.PCG64(0))
 
     def __call__(self, arrival_rng, service_rng, trace):
+        # the blocked count and the trace-only draws, from the wait stream
+        # jumped, which the waits never reach
+        counts = self.counts
+        counts.bit_generator.state = arrival_rng.bit_generator.state
+        counts.bit_generator.advance(_JUMP)
         lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
+        wait, service = 1.0 / lam, 1.0 / mu
         gens, deps = block[0::2], block[1::2]
         if trace is not None:  # accepted updates' generation, kept ones' delivery
             starts, ends = _Column(), _Column()
         base = busy = 0.0
         accepted = 0
         while base <= horizon:
-            np.multiply(arrival_rng.standard_exponential(out=draws), 1.0 / lam, out=gens)
-            np.multiply(service_rng.standard_exponential(out=draws), 1.0 / mu, out=deps)
-            np.cumsum(block, out=block)
-            block += base
-            base = float(block[-1])
-            now = int(np.searchsorted(gens, horizon, side="right"))
-            kept = int(np.searchsorted(deps, horizon, side="right"))
+            size, partial = 0, 0.0  # the block's cycles drawn and their sum
+            while size < draws.size and base + partial <= horizon:
+                count = _cycles_due(horizon - (base + partial), wait + service, draws.size - size)
+                piece = block[2 * size:2 * (size + count)]
+                np.multiply(arrival_rng.standard_exponential(out=draws[:count]), wait,
+                            out=gens[size:size + count])
+                np.multiply(service_rng.standard_exponential(out=draws[:count]), service,
+                            out=deps[size:size + count])
+                piece[0] += partial
+                np.cumsum(piece, out=piece)
+                partial = float(piece[-1])
+                piece += base
+                size += count
+            base += partial
+            now = int(np.searchsorted(gens[:size], horizon, side="right"))
+            kept = int(np.searchsorted(deps[:size], horizon, side="right"))
             # the block's busy times, in the draws it no longer needs
             part = np.subtract(deps[:now], gens[:now], out=draws[:now])
             # gens[i + 1] >= deps[i], so only the last accepted update can end
@@ -480,12 +517,12 @@ class _BlockingChannel:
                 starts.extend(now)[:] = gens[:now]
                 ends.extend(kept)[:] = deps[:kept]
             yield deps[:kept], gens[:kept]
-        n_blocked = int(arrival_rng.poisson(lam * busy))
+        n_blocked = int(counts.poisson(lam * busy))
         if trace is not None:
             starts, ends = starts.values(), ends.values()
             # the busy times as in the blocks, the last one cut at the horizon
             durations = np.concatenate((ends - starts[:ends.size], horizon - starts[ends.size:]))
-            blocked = _busy_uniform(arrival_rng, starts, durations, n_blocked)
+            blocked = _busy_uniform(counts, starts, durations, n_blocked)
             trace.append((
                 np.concatenate((starts, blocked, ends)),
                 np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]),
@@ -494,6 +531,19 @@ class _BlockingChannel:
                 np.concatenate((starts, blocked, starts[:ends.size])),
             ))
         return accepted + n_blocked
+
+
+def _cycles_due(span, cycle, room) -> int:
+    """How many wait-and-service cycles of mean length ``cycle`` a blocking
+    channel draws next when its horizon lies ``span`` past its last instant
+    and its block has ``room`` cycles left: the cycles the span needs on
+    average plus four standard deviations and eight more, so that one piece
+    almost always passes the horizon, or the whole room when that is fewer.
+    A cycle's standard deviation is at most its mean, so the count of
+    cycles in the span has a variance of at most its mean."""
+    due = span / cycle
+    due += 4.0 * math.sqrt(due) + 8.0
+    return int(due) if due < room else room
 
 
 def _busy_uniform(rng, starts, busy, count):

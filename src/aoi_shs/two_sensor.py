@@ -322,9 +322,12 @@ def zero_wait_limit(mu: float) -> float:
 def _closed_form(num, denom, scale, **rates) -> float:
     """``num / denom / scale``, the last step of a closed form, or
     ``ValueError`` naming ``rates`` if the denominator underflows to zero or
-    the age overflows: the rates lie outside the closed form's float range."""
+    the age overflows: the rates lie outside the closed form's float range.
+    Numpy scalar rates divide as numpy scalars, whose overflow warning the
+    refusal makes redundant."""
     if denom:
-        age = num / denom / scale
+        with np.errstate(over="ignore"):
+            age = num / denom / scale
         if age < math.inf:
             return age
     shown = ", ".join(f"{name}={float(value)!r}" for name, value in rates.items())

@@ -36,10 +36,11 @@ MM2P_CONFIG = SimConfig(horizon=2e4, num_trials=5, seed=999, warmup=0.01)
 # recorded when the blocking channels moved to renewal form, after they
 # matched the per-arrival scan of tests/oracles.py; at this horizon the
 # accepted-update draws of sensor 1 and of the single queue each run past
-# one draw block
+# one draw block. The event counts were re-recorded when the blocked counts
+# moved to the jumped wait stream; the trial values did not move
 PIN_CONFIG = SimConfig(horizon=2e4, num_trials=2, seed=77, warmup=0.02)
-TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235411)
-MM11_PIN = ((0.899917682916618, 0.8979810116847353), 221077)
+TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235507)
+MM11_PIN = ((0.899917682916618, 0.8979810116847353), 220951)
 # recorded from the per-arrival loop, before the pair ran on arrays
 MM2P_PIN = ((0.5275269043362499, 0.5275937053441493), 266618)
 
@@ -51,15 +52,16 @@ TRACE_RUNS = {
     "mm2p": lambda trace_dir: simulate_mm2_preemptive(3.0, 1.0, TRACE_CONFIG, trace_dir),
 }
 # sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at
-# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form)
+# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form, and
+# again when their blocked rows moved to the jumped wait stream)
 TRACE_SHA256 = {
     "two_sensor": (
-        "9c81dacc00b59328b0eb92650a0d8039e67af17f8f34b27114deb9ff0578e2c7",
-        "19222519f597bdf1f93863860178c3de49b5212919b5cabec2850b54fafcf9e7",
+        "8accee8c14ecad5bdd512fc55672ce3967b77e1f33a0d79422b1dbc8afe5cab4",
+        "7433542724a9ccbfabe4cad0b70f9818de575052f33a2d9697d0dc19dd11884b",
     ),
     "mm11": (
-        "c343b99ccfcc085e0050f6d23c597af079ddb182661e0463b2c32136d19fc11f",
-        "61e06af077c8dcd27da427d55513fc60f3707ab17d3fabd36b1fb6594c64e845",
+        "f7f94351c428d18e053df9e0aa96c5c8c8b168b98061fbca24e6b80f36f8c9e8",
+        "89327f19ab672542ef8e679f8065b53f1073f6a95eb62eec024173ccc96bcf39",
     ),
     "mm2p": (
         "a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
@@ -311,6 +313,16 @@ class TestConfig:
             SimConfig(horizon=np.float64(-1))
         assert str(exc.value) == "horizon must be strictly positive and finite, got -1.0"
 
+    def test_int_past_the_float_range_rejected(self):
+        # an exact comparison passes it, but no float holds it
+        huge = 10**400
+        with pytest.raises(ValueError) as exc:
+            SimConfig(horizon=huge)
+        assert str(exc.value) == f"horizon must be strictly positive and finite, got {huge}"
+        with pytest.raises(ValueError) as exc:
+            simulate_mm11(1.0, huge, SimConfig(horizon=10.0, num_trials=1))
+        assert str(exc.value) == f"mu must be strictly positive and finite, got {huge}"
+
     def test_horizon_bound_keeps_the_age_integral_finite(self):
         assert des_sim.MAX_HORIZON * des_sim.MAX_HORIZON < math.inf
         assert SimConfig(horizon=des_sim.MAX_HORIZON).horizon == des_sim.MAX_HORIZON
@@ -533,6 +545,21 @@ def _drain(stream):
         gens.append(block_gens.copy())
 
 
+class _DrawCounter:
+    """A generator that counts the standard exponentials drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_exponential(self, *args, **kwargs):
+        draws = self.rng.standard_exponential(*args, **kwargs)
+        self.drawn += np.size(draws)
+        return draws
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def _mean_and_stderr(values):
     arr = np.asarray(values, dtype=float)
     return arr.mean(), arr.std(ddof=1) / math.sqrt(arr.size)
@@ -574,6 +601,72 @@ class TestRenewalChannel:
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
             lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
         assert deps.size > 2 * des_sim._DRAW_BLOCK
+        assert np.array_equal(deps, ref_deps)
+        assert np.array_equal(gens, ref_gens)
+        assert n_arrivals == ref_arrivals
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_split_of_a_block_matches_whole_blocks(self, data):
+        # pieces of any size in place of the horizon's estimate give the
+        # instants and blocked count of whole-block draws, bit for bit
+        lam, mu = data.draw(st.sampled_from([(1.0, 1.0), (4.0, 1.0), (0.3, 2.0)]))
+        block = data.draw(st.integers(1, 16))
+        horizon = data.draw(st.floats(0.01, 3.0)) * block * (1.0 / lam + 1.0 / mu)
+        seed = data.draw(st.integers(0, 2**32))
+
+        def pieces(span, cycle, room):
+            return data.draw(st.integers(1, room))
+
+        with mock.patch.object(des_sim, "_DRAW_BLOCK", block), \
+                mock.patch.object(des_sim, "_cycles_due", pieces):
+            streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
+            deps, gens, n_arrivals = _drain(
+                des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
+        streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
+        ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
+            lam, mu, horizon, *streams, block=block)
+        assert np.array_equal(deps, ref_deps)
+        assert np.array_equal(gens, ref_gens)
+        assert n_arrivals == ref_arrivals
+
+    # the horizon lies at the end of the first block, or in the first, the
+    # second, the last but one or the last cycle of the second block
+    @pytest.mark.parametrize("cycles", [0, 1, 2, des_sim._DRAW_BLOCK - 1, des_sim._DRAW_BLOCK])
+    def test_horizon_at_block_edges_matches_whole_blocks(self, cycles):
+        lam, mu, block = 2.0, 1.0, des_sim._DRAW_BLOCK
+        streams = [des_sim._rng(4, 0, s) for s in (0, 1)]
+        deps, gens, _ = blocking_channel_loop(
+            lam, mu, 3 * block * (1.0 / lam + 1.0 / mu), *streams, block=block)
+        assert len(deps) > 2 * block
+        # the second block must draw `cycles` cycles to pass the horizon
+        horizon = (deps[block - 1] if cycles == 0
+                   else (gens[block + cycles - 1] + deps[block + cycles - 1]) / 2)
+        streams = [des_sim._rng(4, 0, s) for s in (0, 1)]
+        deps, gens, n_arrivals = _drain(
+            des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
+        streams = [des_sim._rng(4, 0, s) for s in (0, 1)]
+        ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
+            lam, mu, horizon, *streams, block=block)
+        assert deps.size == block + max(cycles - 1, 0)
+        assert np.array_equal(deps, ref_deps)
+        assert np.array_equal(gens, ref_gens)
+        assert n_arrivals == ref_arrivals
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("cycles", [1, 100, 3000])
+    def test_draws_grow_with_the_horizon_not_the_block(self, cycles, seed):
+        # a trial of about `cycles` expected wait-and-service cycles draws
+        # O(cycles) waits and services, not a whole block of each
+        lam, mu = 2.0, 1.0
+        horizon = cycles * (1.0 / lam + 1.0 / mu)
+        spies = [_DrawCounter(des_sim._rng(seed, 0, s)) for s in (0, 1)]
+        deps, gens, n_arrivals = _drain(
+            des_sim._BlockingChannel(lam, mu, horizon, 1)(*spies, None))
+        assert [spy.drawn <= 2 * cycles + 50 for spy in spies] == [True, True]
+        streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
+        ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
+            lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
         assert np.array_equal(deps, ref_deps)
         assert np.array_equal(gens, ref_gens)
         assert n_arrivals == ref_arrivals

@@ -155,6 +155,9 @@ class TestBuildModel:
         pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, "2.5", [[1]])],
                      r"transition 1 \(1->0\): rate must be strictly positive and finite, "
                      r"got '2\.5'", id="string-rate"),
+        pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, 10**400, [[1]])],
+                     r"transition 1 \(1->0\): rate must be strictly positive and finite, "
+                     r"got 10{400}$", id="int-past-float-range-rate"),
     ])
     def test_malformed_numbers_rejected(self, num_states, num_components, transitions,
                                         message):

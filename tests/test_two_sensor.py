@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -56,6 +57,12 @@ class TestParams:
     def test_non_real_rejected(self, bad):
         with pytest.raises(ValueError, match="lambda2 must be strictly positive and finite"):
             TwoSensorParams(1.0, bad, 1.0, 1.0)
+
+    def test_int_past_the_float_range_rejected(self):
+        # an exact comparison passes it, but no float holds it
+        with pytest.raises(ValueError) as exc:
+            TwoSensorParams(10**400, 1, 1, 1)
+        assert str(exc.value) == f"lambda1 must be strictly positive and finite, got {10**400}"
 
     def test_numpy_rate_shown_as_plain_number(self):
         with pytest.raises(ValueError) as exc:
@@ -414,6 +421,18 @@ class TestClosedForms:
         # the denominator underflows to zero, or the age overflows
         with pytest.raises(ValueError, match="lie outside the float range of the closed form"):
             func(*args)
+
+    @pytest.mark.parametrize("func, args", [
+        (average_aoi_symmetric, (1e-310, 1e-310)),
+        (average_aoi_equal_service, (1e-310, 1e-310, 1e-310)),
+        (zero_wait_limit, (1e-320,)),
+    ])
+    def test_numpy_scalar_overflow_refused_without_warning(self, func, args):
+        # numpy scalar rates divide as numpy scalars, and the age overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lie outside the float range of the closed form"):
+                func(*map(np.float64, args))
 
     @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
     @pytest.mark.parametrize("func, arity", [
