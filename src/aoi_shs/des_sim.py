@@ -25,7 +25,9 @@ blocks and trials. Every sum over a trial is a running sum over chunks of
 first segment, and a blocking channel's busy times, one draw block at a
 time. So an untraced trial runs in memory that does not grow with the
 horizon, and the block size fixes the bits of each value (summed whole, a
-trial of more than one chunk would differ in its last bits).
+trial of more than one chunk would differ in its last bits). A traced trial
+keeps the trace rows its channels append, block by block once they are
+final, and writes them in time order at its end.
 
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
@@ -95,15 +97,16 @@ _DRAW_BLOCK = 1 << 14
 #: A run is rejected when horizon times the model's total rate, the expected
 #: events of one trial, exceeds this cap. An untraced trial streams through
 #: buffers reused from one to the next and sums per block, so nothing in it
-#: grows with the horizon; a traced one keeps its trace columns. Measured
-#: peak RSS growth per expected event over lambda/mu from 0.25 to 50 (mu =
-#: 1, one trial, against a trial of a few events): untraced, at 1e7 expected
-#: events, at most 0.26 B for the two-sensor system (lambda/mu = 0.25),
-#: 0.04 B for the single queue and 0.20 B for the preemptive pair
-#: (lambda/mu = 0.5), the block buffers alone; with a trace directory, at
-#: 2e6 expected events, at most 43 B (the preemptive pair at lambda/mu =
-#: 50). The traced growth binds: 2e7 * 43 B = 0.86 GB, so every model stays
-#: under 2 GB at the cap with room for the interpreter.
+#: grows with the horizon; a traced one keeps its trace rows. Measured peak
+#: RSS growth per expected event (mu = 1, one trial, against one of a few
+#: events): untraced, at 1e7 expected events over lambda/mu from 0.25 to 50,
+#: at most 0.26 B for the two-sensor system (lambda/mu = 0.25), 0.04 B for
+#: the single queue and 0.20 B for the preemptive pair (lambda/mu = 0.5),
+#: the block buffers alone; traced, at 2e6 expected events and lambda/mu of
+#: 0.5, 4 and 50, at most 47 B (the preemptive pair at lambda/mu = 4; the
+#: allocator's layout moves it by up to 6 B between builds). The traced
+#: growth binds: 2e7 * 47 B = 0.94 GB, so every model stays under 2 GB at
+#: the cap with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -272,23 +275,6 @@ def _room(buf, used: int, size: int):
     return grown
 
 
-class _Column:
-    """A trace column: a trial-length array written block by block into one
-    buffer, grown by :func:`_room` as the blocks come."""
-
-    def __init__(self, dtype=float):
-        self.data, self.size = np.empty(0, dtype), 0
-
-    def extend(self, count: int):
-        """A view of ``count`` new entries at the end."""
-        self.data = _room(self.data, self.size, self.size + count)
-        self.size += count
-        return self.data[self.size - count:self.size]
-
-    def values(self):
-        return self.data[:self.size]
-
-
 def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult:
     """Run every channel of every trial and average the merged deliveries.
 
@@ -296,11 +282,11 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     returns a generator: it yields ``(deliveries, generations)`` blocks in
     time order, each no earlier than the last delivery yielded before, and
     returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
-    is None, or a list to which the channel appends its rows, after its last
-    block, as one column chunk ``(times, kind codes, sensors, generation
-    times)``. Events processed are arrivals plus deliveries; a run is
-    refused when it expects more than ``MAX_EXPECTED_EVENTS``, ``horizon *
-    total_rate``.
+    is None, or the trial's one list, shared by all channels, to which each
+    appends its rows as column chunks ``(times, kind codes, sensors,
+    generation times)``, in any order, once they are final. Events processed
+    are arrivals plus deliveries; a run is refused when it expects more than
+    ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
     """
     expected = config.horizon * total_rate
     if expected > MAX_EXPECTED_EVENTS:
@@ -313,17 +299,17 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     values = []
     events = 0
     for trial in range(config.num_trials):
-        traces = [[] if trace_dir is not None else None for _ in channels]
+        trace = [] if trace_dir is not None else None
         streams = [
             channel(_rng(config.seed, trial, 2 * k), _rng(config.seed, trial, 2 * k + 1), trace)
-            for k, (channel, trace) in enumerate(zip(channels, traces))
+            for k, channel in enumerate(channels)
         ]
         # the monitor age is zero at time zero, hence equals t0 at the window
         # start: the held generation time is 0
         integral.start(0.0)
         events += merge(streams, integral.add)
-        if trace_dir is not None:
-            _write_trace(trace_dir, trial, [trace.pop() for trace in traces])
+        if trace is not None:
+            _write_trace(trace_dir, trial, trace)
         values.append(integral.value())
     return _summarize(values, events)
 
@@ -484,8 +470,8 @@ class _BlockingChannel:
         lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
         wait, service = 1.0 / lam, 1.0 / mu
         gens, deps = block[0::2], block[1::2]
-        if trace is not None:  # accepted updates' generation, kept ones' delivery
-            starts, ends = _Column(), _Column()
+        if trace is not None:  # per block, views of its trace chunk's times: starts, then ends
+            starts, ends = [], []
         base = busy = 0.0
         accepted = 0
         while base <= horizon:
@@ -514,22 +500,23 @@ class _BlockingChannel:
             busy += float(part.sum())
             accepted += now
             if trace is not None:
-                starts.extend(now)[:] = gens[:now]
-                ends.extend(kept)[:] = deps[:kept]
+                times = np.concatenate((gens[:now], deps[:kept]))
+                trace.append((times, np.repeat(np.int8([_ARRIVAL, _DELIVERY]), (now, kept)),
+                              np.full(times.size, self.sensor, np.int8),
+                              np.concatenate((gens[:now], gens[:kept]))))
+                starts.append(times[:now])
+                ends.append(times[now:])
             yield deps[:kept], gens[:kept]
         n_blocked = int(counts.poisson(lam * busy))
         if trace is not None:
-            starts, ends = starts.values(), ends.values()
-            # the busy times as in the blocks, the last one cut at the horizon
-            durations = np.concatenate((ends - starts[:ends.size], horizon - starts[ends.size:]))
+            # the busy times as in the blocks, ends minus starts, where the
+            # last block's update in service at the horizon ends there
+            starts = np.concatenate(starts)
+            durations = np.concatenate((*ends, [horizon] * (now - kept)))
+            durations -= starts
             blocked = _busy_uniform(counts, starts, durations, n_blocked)
-            trace.append((
-                np.concatenate((starts, blocked, ends)),
-                np.repeat(np.int8([_ARRIVAL, _BLOCKED, _DELIVERY]),
-                          (accepted, n_blocked, ends.size)),
-                np.full(accepted + n_blocked + ends.size, self.sensor, dtype=np.int8),
-                np.concatenate((starts, blocked, starts[:ends.size])),
-            ))
+            trace.append((blocked, np.full(n_blocked, _BLOCKED, np.int8),
+                          np.full(n_blocked, self.sensor, np.int8), blocked))
         return accepted + n_blocked
 
 
@@ -548,12 +535,14 @@ def _cycles_due(span, cycle, room) -> int:
 
 def _busy_uniform(rng, starts, busy, count):
     """``count`` sorted instants uniform over the busy intervals
-    ``[starts[i], starts[i] + busy[i])``."""
-    ends = np.cumsum(busy)
-    offsets = np.sort(rng.random(count)) * ends[-1] if count else np.empty(0)
+    ``[starts[i], starts[i] + busy[i])``, in place; ``busy`` is overwritten."""
+    ends = np.cumsum(busy, out=busy)
+    offsets = np.sort(rng.random(count))
+    offsets *= ends[-1] if count else 0.0
     index = np.searchsorted(ends, offsets, side="right")
     begins = np.concatenate(((0.0,), ends[:-1]))
-    return starts[index] + (offsets - begins[index])
+    offsets -= begins[index]
+    return np.add(offsets, starts[index], out=offsets)
 
 
 class _PreemptivePair:
@@ -571,8 +560,7 @@ class _PreemptivePair:
         lam, mu, horizon, a, d = self.lam, self.mu, self.horizon, self.a, self.d
         base = 0.0
         first = pending = 0  # the index of update a[0], and how many are undecided
-        if trace is not None:  # every arrival and delivery instant, and the kept updates
-            columns = (_Column(), _Column(), _Column(np.intp))
+        blocks = []  # per block, when traced: its arrival and delivery instants, its kept updates
         while base <= horizon:
             if pending + _DRAW_BLOCK > a.size:
                 a = self.a = _room(a, pending, pending + _DRAW_BLOCK)
@@ -612,8 +600,7 @@ class _PreemptivePair:
             np.fmin.accumulate(limit[::-1], out=limit[::-1])
             kept = np.flatnonzero(d[:decided] <= limit)
             if trace is not None:
-                for column, values in zip(columns, (a[pending:end], d[pending:end], kept + first)):
-                    column.extend(values.size)[:] = values
+                blocks.append((a[pending:end].copy(), d[pending:end].copy(), kept + first))
             # in time order, equal instants in arrival order
             deps = d.take(kept)
             order = np.argsort(deps, kind="stable")
@@ -622,7 +609,7 @@ class _PreemptivePair:
             d[:end - decided] = d[decided:end]
             first, pending = first + decided, end - decided
         if trace is not None:
-            trace.append(_pair_rows(*(column.values() for column in columns)))
+            trace.append(_pair_rows(*_joined(blocks)))
         # the last block decides every update, so first counts the arrivals
         return first
 
@@ -680,14 +667,20 @@ def _summarize(values, events: int) -> SimResult:
     )
 
 
-def _write_trace(trace_dir, trial: int, chunks) -> None:
-    """Dump one trial's event trace as CSV, rows in time order (stable across
-    the channels' column chunks). The post-event monitor age is ``t`` minus
-    the running maximum of delivered generation times, the filter rule
-    :func:`time_average_age` integrates."""
+def _joined(chunks):
+    """The columns of ``chunks``, a list of tuples, each joined into one
+    array; the list is cleared, so a column's parts are freed once joined."""
     columns = list(zip(*chunks))
-    chunks.clear()  # so each column's chunks are freed once it is merged
-    times, kinds, sensors, gens = (np.concatenate(columns.pop(0)) for _ in range(4))
+    chunks.clear()
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+
+
+def _write_trace(trace_dir, trial: int, chunks) -> None:
+    """Dump one trial's event trace as CSV, rows in time order (equal times in
+    the order of their column chunks). The post-event monitor age is ``t``
+    minus the running maximum of delivered generation times, the filter rule
+    :func:`time_average_age` integrates."""
+    times, kinds, sensors, gens = _joined(chunks)
     order = np.argsort(times, kind="stable")
     path = Path(trace_dir)
     path.mkdir(parents=True, exist_ok=True)

@@ -114,14 +114,14 @@ def _require_positive(**rates) -> None:
     strictly positive and finite, or ``ValueError`` reads ``<name> must be
     strictly positive and finite, got <value!r>``, a numpy scalar shown as
     the plain number it holds. The comparisons are exact, so a ``Fraction``
-    is judged by its own value; a value past the float range, which has no
-    float to compute with, is refused too. A name need not be an
-    identifier: ``**{"point 3: mu1": value}`` names a grid entry."""
+    is judged by its own value; a value past the float range, or one whose
+    float is 0, has no float to compute with and is refused too. A name need
+    not be an identifier: ``**{"point 3: mu1": value}`` names a grid entry."""
     for name, value in rates.items():
         if _is_a(numbers.Real, value) and 0.0 < value < math.inf:
             try:
-                float(value)
-                continue
+                if float(value) > 0.0:
+                    continue
             except OverflowError:
                 pass
         shown = value.item() if isinstance(value, np.generic) else value

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -68,6 +69,52 @@ TRACE_SHA256 = {
         "e37e477f97c91eb4c75f1836e420c9def42dc41e46c25be1a976a7db09ed7605",
     ),
 }
+
+# one trial past the first draw block of each channel: about 17600 cycles of
+# sensor 1 and of the single queue, 22000 arrivals at the pair
+LONG_TRACE_CONFIG = SimConfig(horizon=2.2e4, num_trials=1, seed=5, warmup=0.0)
+LONG_TRACE_RUNS = {
+    "two_sensor": lambda trace_dir: simulate_two_sensor(
+        TwoSensorParams(1.0, 0.5, 4.0, 1.0), LONG_TRACE_CONFIG, trace_dir),
+    "mm11": lambda trace_dir: simulate_mm11(1.0, 4.0, LONG_TRACE_CONFIG, trace_dir),
+    "mm2p": lambda trace_dir: simulate_mm2_preemptive(1.0, 1.0, LONG_TRACE_CONFIG, trace_dir),
+}
+# sha256 of the trial files of one run, joined in trial order: the
+# LONG_TRACE_RUNS entries, and the TestBlockEdges cases at two block sizes;
+# recorded while each channel still appended its trace after its last block
+LONG_TRACE_SHA256 = {
+    "two_sensor": "96ecf05d48a176b8bdff988e3842de63d0c59d072a3fefea0da02fed3fbf473d",
+    "mm11": "614a9d5a0f7800ac9d5cfc99807f9b485520399c07a80feebabe2d1868402321",
+    "mm2p": "151302e3a31b54f219039ff99ac8db5a162c0426c45bcb5a9e7aedcdc217f49a",
+}
+BLOCK_EDGE_TRACE_SHA256 = {
+    7: {
+        "mm11-0.01": "eb4470849d3a1e7e19499af90cccbdd3f6bd8d6db6595351bcdef4717fe2bc90",
+        "mm11-50": "a76655b54111cd375dc8319df68c22532d2618a955d891486529219ad45f7e29",
+        "mm2p-0.01": "897b49665601ced5e559bae0109ae7db7dc91742caa1a5d1dc52c7802a03ef58",
+        "mm2p-1": "4422cad282d7b155c2ea221fe0dedef4c431c53eea8fdf719b7ed0b2517b4f94",
+        "mm2p-50": "5bc9176eeb5fa38c059302e0450546d7d06a1bf921f6db02add8a7412b5ff10c",
+        "two_sensor-1": "201fef72c3c72a542a6f1d034555b7d23931ff30515e39d8d1132062f6a24699",
+        "two_sensor-skewed": "94dbdd88ce48dda0d92319540c2e58a697493506bc7b43866bfba1aabb2c3f9d",
+    },
+    64: {
+        "mm11-0.01": "5c4a6081f3bdbeb0487f2851ecd1e99284928e3d5b854176d7e48b21415bc5d3",
+        "mm11-50": "a94390a5857c2c6040c69cd036447fe8e8252edbf06325f81f8762a737a9de78",
+        "mm2p-0.01": "7b4843dcca162bbf7523204ba0c66b87dae544dfa2ea2806d5b24ad94b669992",
+        "mm2p-1": "5ecc5e9373491b930b286fa2de4d17c9375ff3368d90f61475693c86ef93415c",
+        "mm2p-50": "1577e48fbc5ed1a9467812c48bd053d7181f29f5de97f109243fa681940ab4f7",
+        "two_sensor-1": "313e684a93abacb2d5e1bd325918e068eb6d69533caf0acd8be90cd84462c15a",
+        "two_sensor-skewed": "0940aae02c9b165047a5260e04589a5daa794ff72027ff0dbc25a775935269eb",
+    },
+}
+
+
+def _trace_digest(trace_dir) -> str:
+    """sha256 of the trial files in ``trace_dir``, joined in trial order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(trace_dir).glob("trial_*.csv")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 @st.composite
@@ -323,6 +370,13 @@ class TestConfig:
             simulate_mm11(1.0, huge, SimConfig(horizon=10.0, num_trials=1))
         assert str(exc.value) == f"mu must be strictly positive and finite, got {huge}"
 
+    def test_fraction_whose_float_is_zero_rejected(self):
+        # an exact comparison passes it, but it would be stored as 0.0
+        tiny = Fraction(1, 10**400)
+        with pytest.raises(ValueError) as exc:
+            SimConfig(horizon=tiny)
+        assert str(exc.value) == f"horizon must be strictly positive and finite, got {tiny!r}"
+
     def test_horizon_bound_keeps_the_age_integral_finite(self):
         assert des_sim.MAX_HORIZON * des_sim.MAX_HORIZON < math.inf
         assert SimConfig(horizon=des_sim.MAX_HORIZON).horizon == des_sim.MAX_HORIZON
@@ -427,6 +481,17 @@ class TestReproducibility:
             for path in sorted(tmp_path.glob("trial_*.csv"))
         )
         assert digests == TRACE_SHA256[model]
+
+    @pytest.mark.parametrize("model", sorted(LONG_TRACE_RUNS))
+    def test_multi_block_trace_files_pinned(self, tmp_path, model):
+        LONG_TRACE_RUNS[model](tmp_path)
+        text = (tmp_path / "trial_000.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        # sensor 1's accepted arrivals, or all of the pair's: past one draw block
+        firsts = [row for row in rows
+                  if row[1] in ("arrival", "preempt") and (model == "mm2p" or row[2] == "1")]
+        assert len(firsts) > des_sim._DRAW_BLOCK
+        assert _trace_digest(tmp_path) == LONG_TRACE_SHA256[model]
 
     def test_single_trial_reports_no_stderr(self):
         # one trial has no spread to estimate, so it claims no certainty
@@ -699,21 +764,21 @@ class TestRenewalChannel:
 
 
 class TestPeakMemory:
-    """One untraced trial's tracemalloc peak. A trial streams through block
-    buffers and sums per block, so its memory does not grow with the
-    horizon. Per offered arrival (the total arrival rate times the horizon;
-    the two sensors share it evenly) the peaks are 2.0, 1.9, 0.19, 1.0 and
-    3.1 B, in the order below; with the areas and busy times held for one
-    sum they were 2.3, 5.9, 4.2, 4.4 and 8.8 B, and with whole-trial arrays
-    19.3, 22.3, 22.2, 5.5 and 13.9 B."""
+    """One trial's tracemalloc peak, untraced but in the last test. An
+    untraced trial streams through block buffers and sums per block, so its
+    memory does not grow with the horizon. Per offered arrival (the total
+    arrival rate times the horizon; the two sensors share it evenly) the
+    peaks are 2.0, 1.9, 0.19, 1.0 and 3.1 B, in the order below; with the
+    areas and busy times held for one sum they were 2.3, 5.9, 4.2, 4.4 and
+    8.8 B, and with whole-trial arrays 19.3, 22.3, 22.2, 5.5 and 13.9 B."""
 
     @staticmethod
-    def peak(model, lam, horizon):
+    def peak(model, lam, horizon, trace_dir=None):
         simulate = {
-            "mm2p": lambda config: simulate_mm2_preemptive(lam, 1.0, config),
-            "mm11": lambda config: simulate_mm11(lam, 1.0, config),
+            "mm2p": lambda config: simulate_mm2_preemptive(lam, 1.0, config, trace_dir),
+            "mm11": lambda config: simulate_mm11(lam, 1.0, config, trace_dir),
             "two_sensor": lambda config: simulate_two_sensor(
-                TwoSensorParams(lam / 2, lam / 2, 1.0, 1.0), config),
+                TwoSensorParams(lam / 2, lam / 2, 1.0, 1.0), config, trace_dir),
         }[model]
         tracemalloc.start()
         try:
@@ -736,6 +801,23 @@ class TestPeakMemory:
     def test_peak_does_not_grow_with_horizon(self, model):
         short, long = (self.peak(model, 4.0, horizon) for horizon in (2e5, 2e6))
         assert long <= 1.1 * short
+
+    @pytest.mark.parametrize("model,bound", [("mm2p", 38.0), ("mm11", 29.3), ("two_sensor", 27.3)])
+    def test_traced_bytes_per_expected_event(self, monkeypatch, tmp_path, model, bound):
+        """A traced trial's peak, the trace writer's included, over that of a
+        traced trial of 100 expected events, per expected event (5e4 of them,
+        lambda/mu = 4). Measured 34.6, 26.6 and 24.8 B, in the order above;
+        the bounds add 10 %. With trace columns grown by doubling they were
+        46.9, 31.6 and 24.8 B, and with the trace chunks kept alive while the
+        writer joins them 47.5, 38.7 and 37.3 B. A 1024-draw block keeps the
+        block buffers and the writer's row batches small against the trace;
+        a first run takes the first-call allocations out of the small one."""
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", 1024)
+        total = {"mm2p": 6.0, "mm11": 5.0, "two_sensor": 6.0}[model]
+        self.peak(model, 4.0, 100 / total, tmp_path / "first")
+        small, large = (self.peak(model, 4.0, events / total, tmp_path / f"{events:g}")
+                        for events in (100, 5e4))
+        assert (large - small) / 5e4 < bound
 
 
 def _oracle_deliveries(model, channels, config: SimConfig, trial: int):
@@ -809,6 +891,18 @@ class TestBlockEdges:
         assert result.events_processed == sum(events for _, events in expected)
         assert result.events_processed > 10 * block  # several blocks per trial
         assert run(tmp_path) == result
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trace_files_pinned(self, monkeypatch, tmp_path, case, block):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        model, channels, horizon = self.CASES[case]
+        config = SimConfig(horizon=horizon, num_trials=2, seed=31, warmup=0.05)
+        if model == "mm2p":
+            simulate_mm2_preemptive(*channels[0], config, tmp_path)
+        else:
+            des_sim._simulate_blocking(channels, config, tmp_path)
+        assert _trace_digest(tmp_path) == BLOCK_EDGE_TRACE_SHA256[block][case]
 
     # trials of two or three chunks of areas at the package's block size
     @pytest.mark.parametrize("model,channels,horizon", [

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -158,6 +159,9 @@ class TestBuildModel:
         pytest.param(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, 10**400, [[1]])],
                      r"transition 1 \(1->0\): rate must be strictly positive and finite, "
                      r"got 10{400}$", id="int-past-float-range-rate"),
+        pytest.param(2, 1, [(0, 1, Fraction(1, 10**400), [[1]]), (1, 0, 1.0, [[1]])],
+                     r"transition 0 \(0->1\): rate must be strictly positive and finite, "
+                     r"got Fraction\(1, 10{400}\)$", id="fraction-whose-float-is-zero-rate"),
     ])
     def test_malformed_numbers_rejected(self, num_states, num_components, transitions,
                                         message):

@@ -64,6 +64,13 @@ class TestParams:
             TwoSensorParams(10**400, 1, 1, 1)
         assert str(exc.value) == f"lambda1 must be strictly positive and finite, got {10**400}"
 
+    def test_fraction_whose_float_is_zero_rejected(self):
+        # an exact comparison passes it, but it would be stored as 0.0
+        tiny = Fraction(1, 10**400)
+        with pytest.raises(ValueError) as exc:
+            TwoSensorParams(tiny, 1, 1, 1)
+        assert str(exc.value) == f"lambda1 must be strictly positive and finite, got {tiny!r}"
+
     def test_numpy_rate_shown_as_plain_number(self):
         with pytest.raises(ValueError) as exc:
             TwoSensorParams(np.float64(0), 1, 1, 1)
@@ -433,6 +440,18 @@ class TestClosedForms:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="lie outside the float range of the closed form"):
                 func(*map(np.float64, args))
+
+    @pytest.mark.parametrize("func, arity", [
+        (average_aoi_equal_service, 3),
+        (average_aoi_symmetric, 2),
+        (zero_wait_limit, 1),
+    ])
+    def test_fraction_whose_float_is_zero_rejected(self, func, arity):
+        # exact arithmetic would give an age no float holds, or a zero denominator
+        tiny = Fraction(1, 10**400)
+        with pytest.raises(ValueError) as exc:
+            func(tiny, *[Fraction(1)] * (arity - 1))
+        assert str(exc.value).endswith(f" must be strictly positive and finite, got {tiny!r}")
 
     @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
     @pytest.mark.parametrize("func, arity", [
