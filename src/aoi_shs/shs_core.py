@@ -24,17 +24,22 @@ solved and guarded together, one LAPACK call per stage. A single model is a
 batch of one, and each solve's result carries its condition number and
 largest residual. The balance stage inverts its systems: the normalization
 right-hand side is the last unit vector, so the stationary distribution is
-the inverse's last column, and the exact 1-norm condition number comes from
-the same inverse. Only the live correlation unknowns are solved for, found
-by reachability in :func:`build_model`: those that reset-map copies reach
-from a growing age or from one that is never zeroed. The others are
-exactly 0; a never-zeroed age stays in the system, which is singular on
-it, so that the certificate below rejects the chain. The correlation system
-has rates on its diagonal and none but nonpositive entries off it (a
-Z-matrix), and a stationary age exists exactly when it is a nonsingular
-M-matrix; a second right-hand side of ones in the same solve certifies that
-and gives the exact infinity-norm condition number, ``inf`` when the
-certificate fails.
+the inverse's last column, and the exact 1-norm condition number takes the
+inverse's norm from the same inverse. Only the live correlation unknowns
+are solved for, found by reachability in :func:`build_model`: those that
+reset-map copies reach from a growing age or from one that is never
+zeroed. The others are exactly 0; a never-zeroed age stays in the system,
+which is singular on it, so that the certificate below rejects the chain.
+The correlation system has rates on its diagonal and none but nonpositive
+entries off it (a Z-matrix), and a stationary age exists exactly when it
+is a nonsingular M-matrix; a second right-hand side of ones in the same
+solve certifies that and gives the exact infinity-norm condition number,
+``inf`` when the certificate fails. Every entry of either system collects
+rates of one sign, so each system's own norm (the balance system's 1-norm,
+the correlation system's infinity-norm) is linear in the rates too: the
+model stores one norm row per transition for each stage, and a block's
+norms are one matrix product of the rate rows with them. Summed in that
+order, a condition number may differ from ``np.linalg.cond`` by a few ulps.
 
 Each stage first computes everything its guards read, for every point of
 a block: the condition number (in the correlation stage, with the
@@ -74,7 +79,7 @@ import numpy as np
 #: points in [0.02, 50]^4 (numpy seed 0), the balance number lies between
 #: 0.42 and 3.8 times the 2-norm one and the correlation number between 1.2
 #: and 4.1 times, every correlation system is certified, and the
-#: certificate's number matches the inverse's to 5.5e-16 relative. Over six
+#: certificate's number matches the inverse's to 7.0e-16 relative. Over six
 #: such samples (seeds 0 to 5) they peak at 1.2e4 (balance) and 3.8e4
 #: (correlation), and at 6.0e3 and 1.4e4 on the five-state fake-update chain
 #: that solves rate grids, whose correlation systems are all certified too.
@@ -94,8 +99,12 @@ _TINY_NEGATIVE = -1e-12
 #: correlation systems) is solved in batches larger than one, so the size is
 #: chosen for it: ``_solve`` on 500 such points (best of 5 calls, medians of
 #: 15 interleaved rounds, one BLAS thread on a shared 2-CPU host) took
-#: 4.96-5.02, 4.52-4.59, 4.28-4.35 and 4.54-4.58 ms at blocks of 64, 128,
-#: 256 and 512 (two runs, with one stage check per block).
+#: 4.43-4.61, 4.11-4.15, 3.74-3.83 and 3.58-3.62 ms at blocks of 64, 128,
+#: 256 and 512 (two runs, with the norms from the model's norm rows). In 10
+#: paired rounds of a 500-point ``sweep-fig3`` command, 512 was faster than
+#: 256 in 9 and in 8 (two runs, medians 4.97 against 5.23 ms and 5.01
+#: against 5.11 ms), not clearly enough to change the size; 64 and 128 were
+#: slower in at least 8 of 10.
 BATCH_BLOCK = 256
 
 
@@ -156,7 +165,13 @@ class ShsModel:
     ``slope * pi_q`` of its equation. ``balance[t]`` and
     ``correlation[t]`` hold, flattened, what one unit of the rate of
     transition ``t`` contributes to the balance system (n, n) and to the
-    correlation system on the live unknowns (L, L).
+    correlation system on the live unknowns (L, L). No entry of either
+    system collects rates of both signs (a self-loop nets 0 in its own
+    coefficient), so the systems' norms are linear in the rates too:
+    ``balance_norm[t]`` (n,) holds the absolute column sums of
+    ``balance[t]`` without its last row, which the normalization row of
+    ones replaces, and ``correlation_norm[t]`` (L,) the absolute row sums
+    of ``correlation[t]``; every entry is 0, 1 or 2.
     """
 
     num_states: int
@@ -168,6 +183,8 @@ class ShsModel:
     live_slopes: np.ndarray = field(repr=False, compare=False)
     balance: np.ndarray = field(repr=False, compare=False)
     correlation: np.ndarray = field(repr=False, compare=False)
+    balance_norm: np.ndarray = field(repr=False, compare=False)
+    correlation_norm: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -286,12 +303,18 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     seeds = never_zeroed.union(np.flatnonzero(slopes).tolist())
     live = np.array(sorted(_reachable(copies, seeds)), dtype=np.intp)
     live_states, live_slopes = live // c, slopes.ravel()[live]
+    correlation = correlation[:, live][:, :, live]
+    # the norm rows (see ShsModel): the balance rows that the normalization
+    # row keeps by columns, the correlation system by rows
+    balance_norm = np.abs(balance[:, :-1]).sum(axis=1)
+    correlation_norm = np.abs(correlation).sum(axis=2)
     balance = balance.reshape(len(specs), n * n)
-    correlation = correlation[:, live][:, :, live].reshape(len(specs), len(live) ** 2)
-    for array in (live, live_states, live_slopes, balance, correlation):
+    correlation = correlation.reshape(len(specs), len(live) ** 2)
+    for array in (live, live_states, live_slopes, balance, correlation, balance_norm,
+                  correlation_norm):
         array.setflags(write=False)
     return ShsModel(n, c, tuple(specs), slopes, live, live_states, live_slopes,
-                    balance, correlation)
+                    balance, correlation, balance_norm, correlation_norm)
 
 
 def _reachable(edges, seeds) -> set:
@@ -346,7 +369,7 @@ def _condition_check(cond: np.ndarray, label: str):
                       f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})")
 
 
-def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
+def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, rhs: np.ndarray):
     """Solve a stack of Z-matrices (no positive entry off the diagonal), the
     form of every correlation system, certify each a nonsingular M-matrix
     and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``
@@ -355,18 +378,19 @@ def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
     ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
     condition number is ``|A|_inf max(w)``, exact up to round-off, at no
     cost beyond a second right-hand side (Berman & Plemmons, Nonnegative
-    Matrices in the Mathematical Sciences, ch. 6). An uncertified member
-    reads ``inf``; a stationary age vector exists exactly when the
-    certificate holds. An exactly singular member fails the whole batched
-    solve, and only then is the stack's 1-norm condition number checked, so
-    that it is named. The guards read, per point, the condition number, the
-    largest absolute residual of ``x`` and its lowest entry, and one check
-    passes the block; only when it fails does one :func:`_guard` scan run
-    them in order (condition, residual, negative entry below
-    :data:`_TINY_NEGATIVE` times ``max(1, max |x|)``) and raise for the
-    first flagged point, after which entries below 0 are clipped to 0.
-    Returns ``x`` (B, L, k), its largest residuals and the condition
-    numbers, both (B,)."""
+    Matrices in the Mathematical Sciences, ch. 6). ``norm`` (B,) holds each
+    system's ``|A|_inf``, which :func:`_correlation` reads from the model's
+    norm rows. An uncertified member reads ``inf``; a stationary age vector
+    exists exactly when the certificate holds. An exactly singular member
+    fails the whole batched solve, and only then is the stack's 1-norm
+    condition number checked, so that it is named. The guards read, per
+    point, the condition number, the largest absolute residual of ``x`` and
+    its lowest entry, and one check passes the block; only when it fails
+    does one :func:`_guard` scan run them in order (condition, residual,
+    negative entry below :data:`_TINY_NEGATIVE` times ``max(1, max |x|)``)
+    and raise for the first flagged point, after which entries below 0 are
+    clipped to 0. Returns ``x`` (B, L, k), its largest residuals and the
+    condition numbers, both (B,)."""
     both = np.ones((*rhs.shape[:-1], rhs.shape[-1] + 1))
     both[..., :-1] = rhs
     try:
@@ -377,7 +401,7 @@ def _certify_m_matrix(systems: np.ndarray, rates, offset, rhs: np.ndarray):
     residual = np.abs(systems @ solution - both)
     w = solution[..., -1]
     w_lowest, w_residual = w.min(axis=1), residual[..., -1].max(axis=1)
-    cond = np.abs(systems).sum(axis=-1).max(axis=-1) * w.max(axis=1)
+    cond = norm * w.max(axis=1)
     x, residual = solution[..., :-1], residual[..., :-1].max(axis=(1, 2))
     lowest = x.min(axis=(1, 2))
     # the certificate's strict bounds as ceilings: -min(w) at most minus the
@@ -411,8 +435,9 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     entries below 0 clipped to 0, the sum taken again, and one
     :func:`_guard` scan run in order (condition, residual, probability
     below :data:`_TINY_NEGATIVE` before the clip, then a sum off 1 by more
-    than :data:`NORMALIZATION_TOL`) to raise for the first flagged point. Returns the probabilities (B, n), condition numbers and
-    max balance residuals (B,).
+    than :data:`NORMALIZATION_TOL`) to raise for the first flagged point.
+    Returns the probabilities (B, n), condition numbers and max balance
+    residuals (B,).
     """
     n = model.num_states
     balance = (weights @ model.balance).reshape(-1, n, n)
@@ -423,8 +448,10 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     except np.linalg.LinAlgError:
         _guard(rates, offset, [_condition_check(np.linalg.cond(system, 1), "stationary balance")])
         raise
-    # the same |A|_1 |A^-1|_1 as np.linalg.cond(system, 1), from this inverse
-    cond = (np.abs(system).sum(axis=-2).max(axis=-1)
+    # |A|_1 |A^-1|_1 as np.linalg.cond(system, 1) reads it, up to a few ulps:
+    # |A|_1 from the model's norm rows plus the row of ones, |A^-1|_1 from
+    # this inverse
+    cond = ((weights @ model.balance_norm + 1.0).max(axis=1)
             * np.abs(inverse).sum(axis=-2).max(axis=-1))
     # the right-hand side is the last unit vector, so pi is the last column
     probs = inverse[:, :, -1:]
@@ -466,7 +493,8 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
     system = (weights @ model.correlation).reshape(-1, len(live), len(live))
     rhs = (probs[:, model.live_states] * model.live_slopes)[..., None]
-    x, residual, cond = _certify_m_matrix(system, rates, offset, rhs)
+    norm = (weights @ model.correlation_norm).max(axis=1)
+    x, residual, cond = _certify_m_matrix(system, norm, rates, offset, rhs)
     vectors = np.zeros((len(rates), n * c))
     vectors[:, live] = x[..., 0]
     return vectors.reshape(len(rates), n, c), cond, residual

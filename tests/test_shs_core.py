@@ -315,7 +315,8 @@ class TestMMatrixCertificate:
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
                                  r"exceeds 1e\+12"):
-            _certify_m_matrix(systems, rates, 0, np.ones((1, 2, 1)))
+            _certify_m_matrix(systems, np.abs(systems).sum(axis=-1).max(axis=-1), rates, 0,
+                              np.ones((1, 2, 1)))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_correlation_stack_is_named(self):
@@ -323,13 +324,15 @@ class TestMMatrixCertificate:
         rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
         systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
         rhs = np.ones((BATCH_BLOCK, 21, 1))
-        _, _, condition = _certify_m_matrix(systems, rates, 0, rhs)
+        norm = np.abs(systems).sum(axis=-1).max(axis=-1)
+        _, _, condition = _certify_m_matrix(systems, norm, rates, 0, rhs)
         assert np.isfinite(condition).all()
         systems[37, :, 5] = 0.0
+        norm = np.abs(systems).sum(axis=-1).max(axis=-1)
         with pytest.raises(IllConditionedSystemError,
                            match=r"point 37 \(rates \[.*\]\): correlation system is "
                                  r"ill-conditioned \(condition estimate inf "):
-            _certify_m_matrix(systems, rates, 0, rhs)
+            _certify_m_matrix(systems, norm, rates, 0, rhs)
 
     def test_two_sensor_condition_is_exact_one_norm_number(self):
         # the infinity-norm number of the live system, from the certificate
@@ -572,8 +575,12 @@ class TestLiveSet:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_chains_match_oracles(self, seed):
         # a rejected chain raises the oracle's message; a built one has the
-        # oracle's live set and, at its rates, the oracle's stage systems
+        # oracle's live set and, at its rates, the oracle's stage systems.
+        # At Fraction rates of their own draw, its norm rows give the column
+        # sums of |balance system| and the row sums of |correlation system|
+        # exactly, self-copies (mixed signs on one diagonal entry) included
         rng = np.random.default_rng(600 + seed)
+        fractions = np.random.default_rng(700 + seed)
         built = 0
         for _ in range(500):
             n, c, transitions, slopes = random_chain(rng)
@@ -594,6 +601,14 @@ class TestLiveSet:
             assert compiled.tolist() == balance.tolist()
             assert ((rates @ model.correlation).reshape(len(live), len(live)).tolist()
                     == correlation[np.ix_(live, live)].tolist())
+            exact = np.array([Fraction(int(a), int(b)) for a, b
+                              in fractions.integers(1, 50, size=(len(rates), 2))], dtype=object)
+            balance, correlation = stage_systems(model, exact)
+            balance_norm, correlation_norm = (np.frompyfunc(Fraction, 1, 1)(rows) for rows
+                                              in (model.balance_norm, model.correlation_norm))
+            assert (exact @ balance_norm + 1).tolist() == np.abs(balance).sum(axis=0).tolist()
+            assert ((exact @ correlation_norm).tolist()
+                    == np.abs(correlation[np.ix_(live, live)]).sum(axis=1).tolist())
         assert 100 < built < 400
 
 
