@@ -20,12 +20,12 @@ A trial runs as a stream of blocks. Each channel yields its deliveries in
 time order, one block of at most ``_DRAW_BLOCK`` draws per stream at a
 time; the runner merges the channels' blocks and integrates the age as the
 deliveries come, through buffers allocated once per run and reused across
-blocks and trials. Every sum over a trial is a running sum over chunks of
-``_DRAW_BLOCK`` terms: the age integral's areas, counted from the window's
-first segment, and a blocking channel's busy times, one draw block at a
-time. So an untraced trial runs in memory that does not grow with the
-horizon, and the block size fixes the bits of each value (summed whole, a
-trial of more than one chunk would differ in its last bits). A traced trial
+blocks and trials. The age integral's areas are a running sum over chunks
+of ``_DRAW_BLOCK`` terms, counted from the window's first segment, and a
+blocking channel settles each block's blocked arrivals after that block. So
+an untraced trial runs in memory that does not grow with the horizon, and
+the block size fixes the bits of each value (summed whole, a trial of more
+than one chunk would differ in its last bits). A traced trial
 keeps the trace rows its channels append, block by block once they are
 final, and writes them in time order at its end.
 
@@ -34,7 +34,9 @@ each departure the wait for the next *accepted* arrival is Exp(lambda), and
 the accepted updates' generation and delivery instants are the running sum
 of alternating waits and services. The arrivals blocked while the channel is
 busy form a Poisson process on the busy time; they change nothing at the
-monitor and are only counted (and, in a trace, placed). This is exact in
+monitor and are only counted (and, in a trace, placed), one Poisson count
+per block over that block's busy time. Counts of a Poisson process on
+disjoint sets are independent Poisson counts, so this is exact in
 distribution and walks no blocked arrival.
 
 The preemptive pair runs on blocks as well. Every arrival enters service,
@@ -51,12 +53,13 @@ Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
 draws from streams 2k and 2k+1. A blocking channel's stream 2k holds only
 the accepted-arrival waits its trial reaches, as a block may stop short at
-the horizon; its blocked count, then the draws only a trace uses, come from
-stream 2k jumped (``bit_generator.jumped()``, taken before the first wait).
-Stream 2k+1 holds its service times. Trial values and delivery and
-generation instants are bit-identical to those of the earlier contract,
-which drew whole blocks and then the blocked count from stream 2k itself;
-event counts and blocked trace rows are statistically equivalent to its.
+the horizon; each block's blocked count comes from stream 2k jumped once
+(``bit_generator.jumped()``, taken before the first wait), and in a trace
+that block's blocked instants from stream 2k jumped twice. Stream 2k+1
+holds its service times. Trial values and delivery and generation instants
+are bit-identical to those of the earlier contracts, which drew one blocked
+count after the last block; event counts and blocked trace rows are
+statistically equivalent to theirs.
 The preemptive pair draws its arrival instants from stream 0 and its
 service times from stream 1. Results
 are therefore bit-identical across runs on one platform, a traced run gives
@@ -86,11 +89,12 @@ DEFAULT_SEED = 12345
 #: channel's wait and service pairs. Each block is cumsummed and carried on
 #: from the last sum of the block before, so this size fixes the rounding,
 #: and so the bits, of every instant. It also fixes the summation order, and
-#: so the bits, of every trial value: the age integral sums its areas, and a
-#: blocking channel its busy times, in chunks this long. A blocking channel
-#: draws a block in pieces, the last one only as far as the horizon needs;
-#: each piece carries the block's running sum, so the bits are those of the
-#: whole block. The trace writer's row batches are as long too; their length
+#: so the bits, of every trial value: the age integral sums its areas in
+#: chunks this long. A blocking channel draws one blocked count per block,
+#: so the size also sets which busy time each count covers. It draws a block
+#: in pieces, the last one only as far as the horizon needs; each piece
+#: carries the block's running sum, so the bits are those of the whole
+#: block. The trace writer's row batches are as long too; their length
 #: changes no byte.
 _DRAW_BLOCK = 1 << 14
 
@@ -103,10 +107,14 @@ _DRAW_BLOCK = 1 << 14
 #: at most 0.26 B for the two-sensor system (lambda/mu = 0.25), 0.04 B for
 #: the single queue and 0.20 B for the preemptive pair (lambda/mu = 0.5),
 #: the block buffers alone; traced, at 2e6 expected events and lambda/mu of
-#: 0.5, 4 and 50, at most 47 B (the preemptive pair at lambda/mu = 4; the
-#: allocator's layout moves it by up to 6 B between builds). The traced
-#: growth binds: 2e7 * 47 B = 0.94 GB, so every model stays under 2 GB at
-#: the cap with room for the interpreter.
+#: 0.5, 4 and 50, at most 47 B (the preemptive pair at lambda/mu = 4). That
+#: RSS figure follows the allocator's layout, which keeps freed trace chunks
+#: resident and moves it by up to 10 MB between builds that differ only in
+#: docstrings. The live peak (tracemalloc, the trace writer included, over
+#: that of a 100-event trial) at those points is at most 38.8 B (the pair at
+#: lambda/mu = 50; 26.7 B for either blocking model). The traced growth
+#: binds: 2e7 * 47 B = 0.94 GB, so every model stays under 2 GB at the cap
+#: with room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -116,8 +124,10 @@ MAX_HORIZON = math.sqrt(sys.float_info.max)
 _INF = math.inf
 
 #: The draws ``PCG64.jumped()`` skips, (phi - 1) * 2**128 as numpy documents
-#: it. A blocking channel advances one kept generator by it, from its wait
-#: stream's state, in place of seeding a new jumped one in every trial.
+#: it. A blocking channel draws its blocked counts from one kept generator,
+#: set in each trial to its wait stream's state advanced by this, in place of
+#: seeding a new jumped one in every trial. A traced trial places its blocked
+#: arrivals from that state jumped once more, so tracing moves no count.
 _JUMP = 210306068529402873165736369884012333109
 
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
@@ -446,9 +456,11 @@ class _BlockingChannel:
     """One blocking channel in renewal form, sensor ``sensor``: accepted
     updates are the running sum of alternating Exp(lam) waits and Exp(mu)
     services, a block of each at a time; deliveries completing past the
-    horizon are dropped, and the blocked arrivals are one Poisson count over
-    the busy time, summed per block and drawn after the last block from the
-    jumped wait stream.
+    horizon are dropped. Right after each block its blocked arrivals are one
+    Poisson count over its busy time up to the horizon, from the wait stream
+    jumped once, and in a trace they are placed uniformly over its busy
+    intervals from that stream jumped twice. The trial keeps only its event
+    count.
 
     A block is drawn in pieces of :func:`_cycles_due` cycles, so the last
     one stops soon after the horizon. Each piece's first wait carries the
@@ -462,18 +474,18 @@ class _BlockingChannel:
         self.counts = np.random.Generator(np.random.PCG64(0))
 
     def __call__(self, arrival_rng, service_rng, trace):
-        # the blocked count and the trace-only draws, from the wait stream
-        # jumped, which the waits never reach
+        # the blocked counts from the wait stream jumped once, and the blocked
+        # instants of a trace from it jumped twice; the waits reach neither
         counts = self.counts
         counts.bit_generator.state = arrival_rng.bit_generator.state
         counts.bit_generator.advance(_JUMP)
+        if trace is not None:
+            places = np.random.Generator(counts.bit_generator.jumped())
         lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
         wait, service = 1.0 / lam, 1.0 / mu
         gens, deps = block[0::2], block[1::2]
-        if trace is not None:  # per block, views of its trace chunk's times: starts, then ends
-            starts, ends = [], []
-        base = busy = 0.0
-        accepted = 0
+        base = 0.0
+        events = 0
         while base <= horizon:
             size, partial = 0, 0.0  # the block's cycles drawn and their sum
             while size < draws.size and base + partial <= horizon:
@@ -497,27 +509,16 @@ class _BlockingChannel:
             # past the horizon, where its busy time is cut
             if now > kept:
                 part[-1] = horizon - gens[now - 1]
-            busy += float(part.sum())
-            accepted += now
+            blocked = int(counts.poisson(lam * float(part.sum())))
+            events += now + blocked
             if trace is not None:
-                times = np.concatenate((gens[:now], deps[:kept]))
-                trace.append((times, np.repeat(np.int8([_ARRIVAL, _DELIVERY]), (now, kept)),
-                              np.full(times.size, self.sensor, np.int8),
-                              np.concatenate((gens[:now], gens[:kept]))))
-                starts.append(times[:now])
-                ends.append(times[now:])
+                instants = _busy_uniform(places, gens[:now], part, blocked)
+                times = np.concatenate((gens[:now], deps[:kept], instants))
+                kinds = np.repeat(np.int8([_ARRIVAL, _DELIVERY, _BLOCKED]), (now, kept, blocked))
+                trace.append((times, kinds, np.full(times.size, self.sensor, np.int8),
+                              np.concatenate((gens[:now], gens[:kept], instants))))
             yield deps[:kept], gens[:kept]
-        n_blocked = int(counts.poisson(lam * busy))
-        if trace is not None:
-            # the busy times as in the blocks, ends minus starts, where the
-            # last block's update in service at the horizon ends there
-            starts = np.concatenate(starts)
-            durations = np.concatenate((*ends, [horizon] * (now - kept)))
-            durations -= starts
-            blocked = _busy_uniform(counts, starts, durations, n_blocked)
-            trace.append((blocked, np.full(n_blocked, _BLOCKED, np.int8),
-                          np.full(n_blocked, self.sensor, np.int8), blocked))
-        return accepted + n_blocked
+        return events
 
 
 def _cycles_due(span, cycle, room) -> int:
@@ -662,9 +663,35 @@ def _summarize(values, events: int) -> SimResult:
         mean_aoi=mean,
         trial_values=tuple(float(x) for x in arr),
         stderr=stderr,
-        ci95_halfwidth=None if stderr is None else 1.96 * stderr,
+        ci95_halfwidth=None if stderr is None else _t975(arr.size - 1) * stderr,
         events_processed=int(events),
     )
+
+
+#: Student's t 0.975 quantiles for 1 to 30 degrees of freedom, to ten digits.
+_T975 = (
+    12.70620474, 4.30265273, 3.182446305, 2.776445105, 2.570581836, 2.446911851,
+    2.364624252, 2.306004135, 2.262157163, 2.228138852, 2.20098516, 2.17881283,
+    2.160368656, 2.144786688, 2.131449546, 2.119905299, 2.109815578, 2.10092204,
+    2.093024054, 2.085963447, 2.079613845, 2.073873068, 2.06865761, 2.063898562,
+    2.059538553, 2.055529439, 2.051830516, 2.048407142, 2.045229642, 2.042272456,
+)
+
+
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with ``dof`` degrees of freedom, so
+    that mean +- t * stderr covers 95 % for normal trial values: the table to
+    30, then the four-term Cornish-Fisher expansion about the normal quantile
+    z (Abramowitz and Stegun 26.7.5), within 1.3e-8 relative from 31 on."""
+    if dof <= len(_T975):
+        return _T975[dof - 1]
+    z = 1.959963984540054
+    z2 = z * z
+    g1 = z * (z2 + 1) / 4
+    g2 = z * ((5 * z2 + 16) * z2 + 3) / 96
+    g3 = z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384
+    g4 = z * ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160
+    return z + (g1 + (g2 + (g3 + g4 / dof) / dof) / dof) / dof
 
 
 def _joined(chunks):

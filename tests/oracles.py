@@ -333,11 +333,11 @@ def blocking_channel_loop(lam: float, mu: float, horizon: float, arrival_rng, se
     the last instant of the block before, until a block ends past
     ``horizon``; a wait ends at a generation, the service after it at that
     update's delivery. The blocked arrivals are one Poisson(lam * busy time)
-    count drawn from ``arrival_rng`` jumped, taken before the first wait, the
-    busy time being summed as in the package, ``np.sum`` over each block's
-    busy times added in turn to a total from 0.0, so that the Poisson mean
-    has the same bits. Whole blocks are drawn, so the values do not depend on
-    where the package splits a block into pieces.
+    count per block, over that block's busy times by ``horizon`` summed with
+    ``np.sum`` as in the package, so that each Poisson mean has the same bits,
+    drawn in turn from ``arrival_rng`` jumped, taken before the first wait. A
+    block with no busy time draws nothing. Whole blocks are drawn, so the
+    values do not depend on where the package splits a block into pieces.
 
     Returns the delivery instants by ``horizon``, their generation times,
     and the number of arrivals by ``horizon`` (accepted plus blocked).
@@ -356,10 +356,9 @@ def blocking_channel_loop(lam: float, mu: float, horizon: float, arrival_rng, se
             deps.append(total + base)
         base = deps[-1]
     busy = np.array([min(d, horizon) - g for g, d in zip(gens, deps) if g <= horizon])
-    total = 0.0
+    n_blocked = 0
     for lo in range(0, busy.size, block):
-        total += float(np.sum(busy[lo:lo + block]))
-    n_blocked = int(counts.poisson(lam * total))
+        n_blocked += int(counts.poisson(lam * float(np.sum(busy[lo:lo + block]))))
     kept = [(d, g) for g, d in zip(gens, deps) if d <= horizon]
     return [d for d, _ in kept], [g for _, g in kept], len(busy) + n_blocked
 

@@ -312,7 +312,8 @@ def test_full_sweep_simulation_tracks_theory():
     with redirect_stdout(buffer):
         code = main(["sweep-fig3", "--simulate", "--format", "json"])
     rows = json.loads(buffer.getvalue())
-    gaps, zs = zip(*(gap_and_z(row["sim_mean"], row["theory_aoi"], row["sim_ci95"] / 1.96)
+    quantile = stats.t.ppf(0.975, SimConfig().num_trials - 1)
+    gaps, zs = zip(*(gap_and_z(row["sim_mean"], row["theory_aoi"], row["sim_ci95"] / quantile)
                      for row in rows))
     elapsed = time.perf_counter() - start
     limit = z_limit(SimConfig().num_trials)

@@ -60,7 +60,9 @@ GRID_SPECS = st.tuples(RATES, RATES, st.integers(1, 30))
 # relative) and the correlation condition became the infinity-norm number of
 # the live system; the six simulate-two_sensor and simulate-mm11 ones
 # re-recorded when the blocked counts moved to the jumped wait stream (only
-# events_processed moved)
+# events_processed moved); every simulate, compare-fig4 and
+# sweep-fig3 --simulate one re-recorded when the 95 % half-width took
+# Student's t quantile in place of 1.96 (only the ci95 cells moved)
 PINNED_OUTPUTS = [
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general", "--format", "csv"),
@@ -89,48 +91,48 @@ PINNED_OUTPUTS = [
                  id="theory-zero-wait-m1"),
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "0.5", "--l2", "0.8",
                   "--m1", "1", "--m2", "1.4", *SIM_SHORT, "--format", "csv"),
-                 "4a4eb6b697fb89beea770ab53ed96bea0a3fee43a8796ff2cf76eb3b4f2d9f07",
+                 "9a01ef5fdced49eb8ed3b65bb666b682620c608640fbc1a7dde895644e28fc6b",
                  id="simulate-two_sensor-csv"),
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "0.5", "--l2", "0.8",
                   "--m1", "1", "--m2", "1.4", *SIM_SHORT, "--format", "json"),
-                 "8e8b5e3e3d690a0b6bd4c1e2be1fcae9fb6a32c9dd25f5f3d84547340104429e",
+                 "de418e21b0af4923e13f4ad6b67ade05b2d75d562fee3ed85cb9f61c9148703a",
                  id="simulate-two_sensor-json"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
                   "--format", "csv"),
-                 "f672c9fbbc091622ee95767eb8b599c9c995c5bbb72491c7d502e2d265ca620c",
+                 "9c64efdc652523b521af82a6596b970a2183bf6e1745163166d80658f99bbd4d",
                  id="simulate-mm11-csv"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
                   "--format", "json"),
-                 "769cf4edc2db38d345ae8e16f2780be2c206e96697d1531396a70362316f2c41",
+                 "29ed82339da6a33ae76584575373986be10cc95055fc1fde7a2fcd6b6a18d830",
                  id="simulate-mm11-json"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
                   "--format", "csv"),
-                 "8aa8a60dcd0063c07a90b6609c40c041dc718893aac9769d2c95ccb8d850a8ef",
+                 "6ab152504e010d3f1b04044937a844fd39ed4af69efc4ec51bb6d34b3f0e574a",
                  id="simulate-mm2p-csv"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
                   "--format", "json"),
-                 "4264124c88d64dc65c41488e2b34b3b2a30b90351e7fc05f0a1cbd6d0380d5f9",
+                 "eeb70e18e2f307abff46319191b865e56f148d64c22638a6361619875166b8db",
                  id="simulate-mm2p-json"),
     # the three models at total rate 4 and mu 1, the saturated benchmark's
     # load, past several draw blocks; recorded before the draws were filled
     # in place into one buffer
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "2", "--l2", "2", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "2ae97da91b2d6ef7bdd0faed7d9e69d6bce60a7e5b09a9db08cf42b68644e567",
+                 "4ff532fdaa3cee7c8bea49760034c676ea23c7f3cb2822bb66d47512eb982495",
                  id="simulate-two_sensor-saturated-json"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "4", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "54a1e410767816ab00789df57e7e9ec7366135062fa4cf2b4ffc2365ea4c1e9d",
+                 "61a475c61c8d1d9b09ec6deffb399840cbca76a057f05493d50c00a0ad130309",
                  id="simulate-mm11-saturated-json"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "4", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "2f582a6c6560eb9b8d23e0949c31864df68e7b479515c34f21db68280024f8d0",
+                 "296b13bbb3299bea45effe8f2024218087dcb0c4f2bac91d463bb5b8ea7a0cfc",
                  id="simulate-mm2p-saturated-json"),
     pytest.param(("export-model", "--l1", "0.4", "--l2", "1.1", "--m1", "0.9", "--m2", "1.6"),
                  "7dc0fa3daa48950f327dcb465648c83d7825903a64970d8f8524f9de1fee6d7e",
                  id="export-model"),
     pytest.param(("compare-fig4", "--grid-lambda", "0.5", "2", "2", *SIM_SHORT),
-                 "e9ddc37f2012c9b4812703a625bed61c28aaad063a595c0c60c5437d886e901f",
+                 "f9072741dc31b69da28175b08435037855ddb97b922572b8db0e265100900953",
                  id="compare-fig4"),
     # recorded before sweep-fig3's CSV was built from per-column text
     pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.7", "2", "--grid-m2", "1", "1.5", "3",
@@ -139,7 +141,7 @@ PINNED_OUTPUTS = [
                  id="sweep-fig3-json"),
     pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.5", "2", "--grid-m2", "1", "1.2", "2",
                   "--simulate", *SIM_SHORT),
-                 "ee81e9cf77d80c4b68ebf32aa6356708bd17fdf729edb102c9bc37d67140c030",
+                 "804318756680063eac0ba7a803f79e00e6ac0daa80293b14995ee698a7a9736e",
                  id="sweep-fig3-simulate-csv"),
     pytest.param(("sweep-fig3", "--l2", "1.5", "--m1", "0.7", "--grid-l1", "0.9", "0.2", "4",
                   "--grid-m2", "1.3", "1.3", "1"),

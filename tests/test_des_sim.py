@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from aoi_shs import des_sim
 from aoi_shs.des_sim import (
@@ -38,10 +39,11 @@ MM2P_CONFIG = SimConfig(horizon=2e4, num_trials=5, seed=999, warmup=0.01)
 # matched the per-arrival scan of tests/oracles.py; at this horizon the
 # accepted-update draws of sensor 1 and of the single queue each run past
 # one draw block. The event counts were re-recorded when the blocked counts
-# moved to the jumped wait stream; the trial values did not move
+# moved to the jumped wait stream, and again when each block drew its own
+# blocked count; the trial values did not move
 PIN_CONFIG = SimConfig(horizon=2e4, num_trials=2, seed=77, warmup=0.02)
-TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235507)
-MM11_PIN = ((0.899917682916618, 0.8979810116847353), 220951)
+TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235374)
+MM11_PIN = ((0.899917682916618, 0.8979810116847353), 220772)
 # recorded from the per-arrival loop, before the pair ran on arrays
 MM2P_PIN = ((0.5275269043362499, 0.5275937053441493), 266618)
 
@@ -53,16 +55,17 @@ TRACE_RUNS = {
     "mm2p": lambda trace_dir: simulate_mm2_preemptive(3.0, 1.0, TRACE_CONFIG, trace_dir),
 }
 # sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at
-# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form, and
-# again when their blocked rows moved to the jumped wait stream)
+# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form, again
+# when their blocked rows moved to the jumped wait stream, and again when
+# each block placed its blocked rows from the wait stream jumped twice)
 TRACE_SHA256 = {
     "two_sensor": (
-        "8accee8c14ecad5bdd512fc55672ce3967b77e1f33a0d79422b1dbc8afe5cab4",
-        "7433542724a9ccbfabe4cad0b70f9818de575052f33a2d9697d0dc19dd11884b",
+        "a687e5a42906c4744054f9a864715d516da049315bf3347fbf491bd753f45f34",
+        "8050a1a7a5af8169e1cab2c4f02cff72e6751d17ffb792584729c6481b784816",
     ),
     "mm11": (
-        "f7f94351c428d18e053df9e0aa96c5c8c8b168b98061fbca24e6b80f36f8c9e8",
-        "89327f19ab672542ef8e679f8065b53f1073f6a95eb62eec024173ccc96bcf39",
+        "9a01c07bdbd11b114997dd28a83bbe2c237fc1bb89acb86d898a8aac6b7912df",
+        "370de08a613dd6b59b24f01d0298ad94eb53188b1f31276b33d50e3b1ba7c07f",
     ),
     "mm2p": (
         "a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
@@ -81,30 +84,32 @@ LONG_TRACE_RUNS = {
 }
 # sha256 of the trial files of one run, joined in trial order: the
 # LONG_TRACE_RUNS entries, and the TestBlockEdges cases at two block sizes;
-# recorded while each channel still appended its trace after its last block
+# recorded while each channel still appended its trace after its last block,
+# the two_sensor and mm11 ones re-recorded when each block drew its own
+# blocked count and placed its blocked rows
 LONG_TRACE_SHA256 = {
-    "two_sensor": "96ecf05d48a176b8bdff988e3842de63d0c59d072a3fefea0da02fed3fbf473d",
-    "mm11": "614a9d5a0f7800ac9d5cfc99807f9b485520399c07a80feebabe2d1868402321",
+    "two_sensor": "7dfa11c5b429128b43d5274263342eaf9d6eefcf85e00bce145d8aa8da86de0e",
+    "mm11": "0e802df12cef6a947e9d829dc3e727abdaaee04fb631bbf7080bf1b1913fef5a",
     "mm2p": "151302e3a31b54f219039ff99ac8db5a162c0426c45bcb5a9e7aedcdc217f49a",
 }
 BLOCK_EDGE_TRACE_SHA256 = {
     7: {
-        "mm11-0.01": "eb4470849d3a1e7e19499af90cccbdd3f6bd8d6db6595351bcdef4717fe2bc90",
-        "mm11-50": "a76655b54111cd375dc8319df68c22532d2618a955d891486529219ad45f7e29",
+        "mm11-0.01": "89a76fe77cf4885ef395b2f4dbbbc21ff73a1f499ef5adc46c7a0dcf14bb7bad",
+        "mm11-50": "e77977bee706ca16e3adbcc6536acad9c57f5fb40eec6cc763dfe39bc85da232",
         "mm2p-0.01": "897b49665601ced5e559bae0109ae7db7dc91742caa1a5d1dc52c7802a03ef58",
         "mm2p-1": "4422cad282d7b155c2ea221fe0dedef4c431c53eea8fdf719b7ed0b2517b4f94",
         "mm2p-50": "5bc9176eeb5fa38c059302e0450546d7d06a1bf921f6db02add8a7412b5ff10c",
-        "two_sensor-1": "201fef72c3c72a542a6f1d034555b7d23931ff30515e39d8d1132062f6a24699",
-        "two_sensor-skewed": "94dbdd88ce48dda0d92319540c2e58a697493506bc7b43866bfba1aabb2c3f9d",
+        "two_sensor-1": "d970f3bdd2cba2679c36fffd29c4ac71982d173b99bac4eefcd2857240bf6d45",
+        "two_sensor-skewed": "6725b8641d7c742c220f4e8f945977c150974f1b4ac576e774b51c7523c3e9e5",
     },
     64: {
-        "mm11-0.01": "5c4a6081f3bdbeb0487f2851ecd1e99284928e3d5b854176d7e48b21415bc5d3",
-        "mm11-50": "a94390a5857c2c6040c69cd036447fe8e8252edbf06325f81f8762a737a9de78",
+        "mm11-0.01": "1abb3088b3df13049a953016735b2d03afbe05ec3ea16b670b3bda2bea103339",
+        "mm11-50": "1d8f71a9d9ddd5a911b606d196a02b5afabbf1dde75435a590893d4f61b6a289",
         "mm2p-0.01": "7b4843dcca162bbf7523204ba0c66b87dae544dfa2ea2806d5b24ad94b669992",
         "mm2p-1": "5ecc5e9373491b930b286fa2de4d17c9375ff3368d90f61475693c86ef93415c",
         "mm2p-50": "1577e48fbc5ed1a9467812c48bd053d7181f29f5de97f109243fa681940ab4f7",
-        "two_sensor-1": "313e684a93abacb2d5e1bd325918e068eb6d69533caf0acd8be90cd84462c15a",
-        "two_sensor-skewed": "0940aae02c9b165047a5260e04589a5daa794ff72027ff0dbc25a775935269eb",
+        "two_sensor-1": "675e5bdbb99329f78103a3bdedc7e6e25edb5d7118b7e2488db896b8b57c2494",
+        "two_sensor-skewed": "72537138f49774caa7052b28eb70af16c8efae425d028e3dc12d09e0023eab5a",
     },
 }
 
@@ -457,7 +462,8 @@ class TestReproducibility:
         result, *_ = self.run_all()
         assert len(result.trial_values) == 3
         assert result.stderr >= 0.0
-        assert result.ci95_halfwidth == pytest.approx(1.96 * result.stderr)
+        # Student's t for 3 trials
+        assert result.ci95_halfwidth == pytest.approx(4.30265273 * result.stderr)
         assert result.events_processed > 0
         assert result.mean_aoi > 0
 
@@ -492,6 +498,12 @@ class TestReproducibility:
                   if row[1] in ("arrival", "preempt") and (model == "mm2p" or row[2] == "1")]
         assert len(firsts) > des_sim._DRAW_BLOCK
         assert _trace_digest(tmp_path) == LONG_TRACE_SHA256[model]
+
+    def test_ci_quantile_matches_student_t(self):
+        # the table's range, the expansion's, and its large-dof limit
+        dofs = [*range(1, 201), 1000, 12345, 10**5, 10**7]
+        ours = np.array([des_sim._t975(dof) for dof in dofs])
+        np.testing.assert_allclose(ours, stats.t.ppf(0.975, dofs), rtol=1e-7, atol=0)
 
     def test_single_trial_reports_no_stderr(self):
         # one trial has no spread to estimate, so it claims no certainty

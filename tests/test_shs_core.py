@@ -34,6 +34,7 @@ from aoi_shs.two_sensor import (
     build_two_sensor_chain,
 )
 from oracles import (
+    exact_solve,
     live_unknowns,
     single_queue_average_age,
     single_queue_model,
@@ -576,12 +577,15 @@ class TestLiveSet:
     def test_random_chains_match_oracles(self, seed):
         # a rejected chain raises the oracle's message; a built one has the
         # oracle's live set and, at its rates, the oracle's stage systems.
-        # At Fraction rates of their own draw, its norm rows give the column
-        # sums of |balance system| and the row sums of |correlation system|
-        # exactly, self-copies (mixed signs on one diagonal entry) included
+        # Solved exactly at those rates, every unknown off the live set is 0
+        # and the float solve reads exactly 0.0 there; a chain singular
+        # exactly is refused. At Fraction rates of their own draw, its norm
+        # rows give the column sums of |balance system| and the row sums of
+        # |correlation system| exactly, self-copies (mixed signs on one
+        # diagonal entry) included
         rng = np.random.default_rng(600 + seed)
         fractions = np.random.default_rng(700 + seed)
-        built = 0
+        built = dead_seen = 0
         for _ in range(500):
             n, c, transitions, slopes = random_chain(rng)
             message = unreachable_state(n, transitions)
@@ -601,6 +605,17 @@ class TestLiveSet:
             assert compiled.tolist() == balance.tolist()
             assert ((rates @ model.correlation).reshape(len(live), len(live)).tolist()
                     == correlation[np.ix_(live, live)].tolist())
+            try:
+                _, vectors = exact_solve(model, rates)
+            except ValueError:
+                with pytest.raises(IllConditionedSystemError):
+                    solve_correlation(model, solve_stationary(model))
+            else:
+                dead = np.setdiff1d(np.arange(n * c), live)
+                assert [vectors[i // c][i % c] for i in dead] == [Fraction(0)] * len(dead)
+                v = solve_correlation(model, solve_stationary(model)).vectors.ravel()
+                assert v[dead].tolist() == [0.0] * len(dead)
+                dead_seen += len(dead)
             exact = np.array([Fraction(int(a), int(b)) for a, b
                               in fractions.integers(1, 50, size=(len(rates), 2))], dtype=object)
             balance, correlation = stage_systems(model, exact)
@@ -610,6 +625,7 @@ class TestLiveSet:
             assert ((exact @ correlation_norm).tolist()
                     == np.abs(correlation[np.ix_(live, live)]).sum(axis=1).tolist())
         assert 100 < built < 400
+        assert dead_seen > 0
 
 
 class TestCorrelation:
