@@ -18,7 +18,7 @@ Summing a correlation component over all states gives the long-run time
 average of that age process; component 0 is conventionally the monitor age.
 
 :func:`build_model` validates a chain once and stores one coefficient row per
-transition, so both systems are linear in the transition rates: a stack of
+rate name (per transition if the rates are numbers) for each system: a stack of
 rate rows times the coefficients assembles a stack of systems, which are
 solved and guarded together, one LAPACK call per stage. A single model is a
 batch of one, and each solve's result carries its condition number and
@@ -37,7 +37,7 @@ solve certifies that and gives the exact infinity-norm condition number,
 ``inf`` when the certificate fails. Every entry of either system collects
 rates of one sign, so each system's own norm (the balance system's 1-norm,
 the correlation system's infinity-norm) is linear in the rates too: the
-model stores one norm row per transition for each stage, and a block's
+model stores one norm row per coefficient row for each stage, and a block's
 norms are one matrix product of the rate rows with them. Summed in that
 order, a condition number may differ from ``np.linalg.cond`` by a few ulps.
 
@@ -48,11 +48,15 @@ solution, and in the balance stage the sum of the probabilities. One check
 then passes the whole block when every point is within every bound and has
 no negative entry. Only when that check fails does one scan run the
 stage's guards in a fixed order: in the balance stage the condition
-number, the balance residual, a negative probability and then, with
-negative entries clipped to 0, the normalization; in the correlation stage
-the condition number, the residual and a negative expectation, after which
-negative entries are clipped to 0. The first guard that flags a point
-raises :class:`IllConditionedSystemError` naming the first point it flags.
+number, the balance residual relative to the system's 1-norm, a negative
+probability and then, with negative entries clipped to 0, the
+normalization; in the correlation stage the condition number, the residual
+and a negative expectation, after which negative entries are clipped to 0.
+The first guard that flags a point raises :class:`IllConditionedSystemError`
+naming the first point it flags. Floating-point warnings are silenced
+inside each stage, one ``np.errstate`` per stage: at rates near the float
+limit the assembly and the guard quantities overflow, and the guard that
+refuses the point is the only report.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -87,7 +91,9 @@ import numpy as np
 #: the same decade, s = 1e6.
 CONDITION_LIMIT = 1e12
 
-#: Residual ceilings, roughly 100x double round-off for systems of this size.
+#: Residual ceilings, roughly 100x double round-off for systems of this size;
+#: the balance residual's is relative to the balance system's 1-norm, so it
+#: scales with the rates as the rounding in ``B pi`` does.
 BALANCE_RESIDUAL_TOL = 1e-10
 CORRELATION_RESIDUAL_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
@@ -138,11 +144,11 @@ def _require_positive(**rates) -> None:
 
 
 class TransitionSpec(NamedTuple):
-    """One chain transition: source, destination, rate, and age reset map."""
+    """One chain transition: source, destination, rate or rate name, reset map."""
 
     from_state: int
     to_state: int
-    rate: float
+    rate: float | str
     reset_map: np.ndarray
 
 
@@ -162,22 +168,24 @@ class ShsModel:
     0; a never-zeroed unknown stays in the solved system, whose M-matrix
     certificate then rejects the chain. ``live_states`` and ``live_slopes``
     hold each live unknown's state q and slope, the right-hand side
-    ``slope * pi_q`` of its equation. ``balance[t]`` and
-    ``correlation[t]`` hold, flattened, what one unit of the rate of
-    transition ``t`` contributes to the balance system (n, n) and to the
-    correlation system on the live unknowns (L, L). No entry of either
-    system collects rates of both signs (a self-loop nets 0 in its own
-    coefficient), so the systems' norms are linear in the rates too:
-    ``balance_norm[t]`` (n,) holds the absolute column sums of
-    ``balance[t]`` without its last row, which the normalization row of
-    ones replaces, and ``correlation_norm[t]`` (L,) the absolute row sums
-    of ``correlation[t]``; every entry is 0, 1 or 2.
+    ``slope * pi_q`` of its equation. Rate column ``k`` is the rate named
+    ``rate_names[k]`` (sorted), or transition ``k``'s when rates are numbers
+    and ``rate_names`` is empty. ``balance[k]`` and ``correlation[k]`` hold,
+    flattened, what one unit of it contributes over every transition at that
+    rate to the balance system (n, n) and to the correlation system on the
+    live unknowns (L, L). No entry of either system collects rates of both
+    signs (a self-loop nets 0), so the systems' norms are linear too:
+    ``balance_norm[k]`` (n,) holds the absolute column sums of
+    ``balance[k]`` without its last row, which the normalization row of
+    ones replaces, and ``correlation_norm[k]`` (L,) the absolute row sums
+    of ``correlation[k]``; every entry is a nonnegative integer.
     """
 
     num_states: int
     num_components: int
     transitions: tuple[TransitionSpec, ...]
     slopes: np.ndarray
+    rate_names: tuple[str, ...] = field(repr=False, compare=False)
     live: np.ndarray = field(repr=False, compare=False)
     live_states: np.ndarray = field(repr=False, compare=False)
     live_slopes: np.ndarray = field(repr=False, compare=False)
@@ -221,13 +229,15 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
 
     ``transitions`` holds ``(from_state, to_state, rate, reset_map)``
     tuples, :class:`TransitionSpec` or plain. Counts and state indices must
-    be integers and rates real numbers (numpy scalars included, bools not).
+    be integers, and rates all real numbers (numpy scalars included, bools
+    not) or all rate names, Python identifiers (see :class:`ShsModel`).
     Raises ``ValueError`` naming the offending field, transition or state on
     any violation: a count below 1, a state index that is not an integer or
-    out of range, a rate that breaks :func:`_require_positive`'s rule
-    (named ``transition <idx> (<from>-><to>): rate``), reset-map columns
-    that are not "zero or copy exactly one component", non-binary slopes,
-    or a chain that is not strongly connected.
+    out of range, a rate that is no name and breaks the rule of
+    :func:`_require_positive` (named ``transition <idx> (<from>-><to>):
+    rate``), names mixed with numbers, reset-map columns that are not "zero
+    or copy exactly one component", non-binary slopes, or a chain that is
+    not strongly connected.
     """
     for label, count in (("num_states", num_states), ("num_components", num_components)):
         if not (_is_a(numbers.Integral, count) and count >= 1):
@@ -246,7 +256,11 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
                 raise ValueError(
                     f"transition {idx}: {label} {state!r} is not an integer in [0, {n})"
                 )
-        _require_positive(**{f"transition {idx} ({frm}->{to}): rate": rate})
+        named = isinstance(rate, str) and rate.isidentifier()
+        if not named:
+            _require_positive(**{f"transition {idx} ({frm}->{to}): rate": rate})
+        if specs and named != isinstance(specs[0].rate, str):
+            raise ValueError(f"transition {idx}: rate {rate!r} mixes names and numbers")
         amap = np.array(amap, dtype=float)
         if amap.shape != (c, c):
             raise ValueError(
@@ -262,7 +276,7 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
                 f"{int(col_counts[bad])} nonzero entries; at most one allowed"
             )
         amap.setflags(write=False)
-        specs.append(TransitionSpec(int(frm), int(to), float(rate), amap))
+        specs.append(TransitionSpec(int(frm), int(to), str(rate) if named else float(rate), amap))
 
     slopes = np.array(slopes, dtype=float)
     if slopes.shape != (n, c):
@@ -272,14 +286,16 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
         raise ValueError(f"slope entries must be 0 or 1 (state {bad})")
     slopes.setflags(write=False)
 
-    # one pass compiles both systems and records the state steps, the copies
-    # (frm, i) -> (to, j) wherever A[i, j] = 1, and the unknowns (to, j) that
-    # an empty column j zeroes
-    balance = np.zeros((len(specs), n, n))
-    correlation = np.zeros((len(specs), n * c, n * c))
+    # one pass compiles both systems, into each transition's rate column, and
+    # records the state steps, the copies (frm, i) -> (to, j) wherever
+    # A[i, j] = 1, and the unknowns (to, j) that an empty column j zeroes
+    rate_names = tuple(sorted({t.rate for t in specs if isinstance(t.rate, str)}))
+    row_of = [rate_names.index(t.rate) for t in specs] if rate_names else range(len(specs))
+    balance = np.zeros((len(rate_names) or len(specs), n, n))
+    correlation = np.zeros((len(balance), n * c, n * c))
     steps, copies, zeroed = [], [], []
     own = np.arange(c)
-    for t, (frm, to, _, amap) in enumerate(specs):
+    for t, (frm, to, _, amap) in zip(row_of, specs):
         balance[t, frm, frm] += 1.0
         balance[t, to, frm] -= 1.0
         # leaving ``frm`` at this rate: v_frm * rate on the diagonal; entering
@@ -308,12 +324,12 @@ def build_model(num_states, num_components, transitions, slopes) -> ShsModel:
     # row keeps by columns, the correlation system by rows
     balance_norm = np.abs(balance[:, :-1]).sum(axis=1)
     correlation_norm = np.abs(correlation).sum(axis=2)
-    balance = balance.reshape(len(specs), n * n)
-    correlation = correlation.reshape(len(specs), len(live) ** 2)
+    balance = balance.reshape(len(balance), n * n)
+    correlation = correlation.reshape(len(correlation), len(live) ** 2)
     for array in (live, live_states, live_slopes, balance, correlation, balance_norm,
                   correlation_norm):
         array.setflags(write=False)
-    return ShsModel(n, c, tuple(specs), slopes, live, live_states, live_slopes,
+    return ShsModel(n, c, tuple(specs), slopes, rate_names, live, live_states, live_slopes,
                     balance, correlation, balance_norm, correlation_norm)
 
 
@@ -331,6 +347,9 @@ def _reachable(edges, seeds) -> set:
 
 
 def _model_rates(model: ShsModel) -> np.ndarray:
+    if model.rate_names:
+        frm, to, name, _ = model.transitions[0]
+        raise ValueError(f"transition 0 ({frm}->{to}): rate {name!r} is a name, not a number")
     return np.array([[t.rate for t in model.transitions]])
 
 
@@ -425,22 +444,24 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, rhs:
     return x, residual, cond
 
 
-def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset: int):
+@np.errstate(all="ignore")
+def _stationary(model: ShsModel, rates: np.ndarray, offset: int):
     """Stationary stage of :func:`solve_stationary` for a block of points:
-    ``weights`` (B, T) holds each point's transition rates and ``rates`` the
-    rows that guard messages name; ``offset`` is the index of the block's
-    first point. The guards read, per point, the condition number, the
-    largest balance residual, the lowest probability and the sum of the
+    ``rates`` (B, k) holds each point's rates, one per rate column of the
+    model, and guard messages name its rows; ``offset`` is the index of the
+    block's first point. The guards read, per point, the condition number,
+    the largest balance residual, the lowest probability and the sum of the
     probabilities, and one check passes the block; only when it fails are
     entries below 0 clipped to 0, the sum taken again, and one
-    :func:`_guard` scan run in order (condition, residual, probability
+    :func:`_guard` scan run in order (condition, residual above
+    :data:`BALANCE_RESIDUAL_TOL` times the system's 1-norm, probability
     below :data:`_TINY_NEGATIVE` before the clip, then a sum off 1 by more
     than :data:`NORMALIZATION_TOL`) to raise for the first flagged point.
-    Returns the probabilities (B, n), condition numbers and max balance
-    residuals (B,).
+    Returns the probabilities (B, n), condition numbers and max absolute
+    balance residuals (B,).
     """
     n = model.num_states
-    balance = (weights @ model.balance).reshape(-1, n, n)
+    balance = (rates @ model.balance).reshape(-1, n, n)
     system = balance.copy()
     system[:, -1, :] = 1.0
     try:
@@ -451,24 +472,26 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     # |A|_1 |A^-1|_1 as np.linalg.cond(system, 1) reads it, up to a few ulps:
     # |A|_1 from the model's norm rows plus the row of ones, |A^-1|_1 from
     # this inverse
-    cond = ((weights @ model.balance_norm + 1.0).max(axis=1)
-            * np.abs(inverse).sum(axis=-2).max(axis=-1))
+    norm = (rates @ model.balance_norm + 1.0).max(axis=1)
+    cond = norm * np.abs(inverse).sum(axis=-2).max(axis=-1)
     # the right-hand side is the last unit vector, so pi is the last column
     probs = inverse[:, :, -1:]
     residual = np.abs(balance @ probs).max(axis=(1, 2))
     probs = probs[..., 0]
     lowest = probs.min(axis=1)
     total = probs.sum(axis=1)
-    if not _passes((cond, residual, -lowest, np.abs(total - 1.0)),
+    relative = residual / norm
+    if not _passes((cond, relative, -lowest, np.abs(total - 1.0)),
                    (CONDITION_LIMIT, BALANCE_RESIDUAL_TOL, _no_negative_ceiling(),
                     NORMALIZATION_TOL)):
         probs[probs < 0.0] = 0.0
         total = probs.sum(axis=1)
         _guard(rates, offset, (
             _condition_check(cond, "stationary balance"),
-            (residual > BALANCE_RESIDUAL_TOL,
-             lambda i: f"stationary solve left balance residual {residual[i]:.3e} "
-                       f"above {BALANCE_RESIDUAL_TOL:.0e}"),
+            (relative > BALANCE_RESIDUAL_TOL,
+             lambda i: f"stationary solve left balance residual {residual[i]:.3e} above "
+                       f"{BALANCE_RESIDUAL_TOL * norm[i]:.3e}, {BALANCE_RESIDUAL_TOL:.0e} "
+                       "times the system's 1-norm"),
             (lowest < _TINY_NEGATIVE,
              lambda i: f"stationary solve produced negative probability {lowest[i]:.3e}"),
             (np.abs(total - 1.0) > NORMALIZATION_TOL,
@@ -477,8 +500,8 @@ def _stationary(model: ShsModel, rates: np.ndarray, weights: np.ndarray, offset:
     return probs, cond, residual
 
 
-def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
-                 probs: np.ndarray, offset: int):
+@np.errstate(all="ignore")
+def _correlation(model: ShsModel, rates: np.ndarray, probs: np.ndarray, offset: int):
     """Correlation stage of :func:`solve_correlation` for a block of points,
     given as for :func:`_stationary`, and their stationary probabilities
     (B, n). Solves and guards on the live unknowns through
@@ -491,21 +514,21 @@ def _correlation(model: ShsModel, rates: np.ndarray, weights: np.ndarray,
     live = model.live
     if not len(live):
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
-    system = (weights @ model.correlation).reshape(-1, len(live), len(live))
+    system = (rates @ model.correlation).reshape(-1, len(live), len(live))
     rhs = (probs[:, model.live_states] * model.live_slopes)[..., None]
-    norm = (weights @ model.correlation_norm).max(axis=1)
+    norm = (rates @ model.correlation_norm).max(axis=1)
     x, residual, cond = _certify_m_matrix(system, norm, rates, offset, rhs)
     vectors = np.zeros((len(rates), n * c))
     vectors[:, live] = x[..., 0]
     return vectors.reshape(len(rates), n, c), cond, residual
 
 
-def _solve(model: ShsModel, rates: np.ndarray, columns):
+def _solve(model: ShsModel, rates: np.ndarray):
     """Both solves for every row of an (N, k) rate array, N >= 1, in blocks.
 
-    ``columns`` maps each of the model's T transitions onto a column of
-    ``rates``: point i's transition rates are ``rates[i, columns]``, so a
-    chain whose transitions share a few named rates is solved, and its guard
+    Column k of ``rates`` is the model's rate column k, ``rate_names[k]``
+    in a named chain or transition k's rate in a numeric one, so a chain
+    whose transitions share a few named rates is solved, and its guard
     messages are written, in those rates. Rates must already be positive and
     finite. Yields, for each block of at most :data:`BATCH_BLOCK` rows in
     order, the block's two stages, each ``(values, condition, residual)``
@@ -518,9 +541,8 @@ def _solve(model: ShsModel, rates: np.ndarray, columns):
     """
     for start in range(0, len(rates), BATCH_BLOCK):
         rows = rates[start:start + BATCH_BLOCK]
-        weights = rows[:, columns]
-        stationary = _stationary(model, rows, weights, start)
-        yield stationary, _correlation(model, rows, weights, stationary[0], start)
+        stationary = _stationary(model, rows, start)
+        yield stationary, _correlation(model, rows, stationary[0], start)
 
 
 def _first_point(result, stage):
@@ -539,10 +561,10 @@ def solve_stationary(model: ShsModel) -> StationaryDistribution:
     right-hand side is then the last unit vector, so the distribution is the
     last column of the system's inverse (dense LU with partial pivoting),
     which also gives the condition number. The full set of balance residuals
-    is re-checked afterwards.
+    is re-checked afterwards. A named chain has no rates to solve at, and
+    ``ValueError`` names its first transition and rate name.
     """
-    rates = _model_rates(model)
-    return _first_point(StationaryDistribution, _stationary(model, rates, rates, 0))
+    return _first_point(StationaryDistribution, _stationary(model, _model_rates(model), 0))
 
 
 def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> CorrelationVectors:
@@ -557,11 +579,11 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
     are solved as a single dense system on the model's live unknowns, with
     the M-matrix certificate as a second right-hand side; every other
     unknown is exactly 0. Nonnegativity of the solution is verified a
-    posteriori rather than assumed.
+    posteriori rather than assumed. A named chain raises as in
+    :func:`solve_stationary`.
     """
-    rates = _model_rates(model)
     probs = np.asarray(pi.probs, dtype=float)[None, :]
-    return _first_point(CorrelationVectors, _correlation(model, rates, rates, probs, 0))
+    return _first_point(CorrelationVectors, _correlation(model, _model_rates(model), probs, 0))
 
 
 def average_age(v: CorrelationVectors, component: int = 0) -> float:

@@ -155,27 +155,16 @@ def _reset_map(kept) -> np.ndarray:
     return amap
 
 
-def _compile(transitions, slopes):
-    """A chain built with unit rates standing in, and the map of its
-    transitions onto the columns of a (lambda1, lambda2, mu1, mu2) row; every
-    solve passes its own rates."""
-    model = build_model(
-        len(slopes),
-        NUM_COMPONENTS,
-        [(frm, to, 1.0, _reset_map(kept)) for (frm, to, _, kept) in transitions],
-        slopes,
-    )
-    return model, np.array([_RATE_NAMES.index(name) for (_, _, name, _) in transitions])
-
-
-_CHAIN, _RATE_OF = _compile(_TRANSITIONS, _SLOPES)
-_GRID_CHAIN, _GRID_RATE_OF = _compile(_GRID_TRANSITIONS, _GRID_SLOPES)
+# Both chains, with the rate names as rates: their rate columns are _RATE_NAMES.
+_CHAIN, _GRID_CHAIN = (
+    build_model(len(slopes), NUM_COMPONENTS,
+                [(frm, to, name, _reset_map(kept)) for frm, to, name, kept in table], slopes)
+    for table, slopes in ((_TRANSITIONS, _SLOPES), (_GRID_TRANSITIONS, _GRID_SLOPES)))
 
 
 def build_two_sensor_chain(params: TwoSensorParams) -> ShsModel:
     """Instantiate the nine-state, eighteen-transition chain for ``params``."""
-    rates = [getattr(params, name) for name in _RATE_NAMES]
-    transitions = [t._replace(rate=rates[k]) for t, k in zip(_CHAIN.transitions, _RATE_OF)]
+    transitions = [t._replace(rate=getattr(params, t.rate)) for t in _CHAIN.transitions]
     return build_model(NUM_STATES, NUM_COMPONENTS, transitions, _SLOPES)
 
 
@@ -214,8 +203,8 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     adds its per-state solver output and diagnostics to the age, which
     :func:`average_aoi_grid` matches to about 1e-15 relative.
     """
-    rates = np.array([[getattr(params, name) for name in _RATE_NAMES]])
-    [(stationary, correlation)] = _solve(_CHAIN, rates, _RATE_OF)
+    rates = np.array([[getattr(params, name) for name in _CHAIN.rate_names]])
+    [(stationary, correlation)] = _solve(_CHAIN, rates)
     return AoiBreakdown(
         average_aoi=float(_monitor_ages(correlation)[0]),
         stationary=_first_point(StationaryDistribution, stationary),
@@ -259,7 +248,7 @@ def average_aoi_grid(rates) -> np.ndarray:
         _require_positive(
             **{f"point {point}: {_RATE_NAMES[column]}": float(rates[point, column])})
     return np.concatenate([_monitor_ages(correlation)
-                           for _, correlation in _solve(_GRID_CHAIN, rates, _GRID_RATE_OF)])
+                           for _, correlation in _solve(_GRID_CHAIN, rates)])
 
 
 def _monitor_ages(correlation) -> np.ndarray:

@@ -16,10 +16,10 @@ from aoi_shs import des_sim
 from aoi_shs.shs_core import ShsModel, _solve, build_model
 
 
-def solve_joined(model: ShsModel, rates, columns):
+def solve_joined(model: ShsModel, rates):
     """Both stages of ``shs_core._solve`` over every row of ``rates``, each
     ``(values, condition, residual)`` joined across the blocks it yields."""
-    blocks = list(_solve(model, rates, columns))
+    blocks = list(_solve(model, rates))
     return tuple(tuple(map(np.concatenate, zip(*stage))) for stage in zip(*blocks))
 
 

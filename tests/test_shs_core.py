@@ -28,8 +28,6 @@ from aoi_shs.shs_core import (
 from aoi_shs.two_sensor import (
     _CHAIN,
     _GRID_CHAIN,
-    _GRID_RATE_OF,
-    _RATE_OF,
     TwoSensorParams,
     build_two_sensor_chain,
 )
@@ -194,18 +192,53 @@ class TestBuildModel:
         with pytest.raises(ValueError, match=r"transition 1 is not a \('from_state', "):
             build_model(2, 1, [(0, 1, 1.0, [[1]]), (1, 0, 1.0)], [[1], [1]])
 
+    def test_named_chain_compiles_one_row_per_name(self):
+        # the transitions of one name add into one coefficient row, in
+        # sorted name order
+        model = build_model(2, 1, [(0, 1, "up", [[1]]), (1, 0, "down", [[1]]),
+                                   (0, 1, "up", [[0]])], [[1], [1]])
+        assert model.rate_names == ("down", "up")
+        assert model.balance.tolist() == [[0, -1, 0, 1], [2, 0, -2, 0]]
+        assert model.correlation.tolist() == [[0, -1, 0, 1], [2, 0, -1, 0]]
+        assert model.balance_norm.tolist() == [[0, 1], [2, 0]]
+        assert model.correlation_norm.tolist() == [[1, 1], [2, 1]]
+
+    @pytest.mark.parametrize("first, second, shown", [
+        pytest.param("lam", 2.0, "2.0", id="number-after-name"),
+        pytest.param(1.0, "mu", "'mu'", id="name-after-number"),
+    ])
+    def test_names_mixed_with_numbers_rejected(self, first, second, shown):
+        with pytest.raises(ValueError) as exc:
+            build_model(2, 1, [(0, 1, first, [[1]]), (1, 0, second, [[1]])], [[1], [1]])
+        assert str(exc.value) == f"transition 1: rate {shown} mixes names and numbers"
+
+    def test_named_chain_has_no_rates_of_its_own(self):
+        # the stage solves read a chain's own rates, and a named chain has
+        # none; the batched solve takes them per point, one per name
+        transitions = [(0, 1, "lam", [[1, 0], [0, 0]]), (1, 0, "mu", [[0, 0], [1, 0]])]
+        model = build_model(2, 2, transitions, [[1, 0], [1, 1]])
+        pi = solve_stationary(single_queue_model(1.0, 1.0))
+        for solve in (lambda: solve_stationary(model), lambda: solve_correlation(model, pi)):
+            with pytest.raises(ValueError) as exc:
+                solve()
+            assert str(exc.value) == "transition 0 (0->1): rate 'lam' is a name, not a number"
+        [(_, correlation)] = shs_core._solve(model, np.array([[1.0, 1.0]]))
+        assert average_age(solve_correlation(single_queue_model(1.0, 1.0), pi)) \
+            == correlation[0][0, :, 0].sum()
+
 
 class TestStationary:
     def test_negative_probability_is_read_before_the_clip(self):
-        # a negative weight on transition 0->1 makes one probability truly
-        # negative; read after the clip it would be 0, and the point would
-        # fail the normalization guard instead
-        weights = np.ones((5, len(_CHAIN.transitions)))
-        weights[3, 0] = -0.5
+        # a negative rate on transition 0->1 of the numeric nine-state chain
+        # makes one probability truly negative; read after the clip it would
+        # be 0, and the point would fail the normalization guard instead
+        model = build_two_sensor_chain(TwoSensorParams(1, 1, 1, 1))
+        rows = np.ones((5, len(model.transitions)))
+        rows[3, 0] = -0.5
         with pytest.raises(IllConditionedSystemError,
                            match=r"^point 3 \(rates \[-0\.5, .*\]\): stationary solve "
                                  r"produced negative probability -5\.357e-02$"):
-            shs_core._stationary(_CHAIN, weights, weights, 0)
+            shs_core._stationary(model, rows, 0)
 
     def test_two_state_balance(self):
         a, b = 1.3, 0.4
@@ -295,15 +328,17 @@ class TestConditionGuard:
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_balance_stack_is_named(self):
-        # no weight on any transition into or out of states 2 and 3: two
-        # balance rows are exactly zero, so the batched inverse fails
-        weights = np.ones((2, len(_CHAIN.transitions)))
-        weights[1, [t for t, (frm, to, _, _) in enumerate(_CHAIN.transitions)
-                    if {frm, to} & {2, 3}]] = 0.0
+        # no rate on any transition of the numeric nine-state chain into or
+        # out of states 2 and 3: two balance rows are exactly zero, so the
+        # batched inverse fails
+        model = build_two_sensor_chain(TwoSensorParams(1, 1, 1, 1))
+        rows = np.ones((2, len(model.transitions)))
+        rows[1, [t for t, (frm, to, _, _) in enumerate(model.transitions)
+                 if {frm, to} & {2, 3}]] = 0.0
         with pytest.raises(IllConditionedSystemError) as caught:
-            shs_core._stationary(_CHAIN, weights, weights, 10)
+            shs_core._stationary(model, rows, 10)
         assert str(caught.value) == (
-            f"point 11 (rates {weights[1].tolist()}): stationary balance system is "
+            f"point 11 (rates {rows[1].tolist()}): stationary balance system is "
             "ill-conditioned (condition estimate inf exceeds 1e+12)")
 
 
@@ -323,7 +358,7 @@ class TestMMatrixCertificate:
     def test_singular_member_of_correlation_stack_is_named(self):
         rng = np.random.default_rng(12)
         rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
-        systems = (rates[:, _RATE_OF] @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
+        systems = (rates @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
         rhs = np.ones((BATCH_BLOCK, 21, 1))
         norm = np.abs(systems).sum(axis=-1).max(axis=-1)
         _, _, condition = _certify_m_matrix(systems, norm, rates, 0, rhs)
@@ -339,21 +374,25 @@ class TestMMatrixCertificate:
         # the infinity-norm number of the live system, from the certificate
         rng = np.random.default_rng(47)
         rates = np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(200, 4)))
-        _, (_, condition, _) = solve_joined(_CHAIN, rates, _RATE_OF)
+        _, (_, condition, _) = solve_joined(_CHAIN, rates)
         expected = [np.linalg.cond(live_correlation_system(
                         build_two_sensor_chain(TwoSensorParams(*row))), np.inf)
                     for row in rates]
         assert condition.tolist() == pytest.approx(expected, rel=1e-12)
 
 
-def guard_quantities(chain, columns, row) -> dict:
+def guard_quantities(chain, row) -> dict:
     """What each solver guard reads at one rate point, solved alone under the
-    default tolerances; a point's values do not depend on its batch."""
+    default tolerances; a point's values do not depend on its batch. The
+    balance residual's ceiling scales with the balance system's 1-norm."""
     (probs, balance_cond, balance_res), (vectors, corr_cond, corr_res) = solve_joined(
-        chain, np.array([row], dtype=float), columns)
+        chain, np.array([row], dtype=float))
+    system = (np.array(row) @ chain.balance).reshape(chain.num_states, chain.num_states)
+    system[-1] = 1.0
     return {
         "balance condition": float(balance_cond[0]),
         "balance residual": float(balance_res[0]),
+        "balance norm": float(np.abs(system).sum(axis=0).max()),
         "lowest probability": float(probs.min()),
         "total": float(probs.sum(axis=1)[0]),
         "correlation condition": float(corr_cond[0]),
@@ -369,7 +408,10 @@ def guard_quantities(chain, columns, row) -> dict:
 # and the patched value. The two negativity guards share a tolerance, so each
 # patched value also keeps the other guard quiet: the first stays at or below
 # the all-ones point's lowest expectation (its scale is 1), whose block is
-# solved first, and the second at the point's own lowest probability.
+# solved first, and the second at the point's own lowest probability. The
+# balance residual's point leaves a residual, relative to the 1-norm, about
+# 8 times the all-ones point's on the grid chain, and 570 times on the
+# nine-state one.
 GUARDS = {
     "balance condition": (
         (20.0, 20.0, 0.05, 0.05), "CONDITION_LIMIT",
@@ -377,10 +419,11 @@ GUARDS = {
         lambda q, tol: "stationary balance system is ill-conditioned (condition "
                        f"estimate {q['balance condition']:.3e} exceeds {tol:.0e})"),
     "balance residual": (
-        (0.3, 2.0, 0.7, 40.0), "BALANCE_RESIDUAL_TOL",
-        lambda q, ones: q["balance residual"] / 2,
+        (40.0, 0.3, 40.0, 0.05), "BALANCE_RESIDUAL_TOL",
+        lambda q, ones: q["balance residual"] / q["balance norm"] / 2,
         lambda q, tol: "stationary solve left balance residual "
-                       f"{q['balance residual']:.3e} above {tol:.0e}"),
+                       f"{q['balance residual']:.3e} above {tol * q['balance norm']:.3e}, "
+                       f"{tol:.0e} times the system's 1-norm"),
     "negative probability": (
         (1.0, 1.0, 50.0, 50.0), "_TINY_NEGATIVE",
         lambda q, ones: min(ones["lowest probability"], ones["lowest expectation"]),
@@ -409,66 +452,62 @@ GUARDS = {
 }
 
 
-def fire(chain, columns, failing):
+def fire(chain, failing):
     """Solve ``BATCH_BLOCK + 10`` all-ones points with guard ``failing[i]``'s
     point at index ``i`` and its tolerance patched; return the raised
     message and the message each guard expects."""
-    ones = guard_quantities(chain, columns, (1.0,) * 4)
+    ones = guard_quantities(chain, (1.0,) * 4)
     rates = np.ones((BATCH_BLOCK + 10, 4))
     patches, expected = {}, {}
     for index, guard in failing.items():
         row, name, patched, message = GUARDS[guard]
-        quantities = guard_quantities(chain, columns, row)
+        quantities = guard_quantities(chain, row)
         patches[name] = patched(quantities, ones)
         rates[index] = row
         expected[guard] = f"point {index} (rates {list(row)}): " \
                           f"{message(quantities, patches[name])}"
     with mock.patch.multiple(shs_core, **patches):
         with pytest.raises(IllConditionedSystemError) as caught:
-            solve_joined(chain, rates, columns)
+            solve_joined(chain, rates)
     return str(caught.value), expected
 
 
-@pytest.mark.parametrize("chain, columns", [(_CHAIN, _RATE_OF), (_GRID_CHAIN, _GRID_RATE_OF)],
-                         ids=["nine-state", "grid"])
+@pytest.mark.parametrize("chain", [_CHAIN, _GRID_CHAIN], ids=["nine-state", "grid"])
 class TestGuards:
     """Every guard of both stages fires, names its point and keeps its message."""
 
     @pytest.mark.parametrize("guard", GUARDS)
-    def test_guard_names_its_point(self, chain, columns, guard):
-        raised, expected = fire(chain, columns, {BATCH_BLOCK + 3: guard})
+    def test_guard_names_its_point(self, chain, guard):
+        raised, expected = fire(chain, {BATCH_BLOCK + 3: guard})
         assert raised == expected[guard]
 
     @pytest.mark.parametrize("earlier, later", [
         ("balance condition", "normalization"),
         ("balance residual", "correlation condition"),
     ])
-    def test_earlier_guard_wins_over_earlier_point(self, chain, columns, earlier, later):
+    def test_earlier_guard_wins_over_earlier_point(self, chain, earlier, later):
         # the later guard's point comes first in its block, but each guard
         # scans the whole block before the next guard runs
-        raised, expected = fire(chain, columns,
-                                {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
+        raised, expected = fire(chain, {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
         assert raised == expected[earlier]
 
-    def test_earlier_block_wins_over_earlier_guard(self, chain, columns):
+    def test_earlier_block_wins_over_earlier_guard(self, chain):
         # a failing block raises before any later block is solved
-        raised, expected = fire(chain, columns,
-                                {3: "normalization", BATCH_BLOCK + 3: "balance condition"})
+        raised, expected = fire(chain, {3: "normalization", BATCH_BLOCK + 3: "balance condition"})
         assert raised == expected["normalization"]
 
 
-@pytest.mark.parametrize("chain, columns", [(_CHAIN, _RATE_OF), (_GRID_CHAIN, _GRID_RATE_OF)],
-                         ids=["nine-state", "grid"])
+@pytest.mark.parametrize("chain", [_CHAIN, _GRID_CHAIN], ids=["nine-state", "grid"])
 @pytest.mark.parametrize("earlier, later", [
     ("balance condition", "balance residual"),
     ("balance condition", "negative probability"),
     ("correlation condition", "correlation residual"),
     ("correlation residual", "negative expectation"),
 ])
-def test_guard_order_within_a_stage(chain, columns, earlier, later):
+def test_guard_order_within_a_stage(chain, earlier, later):
     # as in TestGuards, but both guards in one stage; the pairs are those
     # whose patched tolerances leave each other's point quiet
-    raised, expected = fire(chain, columns, {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
+    raised, expected = fire(chain, {BATCH_BLOCK + 3: later, BATCH_BLOCK + 5: earlier})
     assert raised == expected[earlier]
 
 
@@ -503,16 +542,48 @@ def random_chain(rng):
     return n, c, transitions, (rng.random((n, c)) < 0.5).astype(float)
 
 
+#: The rate names of :func:`named_twin`, the name of rate k at index k - 1.
+RATE_NAMES = ("one", "two", "three")
+
+
+def named_twin(n, c, transitions, slopes):
+    """The chain of :func:`random_chain`'s draw with each integer rate k
+    replaced by the name ``RATE_NAMES[k - 1]``, so that the transitions of
+    one rate share a coefficient row; and its rates, one per name."""
+    model = build_model(n, c, [(frm, to, RATE_NAMES[int(rate) - 1], amap)
+                               for frm, to, rate, amap in transitions], slopes)
+    return model, np.array([RATE_NAMES.index(name) + 1.0 for name in model.rate_names])
+
+
+def assert_exact_norm_rows(model, compiled, column_rates, transition_rates):
+    """``compiled``'s norm rows at ``column_rates``, one ``Fraction`` per
+    rate column, give exactly the absolute column sums of ``model``'s
+    balance system and the absolute row sums of its live correlation
+    system, both written out by :func:`stage_systems` at
+    ``transition_rates``, one per transition."""
+    balance, correlation = stage_systems(model, transition_rates)
+    live = live_unknowns(model)
+    exact = np.array(column_rates, dtype=object)
+    balance_norm, correlation_norm = (np.frompyfunc(Fraction, 1, 1)(rows) for rows
+                                      in (compiled.balance_norm, compiled.correlation_norm))
+    assert (exact @ balance_norm + 1).tolist() == np.abs(balance).sum(axis=0).tolist()
+    assert ((exact @ correlation_norm).tolist()
+            == np.abs(correlation[np.ix_(live, live)]).sum(axis=1).tolist())
+
+
 class TestLiveSet:
     @pytest.mark.parametrize("chain, size", [
         pytest.param(_CHAIN, 21, id="nine-state"),
         pytest.param(_GRID_CHAIN, 11, id="five-state"),
     ])
     def test_two_sensor_live_sets_are_unit_slopes(self, chain, size):
+        # one coefficient row per rate name, four for both chains
         assert chain.live.tolist() == live_unknowns(chain)
         assert chain.live.tolist() == np.flatnonzero(chain.slopes).tolist()
         assert len(chain.live) == size
-        assert chain.correlation.shape == (len(chain.transitions), size * size)
+        assert len(chain.rate_names) == 4
+        assert chain.balance.shape == (4, chain.num_states ** 2)
+        assert chain.correlation.shape == (4, size * size)
 
     def test_slope_zero_unknown_live_through_copy_matches_dense_solve(self):
         model = copy_fed_model()
@@ -582,17 +653,21 @@ class TestLiveSet:
         # exactly is refused. At Fraction rates of their own draw, its norm
         # rows give the column sums of |balance system| and the row sums of
         # |correlation system| exactly, self-copies (mixed signs on one
-        # diagonal entry) included
+        # diagonal entry) included. Its named twin is refused alike, or
+        # assembles exactly the same systems and norms at the same rates,
+        # solves bit for bit alike, and its norm rows, folded by name, give
+        # the exact sums at Fraction rates of one draw per name
         rng = np.random.default_rng(600 + seed)
         fractions = np.random.default_rng(700 + seed)
-        built = dead_seen = 0
+        built = dead_seen = folded = 0
         for _ in range(500):
             n, c, transitions, slopes = random_chain(rng)
             message = unreachable_state(n, transitions)
             if message is not None:
-                with pytest.raises(ValueError) as exc:
-                    build_model(n, c, transitions, slopes)
-                assert str(exc.value) == message
+                for build in (build_model, named_twin):
+                    with pytest.raises(ValueError) as exc:
+                        build(n, c, transitions, slopes)
+                    assert str(exc.value) == message
                 continue
             built += 1
             model = build_model(n, c, transitions, slopes)
@@ -605,27 +680,41 @@ class TestLiveSet:
             assert compiled.tolist() == balance.tolist()
             assert ((rates @ model.correlation).reshape(len(live), len(live)).tolist()
                     == correlation[np.ix_(live, live)].tolist())
+            named, named_rates = named_twin(n, c, transitions, slopes)
+            assert len(named.rate_names) == len(set(rates.tolist()))
+            folded += len(named.rate_names) < len(rates)
+            assert named.live.tolist() == live
+            for rows in ("balance", "correlation", "balance_norm", "correlation_norm"):
+                assert ((named_rates @ getattr(named, rows)).tolist()
+                        == (rates @ getattr(model, rows)).tolist())
             try:
                 _, vectors = exact_solve(model, rates)
             except ValueError:
                 with pytest.raises(IllConditionedSystemError):
                     solve_correlation(model, solve_stationary(model))
+                with pytest.raises(IllConditionedSystemError):
+                    solve_joined(named, named_rates[None])
             else:
                 dead = np.setdiff1d(np.arange(n * c), live)
                 assert [vectors[i // c][i % c] for i in dead] == [Fraction(0)] * len(dead)
-                v = solve_correlation(model, solve_stationary(model)).vectors.ravel()
-                assert v[dead].tolist() == [0.0] * len(dead)
+                pi = solve_stationary(model)
+                v = solve_correlation(model, pi)
+                assert v.vectors.ravel()[dead].tolist() == [0.0] * len(dead)
                 dead_seen += len(dead)
-            exact = np.array([Fraction(int(a), int(b)) for a, b
-                              in fractions.integers(1, 50, size=(len(rates), 2))], dtype=object)
-            balance, correlation = stage_systems(model, exact)
-            balance_norm, correlation_norm = (np.frompyfunc(Fraction, 1, 1)(rows) for rows
-                                              in (model.balance_norm, model.correlation_norm))
-            assert (exact @ balance_norm + 1).tolist() == np.abs(balance).sum(axis=0).tolist()
-            assert ((exact @ correlation_norm).tolist()
-                    == np.abs(correlation[np.ix_(live, live)]).sum(axis=1).tolist())
+                (probs, _, residual), (twin, _, _) = solve_joined(named, named_rates[None])
+                assert (probs[0].tolist(), twin[0].tolist(), residual[0]) == (
+                    pi.probs.tolist(), v.vectors.tolist(), pi.residual)
+                exact = np.array(vectors, dtype=float)
+                assert np.abs(twin[0] - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max())
+            drawn = [Fraction(int(a), int(b)) for a, b
+                     in fractions.integers(1, 50, size=(len(rates), 2))]
+            assert_exact_norm_rows(model, model, drawn, drawn)
+            per_name = dict(zip(named.rate_names, (Fraction(int(a), int(b)) for a, b
+                                                   in fractions.integers(1, 50, size=(3, 2)))))
+            assert_exact_norm_rows(model, named, list(per_name.values()),
+                                   [per_name[t.rate] for t in named.transitions])
         assert 100 < built < 400
-        assert dead_seen > 0
+        assert dead_seen > 0 and folded > built // 2
 
 
 class TestCorrelation:
@@ -725,6 +814,16 @@ class TestSerialization:
         original = average_age(solve_correlation(model, solve_stationary(model)))
         recovered = average_age(solve_correlation(clone, solve_stationary(clone)))
         assert recovered == pytest.approx(original, rel=1e-15)
+
+    def test_named_chain_round_trip_keeps_compiled_rows(self):
+        text = model_to_json(_CHAIN)
+        assert '"rate": "lambda1"' in text
+        clone = model_from_json(text)
+        assert clone.rate_names == _CHAIN.rate_names
+        assert [t.rate for t in clone.transitions] == [t.rate for t in _CHAIN.transitions]
+        for rows in ("live", "balance", "correlation", "balance_norm", "correlation_norm"):
+            assert np.array_equal(getattr(clone, rows), getattr(_CHAIN, rows))
+        assert model_to_json(clone) == text
 
     def test_invalid_document_is_revalidated(self):
         model = ring_model([1.0, 1.0])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_shs.shs_core import (
+    BALANCE_RESIDUAL_TOL,
     BATCH_BLOCK,
     IllConditionedSystemError,
     average_age,
@@ -20,8 +21,7 @@ from aoi_shs.shs_core import (
 from aoi_shs.two_sensor import (
     _CHAIN,
     _GRID_CHAIN,
-    _GRID_RATE_OF,
-    _RATE_OF,
+    _RATE_NAMES,
     MONITOR_COMPONENT,
     TwoSensorParams,
     average_aoi_equal_service,
@@ -105,6 +105,10 @@ class TestChainConstruction:
         assert t.rate == 1.4
         assert t.reset_map.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
 
+    def test_both_chains_are_solved_in_the_grid_rate_order(self):
+        # sorted rate names give the (lambda1, lambda2, mu1, mu2) columns
+        assert _CHAIN.rate_names == _GRID_CHAIN.rate_names == _RATE_NAMES
+
     def test_slopes(self):
         model = build_two_sensor_chain(TwoSensorParams(1, 1, 1, 1))
         assert model.slopes.tolist() == [
@@ -113,7 +117,10 @@ class TestChainConstruction:
         ]
 
     def test_general_matches_generic_solves_bit_for_bit(self):
-        # both routes assemble the same systems from the same chain
+        # both routes assemble the same systems from the same chain, one row
+        # per rate name against one per transition. Only the correlation
+        # system's norm sums its rows' rates in another order, so its
+        # condition number may move by an ulp or two
         rng = np.random.default_rng(2206)
         for row in np.exp(rng.uniform(np.log(0.02), np.log(50.0), size=(100, 4))):
             params = TwoSensorParams(*row)
@@ -123,9 +130,10 @@ class TestChainConstruction:
             breakdown = average_aoi_general(params)
             assert np.array_equal(breakdown.stationary.probs, pi.probs)
             assert np.array_equal(breakdown.correlations.vectors, v.vectors)
-            assert (pi.condition, pi.residual, v.condition, v.residual) == (
+            assert (pi.condition, pi.residual, v.residual) == (
                 breakdown.stationary.condition, breakdown.stationary.residual,
-                breakdown.correlations.condition, breakdown.correlations.residual)
+                breakdown.correlations.residual)
+            assert breakdown.correlations.condition == pytest.approx(v.condition, rel=1e-15)
 
     def test_json_round_trip_reproduces_average(self):
         params = TwoSensorParams(0.5, 0.8, 1.0, 1.4)
@@ -235,7 +243,7 @@ class TestGridChain:
 
     def test_hand_written_equations_residual(self):
         rates = log_uniform_rates(48, 200, 0.02, 50.0)
-        (probs, _, _), (vectors, _, _) = solve_joined(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        (probs, _, _), (vectors, _, _) = solve_joined(_GRID_CHAIN, rates)
         for row, pi, v in zip(rates, probs, vectors):
             assert five_state_residual(*row, pi, v) < 1e-10
 
@@ -246,7 +254,7 @@ class TestGridChain:
         # systems' condition numbers, up to 6e3, allow 1.3e-12
         lumps = ([0], [1, 2], [4, 5], [6, 8], [3, 7])
         rates = log_uniform_rates(49, 200, 0.02, 50.0)
-        (probs, _, _), _ = solve_joined(_GRID_CHAIN, rates, _GRID_RATE_OF)
+        (probs, _, _), _ = solve_joined(_GRID_CHAIN, rates)
         for row, pi in zip(rates, probs):
             nine = stationary_closed_form(TwoSensorParams(*row)).probs
             lumped = [nine[states].sum() for states in lumps]
@@ -309,11 +317,31 @@ class TestGrid:
     @pytest.mark.parametrize("direction", [(1, 1, -1, -1), (-1, -1, 1, 1)],
                              ids=["fast-arrivals", "fast-service"])
     def test_extreme_rates_fail_the_condition_guard_cleanly(self, direction):
-        # every decade from the first refused one up to 1e100: both solvers
+        # every decade from the first refused one up to 1e308: both solvers
         # refuse on the condition number, with no floating-point warning from
-        # the quantities the other guards read
-        for s in 10.0 ** np.arange(6, 101):
+        # the assembly or the quantities the other guards read
+        for s in 10.0 ** np.arange(6, 309):
             row = tuple(s ** sign for sign in direction)
+            for solve in (lambda: average_aoi_grid([row]),
+                          lambda: average_aoi_general(TwoSensorParams(*row))):
+                with pytest.raises(IllConditionedSystemError, match="ill-conditioned"):
+                    solve()
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_rates_solve_up_to_the_condition_limit(self):
+        # (s, s, s, s) has age 1.609375 / s. From 1e7 to 1e11 the absolute
+        # balance residual, which the breakdown reports, exceeds 1e-10, but
+        # the guard reads it against the system's 1-norm, and both solvers
+        # land within 4.4e-16 of the age. From 1e12 to the float limit the
+        # condition number refuses, with no floating-point warning
+        for s in 10.0 ** np.arange(7, 309):
+            row = (s,) * 4
+            if s < 1e12:
+                breakdown = average_aoi_general(TwoSensorParams(*row))
+                assert breakdown.stationary.residual > BALANCE_RESIDUAL_TOL
+                assert [average_aoi_grid([row])[0], breakdown.average_aoi] == pytest.approx(
+                    [1.609375 / s] * 2, rel=1e-15, abs=0)
+                continue
             for solve in (lambda: average_aoi_grid([row]),
                           lambda: average_aoi_general(TwoSensorParams(*row))):
                 with pytest.raises(IllConditionedSystemError, match="ill-conditioned"):
@@ -326,7 +354,7 @@ class TestGrid:
         clipped = 0
         for row in log_uniform_rates(53, 1000, 1e-4, 1e4):
             try:
-                (probs, _, _), (vectors, _, _) = solve_joined(_CHAIN, row[None], _RATE_OF)
+                (probs, _, _), (vectors, _, _) = solve_joined(_CHAIN, row[None])
             except IllConditionedSystemError:
                 continue
             assert probs.min() >= 0.0 and vectors.min() >= 0.0
@@ -464,10 +492,17 @@ class TestClosedForms:
             func(bad, *[1.0] * (arity - 1))
 
 
-def exact_age(chain, columns, row) -> Fraction:
+def transition_rates(chain, row) -> list:
+    """Each transition's rate in ``chain`` at a row of its rate names'
+    rates, (lambda1, lambda2, mu1, mu2)."""
+    rate = dict(zip(chain.rate_names, np.asarray(row, dtype=float)))
+    return [rate[t.rate] for t in chain.transitions]
+
+
+def exact_age(chain, row) -> Fraction:
     """The exact average monitor age of ``chain`` at a (lambda1, lambda2,
     mu1, mu2) row, from the exact rational oracle."""
-    _, vectors = exact_solve(chain, np.asarray(row, dtype=float)[columns])
+    _, vectors = exact_solve(chain, transition_rates(chain, row))
     return sum(v[MONITOR_COMPONENT] for v in vectors)
 
 
@@ -478,8 +513,8 @@ EXACT_POINTS = np.random.default_rng(7).integers(1, 6, size=(20, 4)).astype(floa
 @pytest.fixture(scope="module")
 def exact_ages():
     """Exact ages at every point, on the grid chain and on the nine-state one."""
-    return ([exact_age(_GRID_CHAIN, _GRID_RATE_OF, row) for row in EXACT_POINTS],
-            [exact_age(_CHAIN, _RATE_OF, row) for row in EXACT_POINTS])
+    return ([exact_age(_GRID_CHAIN, row) for row in EXACT_POINTS],
+            [exact_age(_CHAIN, row) for row in EXACT_POINTS])
 
 
 class TestExact:
@@ -509,9 +544,9 @@ class TestExact:
             equal_service = (l1, l2, mu, mu)
             symmetric = (l1, l1, mu, mu)
             assert average_aoi_equal_service(Fraction(l1), Fraction(l2), Fraction(mu)) \
-                == exact_age(_GRID_CHAIN, _GRID_RATE_OF, equal_service)
+                == exact_age(_GRID_CHAIN, equal_service)
             assert average_aoi_symmetric(Fraction(l1), Fraction(mu)) \
-                == exact_age(_GRID_CHAIN, _GRID_RATE_OF, symmetric)
+                == exact_age(_GRID_CHAIN, symmetric)
 
     def test_stationary_closed_form_is_an_exact_identity(self):
         # a duck-typed params object keeps the Fraction rates that
@@ -520,4 +555,4 @@ class TestExact:
             l1, l2, m1, m2 = map(Fraction, row.tolist())
             params = SimpleNamespace(lambda1=l1, lambda2=l2, mu1=m1, mu2=m2)
             assert stationary_closed_form(params).probs.tolist() \
-                == exact_solve(_CHAIN, row[_RATE_OF])[0]
+                == exact_solve(_CHAIN, transition_rates(_CHAIN, row))[0]
