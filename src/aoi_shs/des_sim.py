@@ -47,7 +47,10 @@ instant falls by the horizon and by the first busy arrival from k+2 on. An
 update whose first such arrival is not yet drawn waits for the next block. A
 block's kept deliveries all fall by its last busy arrival, which every later
 update's delivery follows, so they are final once sorted. This makes the
-draws of a per-arrival walk and gives its results bit for bit.
+draws of a per-arrival walk and gives its results bit for bit. In a trace
+each block appends its kept deliveries and its new arrivals; the next block
+starts from update L-1, for the last busy arrival L so far, and carries that
+update's server, which is all its arrivals' rows need of the blocks before.
 
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
@@ -80,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .shs_core import _is_a, _require_positive
+from .shs_core import _finite, _is_a, _require_positive
 from .two_sensor import TwoSensorParams
 
 DEFAULT_SEED = 12345
@@ -107,14 +110,16 @@ _DRAW_BLOCK = 1 << 14
 #: at most 0.26 B for the two-sensor system (lambda/mu = 0.25), 0.04 B for
 #: the single queue and 0.20 B for the preemptive pair (lambda/mu = 0.5),
 #: the block buffers alone; traced, at 2e6 expected events and lambda/mu of
-#: 0.5, 4 and 50, at most 47 B (the preemptive pair at lambda/mu = 4). That
-#: RSS figure follows the allocator's layout, which keeps freed trace chunks
-#: resident and moves it by up to 10 MB between builds that differ only in
+#: 0.5, 4 and 50, at most 40.7 B (the preemptive pair at lambda/mu = 50;
+#: 34.9 B for the single queue, 32.9 B for two sensors). That RSS figure
+#: follows the allocator's layout, which keeps freed trace chunks resident
+#: and moves it by up to 10 MB between builds that differ only in
 #: docstrings. The live peak (tracemalloc, the trace writer included, over
-#: that of a 100-event trial) at those points is at most 38.8 B (the pair at
-#: lambda/mu = 50; 26.7 B for either blocking model). The traced growth
-#: binds: 2e7 * 47 B = 0.94 GB, so every model stays under 2 GB at the cap
-#: with room for the interpreter.
+#: that of a 100-event trial) at those points is at most 26.7 B (either
+#: blocking model at lambda/mu = 50; 26.6 B for the pair), reached as the
+#: trace writer joins and sorts the trial's rows. The traced growth binds:
+#: 2e7 * 40.7 B = 0.81 GB, so every model stays under 2 GB at the cap with
+#: room for the interpreter.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -183,21 +188,21 @@ def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
     no listed delivery occurred. Stale deliveries contribute nothing,
     matching the monitor discipline. ``t0``, ``t1`` and ``initial_age`` must
     be real numbers (numpy scalars included; bools and strings raise
-    ``ValueError``), and the window may not be so wide that its age integral
-    overflows a float. The segment areas are summed as in the simulators, in
-    chunks of ``_DRAW_BLOCK`` from the window's first segment, so a window
-    of more segments than that differs from one whole-array sum in its last
-    bits.
+    ``ValueError``) whose floats are finite, with ``t0 < t1`` as floats, and
+    the window may not be so wide that its age integral overflows a float.
+    The segment areas are summed as in the simulators, in chunks of
+    ``_DRAW_BLOCK`` from the window's first segment, so a window of more
+    segments than that differs from one whole-array sum in its last bits.
     """
-    t0, t1 = window[0], window[1]
-    if not (_is_a(numbers.Real, t0) and _is_a(numbers.Real, t1) and -_INF < t0 < t1 < _INF):
-        raise ValueError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
-    t0, t1 = float(t0), float(t1)
-    if not (_is_a(numbers.Real, initial_age) and 0 <= initial_age < _INF):
+    t0, t1 = _finite(window[0]), _finite(window[1])
+    if t0 is None or t1 is None or not t0 < t1:
+        raise ValueError(f"window must be finite with t1 > t0, got ({window[0]}, {window[1]})")
+    age = _finite(initial_age)
+    if age is None or not 0 <= initial_age:
         raise ValueError(f"initial_age must be nonnegative and finite, got {initial_age!r}")
     # the age in the window is at most t1 - t0 + initial_age; a finite bound
     # also keeps t0 + t1 finite, as no span at that magnitude has a finite square
-    span, initial_age = t1 - t0, float(initial_age)
+    span, initial_age = t1 - t0, age
     if not span * (span + initial_age) < _INF:
         raise ValueError(f"window ({t0}, {t1}) with initial_age {initial_age!r} is too wide: "
                          "its age integral overflows a float")
@@ -294,7 +299,10 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
     is None, or the trial's one list, shared by all channels, to which each
     appends its rows as column chunks ``(times, kind codes, sensors,
-    generation times)``, in any order, once they are final. Events processed
+    generation times)``, in any order, once they are final: every channel
+    appends one chunk per block, the preemptive pair's built from update
+    L-1 on, for the last busy arrival L before the block, with that
+    update's server carried across the block edge. Events processed
     are arrivals plus deliveries; a run is refused when it expects more than
     ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
     """
@@ -550,7 +558,9 @@ class _PreemptivePair:
     """One source feeding two preemptive servers, a block of arrivals at a
     time (see the module docstring). Update k is kept iff ``d[k] <=
     limit[k + 2]``, where ``limit[j]`` is the instant of the first busy
-    arrival at or after j, or the horizon if there is none."""
+    arrival at or after j, or the horizon if there is none. A traced block
+    appends its rows through :func:`_pair_rows`, from the window's first
+    update, L-1 for the last busy arrival L, whose server it carries."""
 
     def __init__(self, lam, mu, horizon):
         self.lam, self.mu, self.horizon = lam, mu, horizon
@@ -560,8 +570,7 @@ class _PreemptivePair:
     def __call__(self, arrival_rng, service_rng, trace):
         lam, mu, horizon, a, d = self.lam, self.mu, self.horizon, self.a, self.d
         base = 0.0
-        first = pending = 0  # the index of update a[0], and how many are undecided
-        blocks = []  # per block, when traced: its arrival and delivery instants, its kept updates
+        first, pending, server = 0, 0, 1  # a[0]'s update index, undecided count, a[0]'s server
         while base <= horizon:
             if pending + _DRAW_BLOCK > a.size:
                 a = self.a = _room(a, pending, pending + _DRAW_BLOCK)
@@ -601,7 +610,8 @@ class _PreemptivePair:
             np.fmin.accumulate(limit[::-1], out=limit[::-1])
             kept = np.flatnonzero(d[:decided] <= limit)
             if trace is not None:
-                blocks.append((a[pending:end].copy(), d[pending:end].copy(), kept + first))
+                servers = _pair_rows(trace, a[:end], d[:end], busy, kept, pending, server)
+                server = servers[decided] if decided < end else None  # the next window's first
             # in time order, equal instants in arrival order
             deps = d.take(kept)
             order = np.argsort(deps, kind="stable")
@@ -609,50 +619,50 @@ class _PreemptivePair:
             a[:end - decided] = a[decided:end]
             d[:end - decided] = d[decided:end]
             first, pending = first + decided, end - decided
-        if trace is not None:
-            trace.append(_pair_rows(*_joined(blocks)))
         # the last block decides every update, so first counts the arrivals
         return first
 
 
-def _pair_rows(a, d, kept):
-    """Trace columns of the preemptive pair: kept deliveries, then arrivals.
+def _pair_rows(trace, a, d, busy, kept, new, server):
+    """Appends a block's trace columns of the preemptive pair, its kept
+    deliveries then its new arrivals ``a[new:]``, and returns the servers of
+    ``a``. Update 0 is the trial's first, or L-1 for the last busy arrival L
+    before the block, and holds server ``server``.
 
     Arrival m is busy iff update m-1 is in service then, ``d[m-1] > a[m]``.
     Only a busy arrival J preempts, and it keeps update J-1 in service; an
-    update before a non-busy arrival has left by then. So the one update
-    older than m-1 that can be in service at arrival m is J-1, for the last
-    busy arrival J before m, and it is iff ``d[J-1] > a[m]``. An arrival
-    takes the other server than update m-1 if that one is busy, the same
-    server if only an older update is in service, and server 1 if both are
-    idle."""
+    update before a non-busy arrival has left by then. So the one update older
+    than m-1 that can be in service at arrival m is J-1, for the last busy
+    arrival J before m (arrival 1 is busy in each window after the trial's
+    first), and it is iff ``d[J-1] > a[m]``. An arrival takes the other server than update m-1
+    if that one is busy, the same server if only an older update is in
+    service, and server 1 if both are idle."""
     n = a.size
-    busy = np.zeros(n, dtype=bool)
-    np.greater(d[:-1], a[1:], out=busy[1:])
     index = np.arange(n, dtype=np.int32)
-    # last[m]: J-1 for the last busy arrival J <= m, or 0 (long gone) if none
+    # last[m]: J-1 for the last busy arrival J <= m, or update 0 if none
     last = np.where(busy, index - 1, 0)
     np.maximum.accumulate(last, out=last)
     older = np.zeros(n, dtype=bool)
     np.greater(d[last[1:-1]], a[2:], out=older[2:])
-    del last
     preempt = busy & older
     flips = np.cumsum(busy, dtype=np.int32)
-    # server 1 again at every arrival that finds both servers idle
+    # server 1 again at every arrival that finds both servers idle; before
+    # the first, counted on from update 0's
     older |= busy
     index[older] = 0
     np.maximum.accumulate(index, out=index)
-    server = flips - flips[index]
-    del flips, index
-    server &= 1
-    server = server.astype(np.int8) + 1
-    kinds = np.where(preempt, np.int8(_PREEMPT), np.int8(_ARRIVAL))
-    return (
-        np.concatenate((d[kept], a)),
+    servers = flips - flips[index]
+    servers[:index.searchsorted(1)] += server - 1
+    servers &= 1
+    servers = servers.astype(np.int8) + 1
+    kinds = np.where(preempt[new:], np.int8(_PREEMPT), np.int8(_ARRIVAL))
+    trace.append((
+        np.concatenate((d[kept], a[new:])),
         np.concatenate((np.full(kept.size, _DELIVERY, dtype=np.int8), kinds)),
-        np.concatenate((server[kept], server)),
-        np.concatenate((a[kept], a)),
-    )
+        np.concatenate((servers[kept], servers[new:])),
+        np.concatenate((a[kept], a[new:])),
+    ))
+    return servers
 
 
 def _summarize(values, events: int) -> SimResult:
@@ -704,9 +714,13 @@ def _joined(chunks):
 
 def _write_trace(trace_dir, trial: int, chunks) -> None:
     """Dump one trial's event trace as CSV, rows in time order (equal times in
-    the order of their column chunks). The post-event monitor age is ``t``
-    minus the running maximum of delivered generation times, the filter rule
-    :func:`time_average_age` integrates."""
+    the order of their column chunks). The channels append chunks block by
+    block, so an exact tie between rows of two blocks keeps block order, not
+    departures first: a preemptive pair's arrival goes before a delivery at
+    the same instant that a later block appends. No pinned trace holds such
+    a tie. The post-event monitor age is ``t`` minus the running maximum of
+    delivered generation times, the filter rule :func:`time_average_age`
+    integrates."""
     times, kinds, sensors, gens = _joined(chunks)
     order = np.argsort(times, kind="stable")
     path = Path(trace_dir)

@@ -123,22 +123,32 @@ def _is_a(kind, value) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite(value) -> float | None:
+    """``float(value)`` for a real number (not a bool) whose float is
+    finite, else None: a real past the float range has none, whether its
+    float raises (``10**400``) or reads inf (a numpy long double)."""
+    if not _is_a(numbers.Real, value):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if -math.inf < number < math.inf else None
+
+
 def _require_positive(**rates) -> None:
     """The package's one rate rule: each named rate must be a real number
     (numpy scalars included; bools and strings raise ``ValueError`` too),
     strictly positive and finite, or ``ValueError`` reads ``<name> must be
     strictly positive and finite, got <value!r>``, a numpy scalar shown as
-    the plain number it holds. The comparisons are exact, so a ``Fraction``
-    is judged by its own value; a value past the float range, or one whose
+    the plain number it holds. The rule reads the rate's float, which
+    rounds with the sign kept, so a value past the float range, or one whose
     float is 0, has no float to compute with and is refused too. A name need
     not be an identifier: ``**{"point 3: mu1": value}`` names a grid entry."""
     for name, value in rates.items():
-        if _is_a(numbers.Real, value) and 0.0 < value < math.inf:
-            try:
-                if float(value) > 0.0:
-                    continue
-            except OverflowError:
-                pass
+        number = _finite(value)
+        if number is not None and number > 0.0:
+            continue
         shown = value.item() if isinstance(value, np.generic) else value
         raise ValueError(f"{name} must be strictly positive and finite, got {shown!r}")
 

@@ -222,7 +222,9 @@ def average_aoi_grid(rates) -> np.ndarray:
     :func:`average_aoi_general`. A point that fails a solver guard raises
     ``IllConditionedSystemError`` naming its index and rates.
     Entries must be real numbers, as for :class:`TwoSensorParams`: a bool,
-    string or other object raises ``ValueError`` naming its point.
+    string or other object raises ``ValueError`` naming its point, and so
+    does an entry past the float range or one whose float is 0; the message
+    shows the entry as given.
     """
     # a list goes through object dtype, which keeps the bools that a float
     # conversion would silently turn into 1.0 and 0.0
@@ -241,12 +243,17 @@ def average_aoi_grid(rates) -> np.ndarray:
             index = next(i for i, value in enumerate(flat) if type(value) in bad)
             point, column = divmod(index, len(_RATE_NAMES))
             _require_positive(**{f"point {point}: {_RATE_NAMES[column]}": flat[index]})
-    rates = rates.astype(float)
+    given = rates
+    try:
+        with np.errstate(over="ignore"):  # a long double past the float range reads inf
+            rates = rates.astype(float)
+    except OverflowError:  # a Python number past the float range: check every entry
+        rates = np.full(rates.shape, math.nan)
     bad = ~(np.isfinite(rates) & (rates > 0.0))
     if bad.any():
-        point, column = np.argwhere(bad)[0]
-        _require_positive(
-            **{f"point {point}: {_RATE_NAMES[column]}": float(rates[point, column])})
+        # the entries as given, as TwoSensorParams shows them
+        for point, column in np.argwhere(bad):
+            _require_positive(**{f"point {point}: {_RATE_NAMES[column]}": given[point, column]})
     return np.concatenate([_monitor_ages(correlation)
                            for _, correlation in _solve(_GRID_CHAIN, rates)])
 

@@ -201,12 +201,20 @@ class TestTimeAverageAge:
         with pytest.raises(ValueError, match="initial_age"):
             time_average_age([], [], (0.0, 1.0), initial_age=-0.1)
 
-    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0)])
+    @pytest.mark.parametrize("window", [
+        (0.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0),
+        # past the float range, and two ends of one float
+        (0.0, 10**400), (-10**400, 3.0), (0.0, Fraction(10**400)),
+        (Fraction(1, 10**400), Fraction(2, 10**400)),
+    ])
     def test_non_finite_window_rejected(self, window):
         with pytest.raises(ValueError, match="window"):
             time_average_age([1.0], [0.5], window)
 
-    @pytest.mark.parametrize("initial_age", [math.nan, math.inf])
+    @pytest.mark.parametrize("initial_age", [
+        math.nan, math.inf, pytest.param(10**400, id="int-past-floats"),
+        pytest.param(Fraction(10**400), id="fraction-past-floats"),
+    ])
     def test_non_finite_initial_age_rejected(self, initial_age):
         with pytest.raises(ValueError, match="initial_age"):
             time_average_age([], [], (0.0, 1.0), initial_age=initial_age)
@@ -775,6 +783,57 @@ class TestRenewalChannel:
         assert traced.events_processed == untraced.events_processed
 
 
+def _blocking_events(lam, mu, horizon):
+    """Expected events, arrivals plus deliveries, of a blocking channel that
+    starts idle, by ``horizon``: lam * horizon arrivals, and mu times the
+    expected busy time, the channel being busy at t with probability
+    lam / (lam + mu) * (1 - exp(-(lam + mu) t))."""
+    rate = lam + mu
+    return lam * horizon + mu * lam / rate * (horizon + math.expm1(-rate * horizon) / rate)
+
+
+class TestShortHorizonEvents:
+    """Mean events per trial of the blocking simulators at short horizons,
+    where the horizon's edge is a large part of each trial, against their
+    exact expectation. Each case runs ``BATCHES`` independently seeded
+    batches of ``TRIALS`` trials; z is the gap of the batch means' mean over
+    its standard error, and must lie inside the two-sided Student-t quantile
+    for ``BATCHES - 1`` degrees of freedom at a Bonferroni share of a 1 %
+    false-alarm rate over all ``GATES``, the rule of
+    tests/test_acceptance.py. The fast cases run at a 7-draw block too,
+    which puts their trials across several block edges, each with its own
+    blocked count; the other cases' trials end inside their first block."""
+
+    CASES = {  # (lambda, mu) per channel, horizon
+        "mm11-light": (((1.0, 1.0),), 3.0),
+        "mm11-saturated": (((4.0, 1.0),), 2.0),
+        "mm11-sparse": (((0.2, 1.0),), 10.0),
+        "mm11-short": (((1.0, 2.0),), 0.5),
+        "mm11-fast": (((8.0, 4.0),), 10.0),
+        "two_sensor-light": (((1.0, 1.0), (0.5, 2.0)), 4.0),
+        "two_sensor-saturated": (((2.0, 1.0), (2.0, 1.0)), 2.0),
+        "two_sensor-fast": (((6.0, 6.0), (2.0, 8.0)), 5.0),
+    }
+    GATES = [*((case, des_sim._DRAW_BLOCK) for case in sorted(CASES)),
+             ("mm11-fast", 7), ("two_sensor-fast", 7)]
+    BATCHES, TRIALS = 30, 40
+    LIMIT = float(stats.t.ppf(1 - 0.01 / (2 * len(GATES)), BATCHES - 1))
+
+    @pytest.mark.parametrize("case,block", GATES)
+    def test_mean_events_match_theory(self, monkeypatch, case, block):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        channels, horizon = self.CASES[case]
+        means = [
+            _simulate_blocking(channels, SimConfig(
+                horizon=horizon, num_trials=self.TRIALS, seed=seed, warmup=0.0)
+            ).events_processed / self.TRIALS
+            for seed in range(self.BATCHES)
+        ]
+        theory = sum(_blocking_events(lam, mu, horizon) for lam, mu in channels)
+        mean, stderr = _mean_and_stderr(means)
+        assert abs(mean - theory) <= self.LIMIT * stderr, (mean, theory, stderr)
+
+
 class TestPeakMemory:
     """One trial's tracemalloc peak, untraced but in the last test. An
     untraced trial streams through block buffers and sums per block, so its
@@ -814,16 +873,18 @@ class TestPeakMemory:
         short, long = (self.peak(model, 4.0, horizon) for horizon in (2e5, 2e6))
         assert long <= 1.1 * short
 
-    @pytest.mark.parametrize("model,bound", [("mm2p", 38.0), ("mm11", 29.3), ("two_sensor", 27.3)])
+    @pytest.mark.parametrize("model,bound", [("mm2p", 28.3), ("mm11", 29.3), ("two_sensor", 27.3)])
     def test_traced_bytes_per_expected_event(self, monkeypatch, tmp_path, model, bound):
         """A traced trial's peak, the trace writer's included, over that of a
         traced trial of 100 expected events, per expected event (5e4 of them,
-        lambda/mu = 4). Measured 34.6, 26.6 and 24.8 B, in the order above;
-        the bounds add 10 %. With trace columns grown by doubling they were
-        46.9, 31.6 and 24.8 B, and with the trace chunks kept alive while the
-        writer joins them 47.5, 38.7 and 37.3 B. A 1024-draw block keeps the
-        block buffers and the writer's row batches small against the trace;
-        a first run takes the first-call allocations out of the small one."""
+        lambda/mu = 4). Measured 25.7, 26.6 and 24.8 B, in the order above;
+        the bounds add 10 %. With the pair's rows built once at the trial's
+        end, not block by block, the pair read 34.6 B. With trace columns
+        grown by doubling they were 46.9, 31.6 and 24.8 B, and with the trace
+        chunks kept alive while the writer joins them 47.5, 38.7 and 37.3 B.
+        A 1024-draw block keeps the block buffers and the writer's row batches
+        small against the trace; a first run takes the first-call allocations
+        out of the small one."""
         monkeypatch.setattr(des_sim, "_DRAW_BLOCK", 1024)
         total = {"mm2p": 6.0, "mm11": 5.0, "two_sensor": 6.0}[model]
         self.peak(model, 4.0, 100 / total, tmp_path / "first")
@@ -993,7 +1054,7 @@ class TestPreemptivePair:
         assert np.array_equal(deps, ref_deps)
         assert np.array_equal(gens, ref_gens)
         assert n_arrivals == ref_arrivals
-        (chunk,) = trace
+        chunk = des_sim._joined(trace)
         times, kinds, servers, generations = rows
         ref = (times, [TRACE_KIND_CODES[k] for k in kinds], servers, generations)
         for column, ref_column in zip(_time_sorted(chunk), _time_sorted(ref)):
@@ -1031,6 +1092,33 @@ class TestPreemptivePair:
     def test_any_chunk_size_matches_per_arrival_loop(self, monkeypatch, lam, mu, chunk):
         monkeypatch.setattr(des_sim, "_DRAW_BLOCK", chunk)
         assert self.check(lam, mu, 500.0 / lam, 8)[0] > 400
+
+    def test_rows_leave_with_their_block(self, monkeypatch):
+        # once a block is yielded the trace holds its rows: the deliveries it
+        # yields and the arrivals it drew by the horizon, with the kinds and
+        # servers of the per-arrival loop
+        block = 7
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        lam, mu, horizon = 4.0, 1.0, 40.0
+        streams = [des_sim._rng(8, 0, s) for s in (0, 1)]
+        _, _, n_arrivals, rows = preemptive_pair_scan(lam, mu, horizon, *streams, block=block)
+        delivery = TRACE_KIND_CODES["delivery"]
+        ref = list(zip(rows[0], [TRACE_KIND_CODES[k] for k in rows[1]], rows[2], rows[3]))
+        ref_arrivals = [row for row in ref if row[1] != delivery]
+        ref_deliveries = [row for row in ref if row[1] == delivery]
+        streams = [des_sim._rng(8, 0, s) for s in (0, 1)]
+        trace = []
+        pair = des_sim._PreemptivePair(lam, mu, horizon)(*streams, trace)
+        delivered = 0
+        for count, (deps, _) in enumerate(pair, start=1):
+            delivered += deps.size
+            assert len(trace) == count
+            columns = [np.concatenate(column).tolist() for column in zip(*trace)]
+            seen = sorted(zip(*columns))
+            assert [row for row in seen if row[1] != delivery] == ref_arrivals[:count * block]
+            assert [row for row in seen if row[1] == delivery] == ref_deliveries[:delivered]
+        assert count * block > n_arrivals > 20 * block
+        assert delivered == len(ref_deliveries)
 
     @pytest.mark.parametrize("seed", [1, 12345])
     def test_no_arrival_and_one_arrival(self, seed):

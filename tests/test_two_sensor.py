@@ -64,6 +64,16 @@ class TestParams:
             TwoSensorParams(10**400, 1, 1, 1)
         assert str(exc.value) == f"lambda1 must be strictly positive and finite, got {10**400}"
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024,
+                        reason="a long double is a double on this platform")
+    def test_long_double_past_the_float_range_rejected(self):
+        # its float reads inf, with no OverflowError and, in a grid, no warning
+        huge = np.longdouble(10) ** 400
+        with pytest.raises(ValueError, match="lambda1 must be strictly positive and finite"):
+            TwoSensorParams(huge, 1, 1, 1)
+        with pytest.raises(ValueError, match="point 0: lambda1 must be strictly positive"):
+            average_aoi_grid([[huge, 1, 1, 1]])
+
     def test_fraction_whose_float_is_zero_rejected(self):
         # an exact comparison passes it, but it would be stored as 0.0
         tiny = Fraction(1, 10**400)
@@ -387,6 +397,17 @@ class TestGrid:
             average_aoi_grid([[1.0, 2.0, 1.0, 1.0], point])
         with pytest.raises(ValueError):
             TwoSensorParams(*point)
+
+    @pytest.mark.parametrize("entry", [10**400, -10**400, Fraction(10**400), Fraction(1, 10**400)],
+                             ids=["int", "negative-int", "fraction", "tiny-fraction"])
+    def test_entry_without_a_positive_float_is_named_as_given(self, entry):
+        # its float conversion overflows or reads 0; the message shows the
+        # entry as TwoSensorParams shows it
+        with pytest.raises(ValueError) as params_error:
+            TwoSensorParams(1.0, entry, 1.0, 1.0)
+        with pytest.raises(ValueError) as grid_error:
+            average_aoi_grid([[1.0, 2.0, 1.0, 1.0], [1.0, entry, 1.0, 1.0]])
+        assert str(grid_error.value) == f"point 1: {params_error.value}"
 
     def test_object_entry_rejected(self):
         rates = np.ones((3, 4), dtype=object)
