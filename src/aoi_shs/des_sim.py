@@ -22,12 +22,12 @@ time; the runner merges the channels' blocks and integrates the age as the
 deliveries come, through buffers allocated once per run and reused across
 blocks and trials. The age integral's areas are a running sum over chunks
 of ``_DRAW_BLOCK`` terms, counted from the window's first segment, and a
-blocking channel settles each block's blocked arrivals after that block. So
-an untraced trial runs in memory that does not grow with the horizon, and
-the block size fixes the bits of each value (summed whole, a trial of more
-than one chunk would differ in its last bits). A traced trial
-keeps the trace rows its channels append, block by block once they are
-final, and writes them in time order at its end.
+blocking channel settles each block's blocked arrivals after that block. The
+block size fixes the bits of each value (summed whole, a trial of more than
+one chunk would differ in its last bits). A traced trial's channels append
+their trace rows block by block, and each release of deliveries writes the
+rows before its last delivery, which are final. So no state of a trial
+grows with the horizon, traced or not.
 
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
@@ -69,8 +69,8 @@ are therefore bit-identical across runs on one platform, a traced run gives
 the values of an untraced one, and each trial's value is independent of how
 many trials run alongside it. Simultaneous events have probability zero; for
 determinism, due departures are processed before an arrival carrying the
-same timestamp, and equal delivery instants keep the channel order and,
-within the pair, the arrival order.
+same timestamp, equal delivery instants keep the channel order and, within
+the pair, the arrival order, and equal trace-row times keep chunk order.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,24 +103,13 @@ DEFAULT_SEED = 12345
 _DRAW_BLOCK = 1 << 14
 
 #: A run is rejected when horizon times the model's total rate, the expected
-#: events of one trial, exceeds this cap. An untraced trial streams through
-#: buffers reused from one to the next and sums per block, so nothing in it
-#: grows with the horizon; a traced one keeps its trace rows. Measured peak
-#: RSS growth per expected event (mu = 1, one trial, against one of a few
-#: events): untraced, at 1e7 expected events over lambda/mu from 0.25 to 50,
-#: at most 0.26 B for the two-sensor system (lambda/mu = 0.25), 0.04 B for
-#: the single queue and 0.20 B for the preemptive pair (lambda/mu = 0.5),
-#: the block buffers alone; traced, at 2e6 expected events and lambda/mu of
-#: 0.5, 4 and 50, at most 40.7 B (the preemptive pair at lambda/mu = 50;
-#: 34.9 B for the single queue, 32.9 B for two sensors). That RSS figure
-#: follows the allocator's layout, which keeps freed trace chunks resident
-#: and moves it by up to 10 MB between builds that differ only in
-#: docstrings. The live peak (tracemalloc, the trace writer included, over
-#: that of a 100-event trial) at those points is at most 26.7 B (either
-#: blocking model at lambda/mu = 50; 26.6 B for the pair), reached as the
-#: trace writer joins and sorts the trial's rows. The traced growth binds:
-#: 2e7 * 40.7 B = 0.81 GB, so every model stays under 2 GB at the cap with
-#: room for the interpreter.
+#: events of one trial, exceeds this cap. No state of a trial grows with the
+#: horizon, traced or not: buffers are reused from block to block, the age
+#: integral sums per block and a trace writes its rows once they are final.
+#: So the cap bounds a trial's time and its trace file's size. Measured at
+#: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 1.5 to 38 ns
+#: per event at 1e7 expected events; traced, 2.3 to 3.4 us and 66 B per
+#: trace row at 1e6, one row per event, so about a minute and 1.3 GB at the cap.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -297,14 +287,14 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     returns a generator: it yields ``(deliveries, generations)`` blocks in
     time order, each no earlier than the last delivery yielded before, and
     returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
-    is None, or the trial's one list, shared by all channels, to which each
-    appends its rows as column chunks ``(times, kind codes, sensors,
-    generation times)``, in any order, once they are final: every channel
-    appends one chunk per block, the preemptive pair's built from update
-    L-1 on, for the last busy arrival L before the block, with that
-    update's server carried across the block edge. Events processed
-    are arrivals plus deliveries; a run is refused when it expects more than
-    ``MAX_EXPECTED_EVENTS``, ``horizon * total_rate``.
+    is None or the trial's :class:`_Trace`, to which every channel appends
+    one chunk of row columns ``(times, kind codes, sensors, generation
+    times)`` per block before yielding it; no later chunk holds a row before
+    that block's last delivery. The preemptive pair's chunk starts at update
+    L-1, for the last busy arrival L before the block, and carries that
+    update's server. Events processed are arrivals plus deliveries; a run is
+    refused when it expects more than ``MAX_EXPECTED_EVENTS``, ``horizon *
+    total_rate``.
     """
     expected = config.horizon * total_rate
     if expected > MAX_EXPECTED_EVENTS:
@@ -314,22 +304,62 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
         )
     integral = _AgeIntegral(config.warmup * config.horizon, config.horizon)
     merge = _Merge()
+    if trace_dir is not None:
+        trace_dir = Path(trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
     values = []
     events = 0
     for trial in range(config.num_trials):
-        trace = [] if trace_dir is not None else None
-        streams = [
-            channel(_rng(config.seed, trial, 2 * k), _rng(config.seed, trial, 2 * k + 1), trace)
-            for k, channel in enumerate(channels)
-        ]
-        # the monitor age is zero at time zero, hence equals t0 at the window
-        # start: the held generation time is 0
-        integral.start(0.0)
-        events += merge(streams, integral.add)
-        if trace is not None:
-            _write_trace(trace_dir, trial, trace)
+        name = f"trial_{trial:03d}.csv"
+        with nullcontext() if trace_dir is None else open(trace_dir / name, "w") as out:
+            trace = None if out is None else _Trace(out, integral.add)
+            streams = [channel(_rng(config.seed, trial, 2 * k),
+                               _rng(config.seed, trial, 2 * k + 1), trace)
+                       for k, channel in enumerate(channels)]
+            # the monitor age is zero at time zero, hence equals t0 at the window
+            # start: the held generation time is 0
+            integral.start(0.0)
+            events += merge(streams, integral.add if trace is None else trace.sink)
+            if trace is not None:
+                trace.write(_INF)
         values.append(integral.value())
     return _summarize(values, events)
+
+
+class _Trace(list):
+    """One trial's trace file, fed through the merge. The channels append
+    their row chunks to this list (see :func:`_run_trials`), and
+    :meth:`sink` hands each release of deliveries to ``add``, then writes
+    the pending rows before its last delivery. They are final: a held block
+    ends no earlier, and a channel that draws again had its block end
+    there. The rest stay pending as one chunk ahead of later ones, so the
+    rows come in the order of one stable sort of all the trial's chunks.
+    The post-event age is ``t`` minus the running maximum of delivered
+    generation times, the filter rule :func:`time_average_age` integrates."""
+
+    def __init__(self, out, add):
+        super().__init__()
+        self.out, self.add, self.held = out, add, 0.0
+        out.write(_TRACE_HEADER + "\n")
+
+    def sink(self, deps, gens) -> None:
+        self.add(deps, gens)
+        self.write(deps[-1])
+
+    def write(self, bound) -> None:
+        """Writes the pending rows before ``bound``, in batches of ``_DRAW_BLOCK``."""
+        columns = _joined(self)
+        order = np.argsort(columns[0], kind="stable")
+        due, rest = np.split(order, [np.count_nonzero(columns[0] < bound)])
+        self.append([column[rest] for column in columns])
+        held, out = self.held, self.out
+        for start in range(0, due.size, _DRAW_BLOCK):
+            rows = due[start:start + _DRAW_BLOCK]
+            for t, kind, sensor, gen in zip(*[column[rows].tolist() for column in columns]):
+                if kind == _DELIVERY and gen > held:
+                    held = gen
+                out.write(f"{t!r},{_KINDS[kind]},{sensor},{gen!r},{t - held!r}\n")
+        self.held = held
 
 
 class _AgeIntegral:
@@ -705,35 +735,8 @@ def _t975(dof: int) -> float:
 
 
 def _joined(chunks):
-    """The columns of ``chunks``, a list of tuples, each joined into one
-    array; the list is cleared, so a column's parts are freed once joined."""
+    """The columns of ``chunks``, a list of column sequences, each joined into
+    one array; the list is cleared, so a column's parts are freed once joined."""
     columns = list(zip(*chunks))
     chunks.clear()
     return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
-
-
-def _write_trace(trace_dir, trial: int, chunks) -> None:
-    """Dump one trial's event trace as CSV, rows in time order (equal times in
-    the order of their column chunks). The channels append chunks block by
-    block, so an exact tie between rows of two blocks keeps block order, not
-    departures first: a preemptive pair's arrival goes before a delivery at
-    the same instant that a later block appends. No pinned trace holds such
-    a tie. The post-event monitor age is ``t`` minus the running maximum of
-    delivered generation times, the filter rule :func:`time_average_age`
-    integrates."""
-    times, kinds, sensors, gens = _joined(chunks)
-    order = np.argsort(times, kind="stable")
-    path = Path(trace_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    held = 0.0
-    with open(path / f"trial_{trial:03d}.csv", "w") as out:
-        out.write(_TRACE_HEADER + "\n")
-        for start in range(0, order.size, _DRAW_BLOCK):
-            rows = order[start:start + _DRAW_BLOCK]
-            for t, kind, sensor, gen in zip(
-                times[rows].tolist(), kinds[rows].tolist(),
-                sensors[rows].tolist(), gens[rows].tolist(),
-            ):
-                if kind == _DELIVERY and gen > held:
-                    held = gen
-                out.write(f"{t!r},{_KINDS[kind]},{sensor},{gen!r},{t - held!r}\n")

@@ -316,6 +316,18 @@ class TestSimulate:
             assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in files) == TRACE_SHA256[model]
 
+    def test_trace_dir_on_a_file_fails_before_any_trial(self, capsys, tmp_path):
+        # the directory is made before the first trial, so no trial runs
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with mock.patch.object(des_sim, "_rng", wraps=des_sim._rng) as rng:
+            code, out, err = run(capsys, "simulate", "--model", "mm11", "--l1", "1", "--m", "1",
+                                 *SIM_SHORT, "--trace-dir", str(taken))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert rng.call_count == 0
+
     def test_single_trial_writes_null_and_empty_cells(self, capsys):
         args = ("simulate", "--model", "mm11", "--l1", "1", "--m", "1",
                 "--horizon", "300", "--trials", "1")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -583,6 +584,61 @@ class TestTrace:
             assert age == pytest.approx(t - held, abs=1e-9)
             assert age >= 0.0
 
+    @pytest.mark.parametrize("model", sorted(TRACE_RUNS))
+    def test_rows_leave_at_each_release(self, monkeypatch, tmp_path, model):
+        # the trial file fills as the merge releases deliveries, not at the
+        # trial's end; the file's buffer holds back its last few kilobytes
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", 64)
+        config = SimConfig(horizon=1000.0, num_trials=1, seed=9, warmup=0.0)
+        path = tmp_path / "trial_000.csv"
+        seen = []
+        add = des_sim._AgeIntegral.add
+
+        def counting(integral, times, gens):
+            seen.append(len(path.read_text().splitlines()) if path.exists() else 0)
+            add(integral, times, gens)
+
+        monkeypatch.setattr(des_sim._AgeIntegral, "add", counting)
+        {
+            "two_sensor": lambda: simulate_two_sensor(
+                TwoSensorParams(0.6, 0.9, 1.0, 1.2), config, tmp_path),
+            "mm11": lambda: simulate_mm11(0.9, 1.2, config, tmp_path),
+            "mm2p": lambda: simulate_mm2_preemptive(3.0, 1.0, config, tmp_path),
+        }[model]()
+        assert len(seen) > 8
+        assert seen == sorted(seen)
+        assert seen[len(seen) // 2] > 1
+
+    def test_ties_on_a_release_bound_keep_chunk_order(self):
+        # rows at a release's last delivery stay pending ahead of later
+        # chunks, so the file equals one stable sort of all the chunks
+        bound = 2.0
+        below = np.nextafter(bound, 0.0)
+
+        def chunk(times, kinds, sensors, gens):
+            return np.array(times), np.int8(kinds), np.int8(sensors), np.array(gens)
+
+        early = chunk([0.5, bound, below, 3.0], [0, 2, 2, 0], [1, 1, 2, 2], [0.5, 0.25, 0.5, 3.0])
+        later = chunk([bound, 2.5, bound], [2, 0, 0], [2, 1, 2], [1.5, 2.5, 2.0])
+        out, added = io.StringIO(), []
+        trace = des_sim._Trace(out, lambda deps, gens: added.append(deps.tolist()))
+        trace.append(early)
+        trace.sink(np.array([below, bound]), np.array([0.5, 0.25]))
+        assert out.getvalue().count("\n") == 3  # the header, 0.5 and the row just below
+        trace.append(later)
+        trace.sink(np.array([bound]), np.array([1.5]))
+        trace.write(math.inf)
+        assert added == [[below, bound], [bound]]
+        rows = sorted(zip(*(np.concatenate(column).tolist() for column in zip(early, later))),
+                      key=lambda row: row[0])
+        held, lines = 0.0, [des_sim._TRACE_HEADER]
+        for t, kind, sensor, gen in rows:
+            if kind == 2:
+                held = max(held, gen)
+            lines.append(f"{t!r},{des_sim._KINDS[kind]},{sensor},{gen!r},{t - held!r}")
+        assert out.getvalue().splitlines() == lines
+        assert [line.split(",")[2] for line in lines[3:6]] == ["1", "2", "2"]
+
     def test_preemptive_trace_kinds(self, tmp_path):
         config = SimConfig(horizon=300.0, num_trials=1, seed=12, warmup=0.0)
         simulate_mm2_preemptive(3.0, 1.0, config, trace_dir=tmp_path)
@@ -873,24 +929,23 @@ class TestPeakMemory:
         short, long = (self.peak(model, 4.0, horizon) for horizon in (2e5, 2e6))
         assert long <= 1.1 * short
 
-    @pytest.mark.parametrize("model,bound", [("mm2p", 28.3), ("mm11", 29.3), ("two_sensor", 27.3)])
-    def test_traced_bytes_per_expected_event(self, monkeypatch, tmp_path, model, bound):
-        """A traced trial's peak, the trace writer's included, over that of a
-        traced trial of 100 expected events, per expected event (5e4 of them,
-        lambda/mu = 4). Measured 25.7, 26.6 and 24.8 B, in the order above;
-        the bounds add 10 %. With the pair's rows built once at the trial's
-        end, not block by block, the pair read 34.6 B. With trace columns
-        grown by doubling they were 46.9, 31.6 and 24.8 B, and with the trace
-        chunks kept alive while the writer joins them 47.5, 38.7 and 37.3 B.
-        A 1024-draw block keeps the block buffers and the writer's row batches
-        small against the trace; a first run takes the first-call allocations
-        out of the small one."""
-        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", 1024)
-        total = {"mm2p": 6.0, "mm11": 5.0, "two_sensor": 6.0}[model]
-        self.peak(model, 4.0, 100 / total, tmp_path / "first")
-        small, large = (self.peak(model, 4.0, events / total, tmp_path / f"{events:g}")
-                        for events in (100, 5e4))
-        assert (large - small) / 5e4 < bound
+    @pytest.mark.parametrize("model", ["mm2p", "mm11", "two_sensor"])
+    def test_traced_peak_does_not_grow_with_horizon(self, monkeypatch, tmp_path, model):
+        """A traced trial writes its rows as the deliveries are released, so
+        its peak, the trace writer's included, does not grow with the
+        horizon either: +0.8 %, +4.3 % and +1.6 % from horizon 500 to 5000,
+        in the order above, where a trace kept to the trial's end grew 5.6,
+        5.4 and 4.9 times. A 256-draw block keeps the block buffers small
+        against a trace of that length; a first run takes the first-call
+        allocations out of the short one. Star-unpacking a generator once
+        per row batch, ``zip(*genexpr)``, grew the pair's peak by 11 %:
+        CPython builds that tuple by resizing, and keeps each freed one on
+        its tuple free list, up to 2000 of them."""
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", 256)
+        self.peak(model, 4.0, 50.0, tmp_path / "first")
+        short, long = (self.peak(model, 4.0, horizon, tmp_path / f"{horizon:g}")
+                       for horizon in (500.0, 5000.0))
+        assert long <= 1.1 * short
 
 
 def _oracle_deliveries(model, channels, config: SimConfig, trial: int):
