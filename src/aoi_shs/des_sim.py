@@ -41,16 +41,17 @@ distribution and walks no blocked arrival.
 
 The preemptive pair runs on blocks as well. Every arrival enters service,
 and update m-1 is still in service at arrival m iff its delivery instant
-``a[m-1] + s[m-1]`` lies past ``a[m]``; such a busy arrival replaces the
-older update in service, if any. So update k is delivered iff its delivery
-instant falls by the horizon and by the first busy arrival from k+2 on. An
-update whose first such arrival is not yet drawn waits for the next block. A
+``d[m-1] = a[m-1] + s[m-1]`` lies past ``a[m]``; such a busy arrival
+replaces the older update in service, if any. So an update whose next
+arrival is not busy is delivered iff it completes by the horizon, and for
+consecutive busy arrivals J < m, update J-1 iff ``d[J-1] <= a[m]``. For
+the last busy arrival L so far, update L-1 waits for the next block. A
 block's kept deliveries all fall by its last busy arrival, which every later
 update's delivery follows, so they are final once sorted. This makes the
 draws of a per-arrival walk and gives its results bit for bit. In a trace
 each block appends its kept deliveries and its new arrivals; the next block
-starts from update L-1, for the last busy arrival L so far, and carries that
-update's server, which is all its arrivals' rows need of the blocks before.
+starts from update L-1 and carries its server, all that its arrivals' rows
+need of the blocks before.
 
 Reproducibility contract: every random quantity comes from a PCG64 generator
 seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
@@ -107,9 +108,10 @@ _DRAW_BLOCK = 1 << 14
 #: horizon, traced or not: buffers are reused from block to block, the age
 #: integral sums per block and a trace writes its rows once they are final.
 #: So the cap bounds a trial's time and its trace file's size. Measured at
-#: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 1.5 to 38 ns
-#: per event at 1e7 expected events; traced, 2.3 to 3.4 us and 66 B per
-#: trace row at 1e6, one row per event, so about a minute and 1.3 GB at the cap.
+#: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 0.6 to 21 ns
+#: per event at 1e7 expected events, 18 to 21 ns at the pair; traced, 2.3
+#: to 3.4 us and 66 B per trace row at 1e6, one row per event, so about a
+#: minute and 1.3 GB at the cap.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -433,7 +435,9 @@ class _Merge:
     earlier one. That takes all of channel c's block, and c draws its next.
     The final deliveries of several channels are concatenated in channel
     order and stably sorted, so equal instants keep the channel order; one
-    channel's pass straight through. A channel's block holds at most
+    channel's pass straight through. The sort keys on the instants' bits as
+    int64, which order as the values do: the instants are sums of
+    nonnegative draws, never -0.0 or NaN. A channel's block holds at most
     ``_DRAW_BLOCK`` deliveries, so the sort's buffers are sized for one
     block per channel at their first use and kept from trial to trial."""
 
@@ -481,7 +485,8 @@ class _Merge:
                 merged_d, merged_g, deps, gens = (buf[:total] for buf in self.out)
                 np.concatenate([deps for deps, _ in parts], out=merged_d)
                 np.concatenate([gens for _, gens in parts], out=merged_g)
-                order = np.argsort(merged_d, kind="stable")
+                # nonnegative, NaN-free instants: their bits order as their values
+                order = np.argsort(merged_d.view(np.int64), kind="stable")
                 np.take(merged_d, order, out=deps, mode="clip")
                 np.take(merged_g, order, out=gens, mode="clip")
                 sink(deps, gens)
@@ -587,24 +592,24 @@ def _busy_uniform(rng, starts, busy, count):
 class _PreemptivePair:
     """One source feeding two preemptive servers, a block of arrivals at a
     time (see the module docstring). Update k is kept iff ``d[k] <=
-    limit[k + 2]``, where ``limit[j]`` is the instant of the first busy
-    arrival at or after j, or the horizon if there is none. A traced block
-    appends its rows through :func:`_pair_rows`, from the window's first
-    update, L-1 for the last busy arrival L, whose server it carries."""
+    horizon`` and, if arrival k+1 is busy, ``d[k] <= a[m]`` for the next
+    busy arrival m after it, if any. A traced block appends its rows
+    through :func:`_pair_rows`, from the window's first update, L-1 for the
+    last busy arrival L, whose server it carries."""
 
     def __init__(self, lam, mu, horizon):
         self.lam, self.mu, self.horizon = lam, mu, horizon
-        # the undecided updates, then the block: arrival and delivery instants
-        self.a, self.d = np.empty(2 * _DRAW_BLOCK), np.empty(2 * _DRAW_BLOCK)
+        # the undecided updates, then the block: arrival and delivery instants,
+        # busy arrivals and kept updates
+        self.buffers = [np.empty(2 * _DRAW_BLOCK, dtype) for dtype in (float, float, bool, bool)]
 
     def __call__(self, arrival_rng, service_rng, trace):
-        lam, mu, horizon, a, d = self.lam, self.mu, self.horizon, self.a, self.d
+        lam, mu, horizon = self.lam, self.mu, self.horizon
         base = 0.0
         first, pending, server = 0, 0, 1  # a[0]'s update index, undecided count, a[0]'s server
         while base <= horizon:
-            if pending + _DRAW_BLOCK > a.size:
-                a = self.a = _room(a, pending, pending + _DRAW_BLOCK)
-                d = self.d = _room(d, pending, pending + _DRAW_BLOCK)
+            self.buffers = [_room(buf, pending, pending + _DRAW_BLOCK) for buf in self.buffers]
+            a, d, busy, keep = self.buffers
             block = a[pending:pending + _DRAW_BLOCK]
             arrival_rng.standard_exponential(out=block)
             block *= 1.0 / lam
@@ -617,8 +622,10 @@ class _PreemptivePair:
             new *= 1.0 / mu
             new += a[pending:end]
             # busy[j] iff update j-1 is in service at arrival j (busy[0] False)
-            busy = np.zeros(end, dtype=bool)
+            busy = busy[:end]
+            busy[:1] = False
             np.greater(d[:end][:-1], a[1:end], out=busy[1:])
+            prev = np.flatnonzero(busy[1:])  # J-1 for each busy arrival J
             # updates up to L - 2 are decided, L being the last busy arrival:
             # a kept one delivers by a[L], and every later update delivers
             # after a[L] (update L - 1 is in service then), so the block's
@@ -627,25 +634,22 @@ class _PreemptivePair:
             # The last block decides the rest.
             decided = end
             if base <= horizon:
-                decided = end - 2 - int(busy[::-1].argmax()) if busy.any() else 0
-            # limit[k] for update k, from arrival k + 2 on. From 0 at a busy
-            # arrival and the horizon elsewhere, the max with a gives a and
-            # the horizon, as a <= horizon, without a branch on random data.
-            limit = np.full(decided, horizon)
-            part = limit[:max(end - 2, 0)]
-            np.logical_not(busy[2:2 + part.size], out=part)
-            part *= horizon
-            np.maximum(part, a[2:2 + part.size], out=part)
-            # fmin is minimum on this NaN-free input, without NaN tests
-            np.fmin.accumulate(limit[::-1], out=limit[::-1])
-            kept = np.flatnonzero(d[:decided] <= limit)
+                decided = int(prev[-1]) if prev.size else 0
+            # an update whose next arrival is not busy has left by then, so
+            # the horizon alone decides it; for consecutive busy arrivals
+            # J < m, update J-1 is kept iff it delivers by a[m] (a[1:] at m-1)
+            keep = keep[:decided]
+            np.less_equal(d[:decided], horizon, out=keep)
+            keep[prev[:-1]] = d.take(prev[:-1]) <= a[1:].take(prev[1:])
+            kept = np.flatnonzero(keep)
             if trace is not None:
                 servers = _pair_rows(trace, a[:end], d[:end], busy, kept, pending, server)
                 server = servers[decided] if decided < end else None  # the next window's first
-            # in time order, equal instants in arrival order
-            deps = d.take(kept)
-            order = np.argsort(deps, kind="stable")
-            yield deps[order], a.take(kept[order])
+            # in time order, equal instants in arrival order; the instants are
+            # nonnegative and NaN-free, so their bits order as their values
+            order = np.argsort(d.take(kept).view(np.int64), kind="stable")
+            kept = kept[order]
+            yield d.take(kept), a.take(kept)
             a[:end - decided] = a[decided:end]
             d[:end - decided] = d[decided:end]
             first, pending = first + decided, end - decided

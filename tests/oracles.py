@@ -171,6 +171,33 @@ def single_queue_model(lam: float, mu: float) -> ShsModel:
     return build_model(2, 2, transitions, slopes)
 
 
+def preemptive_pair_model(lam: float, mu: float) -> ShsModel:
+    """Two-state fake-update chain of the preemptive pair (R. D. Yates,
+    "Status Updates through Networks of Parallel Servers", ISIT 2018),
+    components (monitor age, server 1 update age, server 2 update age). An
+    idle server holds a fake update as old as the monitor; state 0 has the
+    fresher update at server 1, state 1 at server 2. An arrival replaces the
+    older update; a delivery of the fresher one leaves the monitor and both
+    servers at its age, a delivery of the older one leaves its server idle."""
+
+    def keep(*sources):  # component j after the reset copies sources[j], None zeroes it
+        reset = [[0] * 3 for _ in range(3)]
+        for j, i in enumerate(sources):
+            if i is not None:
+                reset[i][j] = 1
+        return reset
+
+    transitions = [
+        (0, 1, lam, keep(0, 1, None)),
+        (0, 0, mu, keep(1, 1, 1)),
+        (0, 0, mu, keep(2, 1, 2)),
+        (1, 0, lam, keep(0, None, 2)),
+        (1, 1, mu, keep(2, 2, 2)),
+        (1, 1, mu, keep(1, 1, 2)),
+    ]
+    return build_model(2, 3, transitions, [[1, 1, 1], [1, 1, 1]])
+
+
 def stage_systems(model: ShsModel, rates=None):
     """The stationary and correlation stages' matrices, written out entry by
     entry from the transitions: the balance rows ``sum over transitions

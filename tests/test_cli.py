@@ -44,6 +44,8 @@ FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
 
 SIM_SHORT = ("--horizon", "300", "--trials", "2")
+# the benchmark's protocol (perfbench/worker.py), at one fixed seed
+SIM_FULL = ("--horizon", "2e5", "--trials", "10", "--warmup", "0.01", "--seed", "101")
 
 # a rate log-uniform in [0.05, 20], and a START STOP COUNT grid of such rates
 RATES = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
@@ -128,6 +130,25 @@ PINNED_OUTPUTS = [
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
                  "296b13bbb3299bea45effe8f2024218087dcb0c4f2bac91d463bb5b8ea7a0cfc",
                  id="simulate-mm2p-saturated-json"),
+    # the benchmark's simulate commands at its full protocol, 49 draw blocks
+    # per trial at the pair at lambda 4; recorded before the pair decided its
+    # kept updates from consecutive busy arrivals
+    *(pytest.param(("simulate", "--model", *rates.split(), "--m", "1", *SIM_FULL,
+                    "--format", "json"), sha256, id=f"simulate-{name}-full-json")
+      for name, rates, sha256 in (
+          ("two_sensor-light", "two_sensor --l1 0.5 --l2 0.5",
+           "46ea5cdc96d4814dc96b50f143bdb0174008419f67dd7a2543f086d21ed9a93c"),
+          ("two_sensor-saturated", "two_sensor --l1 2 --l2 2",
+           "d022e955981124b1e43eb02a4e6f107308b9887389e05804a5c7146c85aa38fc"),
+          ("mm11-light", "mm11 --l1 1",
+           "a382627d6893d78c2952b0f2d0314e1301e93143b3130094b4dadfd85f6c576e"),
+          ("mm11-saturated", "mm11 --l1 4",
+           "81076491f6c1e5261d46414602690f9ca2f3e5143cc3a4ae58d6a08cbe4cf555"),
+          ("mm2p-light", "mm2p --l1 1",
+           "fcbc2ab8fc671dca9f5afd2ec2d0ccb01a50cc8b9f761ef1f16ec9ebee7fb27d"),
+          ("mm2p-saturated", "mm2p --l1 4",
+           "0e1f1308c68b496cd72b5acad8e6288e8803ec666d9509086a46e67892672e4c"),
+      )),
     pytest.param(("export-model", "--l1", "0.4", "--l2", "1.1", "--m1", "0.9", "--m2", "1.6"),
                  "7dc0fa3daa48950f327dcb465648c83d7825903a64970d8f8524f9de1fee6d7e",
                  id="export-model"),

@@ -20,11 +20,14 @@ from aoi_shs.des_sim import (
     simulate_two_sensor,
     time_average_age,
 )
+from aoi_shs.shs_core import average_age, solve_correlation, solve_stationary
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
 from oracles import (
     blocking_channel_loop,
     blocking_system_trial,
+    exact_solve,
     integrate_whole,
+    preemptive_pair_model,
     preemptive_pair_scan,
     running_sum_blocks,
     sawtooth_average_grid,
@@ -549,6 +552,42 @@ class TestAgainstTheory:
     def test_preemptive_pair_regression_value(self):
         result = simulate_mm2_preemptive(2.0, 1.0, MM2P_CONFIG)
         assert result.mean_aoi == pytest.approx(MM2P_REFERENCE, rel=1e-12)
+
+
+def _pair_chain_age(lam: float, mu: float) -> Fraction:
+    """The exact average age of the preemptive pair's fake-update chain."""
+    model = preemptive_pair_model(lam, mu)
+    _, vectors = exact_solve(model, [t.rate for t in model.transitions])
+    return sum(v[0] for v in vectors)
+
+
+class TestPreemptivePairTheory:
+    """The preemptive pair against its two-state fake-update chain
+    (tests/oracles.py). The simulated mean's z, its gap to the chain over
+    its standard error, must lie inside the two-sided Student-t quantile for
+    ``TRIALS - 1`` degrees of freedom at a Bonferroni share of a 1 %
+    false-alarm rate over the ``SEEDS`` cases, the rule of
+    tests/test_acceptance.py in a family of its own."""
+
+    SEEDS = {1.0: 3, 4.0: 3}  # lambda at mu = 1: seed
+    TRIALS = 10
+    LIMIT = float(stats.t.ppf(1 - 0.01 / (2 * len(SEEDS)), TRIALS - 1))
+
+    @pytest.mark.parametrize("lam,age", [(0.5, Fraction(17, 6)), (1.0, Fraction(7, 4)),
+                                         (2.0, Fraction(7, 6)), (4.0, Fraction(17, 20))])
+    def test_chain_ages(self, lam, age):
+        assert _pair_chain_age(lam, 1.0) == age
+        model = preemptive_pair_model(lam, 1.0)
+        solved = average_age(solve_correlation(model, solve_stationary(model)))
+        assert solved == pytest.approx(float(age), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", sorted(SEEDS))
+    def test_simulation_matches_chain(self, lam):
+        result = simulate_mm2_preemptive(lam, 1.0, SimConfig(
+            horizon=2e4, num_trials=self.TRIALS, seed=self.SEEDS[lam], warmup=0.01))
+        theory = float(_pair_chain_age(lam, 1.0))
+        z = (result.mean_aoi - theory) / result.stderr
+        assert abs(z) <= self.LIMIT, (result.mean_aoi, theory, z)
 
 
 class TestTrace:
@@ -1141,12 +1180,49 @@ class TestPreemptivePair:
         assert n_arrivals == n
         assert {"arrival", "preempt", "delivery"} <= set(rows[1])
 
+    CHUNKS = [1, 2, 3, 7, 64]
+
     # small draw blocks put many block edges inside one short run
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0)])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (4.0, 1.0), (0.05, 1.0), (50.0, 1.0)])
     def test_any_chunk_size_matches_per_arrival_loop(self, monkeypatch, lam, mu, chunk):
         monkeypatch.setattr(des_sim, "_DRAW_BLOCK", chunk)
         assert self.check(lam, mu, 500.0 / lam, 8)[0] > 400
+
+    def test_chunk_runs_hold_the_edge_blocks(self, monkeypatch):
+        # the lam/mu = 0.05 and 50 runs of the test above, over its chunk
+        # sizes, hold blocks of no busy arrival (none is decided, so the
+        # undecided updates outgrow the buffers), of exactly one busy arrival
+        # and of busy arrivals only
+        room, grown, kinds = des_sim._room, [], set()
+
+        def spy(buf, used, size):
+            out = room(buf, used, size)
+            if out is not buf:
+                grown.append(buf.dtype)
+            return out
+
+        monkeypatch.setattr(des_sim, "_room", spy)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(des_sim, "_DRAW_BLOCK", chunk)
+            for lam in (0.05, 50.0):
+                horizon = 500.0 / lam
+                arrival, service = (des_sim._rng(8, 0, s) for s in (0, 1))
+                for _ in des_sim._PreemptivePair(lam, 1.0, horizon)(arrival, service, None):
+                    pass
+                arrival, service = (des_sim._rng(8, 0, s) for s in (0, 1))
+                a = running_sum_blocks(lambda: arrival.exponential(1.0 / lam, chunk), horizon)
+                a = a[a <= horizon]
+                d = a + service.exponential(1.0, a.size)
+                busy = np.concatenate(([False], d[:-1] > a[1:]))
+                for start in range(0, a.size, chunk):
+                    block = busy[start:start + chunk]
+                    count = int(block.sum())
+                    kinds.add("all" if count == block.size > 1 else count)
+        assert {0, 1, "all"} <= kinds
+        # each growth grows all four buffers: arrival and delivery instants,
+        # busy arrivals and kept updates
+        assert grown and grown.count(np.dtype(bool)) == grown.count(np.dtype(float))
 
     def test_rows_leave_with_their_block(self, monkeypatch):
         # once a block is yielded the trace holds its rows: the deliveries it
