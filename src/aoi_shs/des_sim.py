@@ -21,13 +21,17 @@ time order, one block of at most ``_DRAW_BLOCK`` draws per stream at a
 time; the runner merges the channels' blocks and integrates the age as the
 deliveries come, through buffers allocated once per run and reused across
 blocks and trials. The age integral's areas are a running sum over chunks
-of ``_DRAW_BLOCK`` terms, counted from the window's first segment, and a
-blocking channel settles each block's blocked arrivals after that block. The
-block size fixes the bits of each value (summed whole, a trial of more than
-one chunk would differ in its last bits). A traced trial's channels append
-their trace rows block by block, and each release of deliveries writes the
-rows before its last delivery, which are final. So no state of a trial
-grows with the horizon, traced or not.
+of ``_DRAW_BLOCK`` terms, counted from the window's first segment, and each
+segment's level, the running maximum of the delivered generation times, is
+the larger of the last two whenever no two stale deliveries are adjacent,
+as in every simulated trial; so the integral runs in elementwise passes,
+and other input falls back to exact levels. A blocking channel settles
+each block's blocked arrivals after that block. The block size fixes the
+bits of each value (summed whole, a trial of more than one chunk would
+differ in its last bits). A traced trial's channels append their trace
+rows block by block, and each release of deliveries writes the rows before
+its last delivery, which are final. So no state of a trial grows with the
+horizon, traced or not.
 
 A blocking channel runs in renewal form. Arrivals are memoryless, so after
 each departure the wait for the next *accepted* arrival is Exp(lambda), and
@@ -108,10 +112,10 @@ _DRAW_BLOCK = 1 << 14
 #: horizon, traced or not: buffers are reused from block to block, the age
 #: integral sums per block and a trace writes its rows once they are final.
 #: So the cap bounds a trial's time and its trace file's size. Measured at
-#: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 0.6 to 21 ns
-#: per event at 1e7 expected events, 18 to 21 ns at the pair; traced, 2.3
-#: to 3.4 us and 66 B per trace row at 1e6, one row per event, so about a
-#: minute and 1.3 GB at the cap.
+#: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 0.35 to 15 ns
+#: per processed event at 1e7 expected events, 11.5 to 15 ns at the pair;
+#: traced, 2.3 to 3.4 us and 66 B per trace row at 1e6, one row per event,
+#: so about a minute and 1.3 GB at the cap.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -369,18 +373,42 @@ class _AgeIntegral:
     deliveries in batches (see :func:`time_average_age`).
 
     The window's segments run between t0, the delivery instants inside the
-    window and t1; segment i lies at ``held``, the running maximum of the
+    window and t1; segment i lies at its level, the running maximum of the
     generation times delivered before it, which is the staleness filter.
     The areas go into one ``_DRAW_BLOCK``-long scratch, whose sum is added
     to a running total each time it fills; the value adds the last, partial
     chunk, which holds the final segment. Chunks start every
-    ``_DRAW_BLOCK`` segments from the first, and the running maximum and
-    the last instant carry from batch to batch, so where the batches split
-    changes no bit."""
+    ``_DRAW_BLOCK`` segments from the first, and the level and the last
+    instant carry from batch to batch, so where the batches split changes
+    no bit.
+
+    A chunk's first segment starts at the carried instant and level, and is
+    one scalar area. The level of each later one is first taken as the
+    larger of the last two generation times, with the carried level folded
+    into the first two. Such a sequence lies between the raw generation
+    times and their running maximum, and it equals that maximum exactly
+    when it is nondecreasing; while it is not, the span of the maximum
+    doubles in place, so any input gets the exact levels.
+
+    In the simulators the first check holds, as a stale delivery, one
+    generated no later than the level, is always followed by a fresh one
+    (R. D. Yates, "Status Updates through Networks of Parallel Servers",
+    ISIT 2018, shows how such out-of-order deliveries arise). A blocking
+    channel delivers in generation order, so with two of them a stale
+    delivery comes from one channel while the monitor holds the other's
+    last delivery. The stale channel's next update is generated after that
+    delivery, so later than every update delivered so far; the other
+    channel's next one is fresher than its last. In the preemptive pair a
+    stale update k delivers after a later update j, which took the other
+    server while k was in service. That server has since served only
+    arrivals after j, in order, and k's server serves only arrivals after
+    k's delivery, so the next delivery is of an update later than every
+    delivered one."""
 
     def __init__(self, t0: float, t1: float):
         self.t0, self.t1 = t0, t1
-        self.area, self.left, self.held = (np.empty(_DRAW_BLOCK) for _ in range(3))
+        self.area, self.held = np.empty(_DRAW_BLOCK), np.empty(_DRAW_BLOCK)
+        self.rising = np.empty(_DRAW_BLOCK, dtype=bool)
 
     def start(self, floor) -> None:
         """A new integral whose monitor holds generation time ``floor`` at t0."""
@@ -396,20 +424,33 @@ class _AgeIntegral:
         while lo < stop:
             hi = min(lo + self.area.size - self.filled, stop)
             chunk = self.area[self.filled:self.filled + hi - lo]
-            right = times[lo:hi]
-            left, held = self.left[:hi - lo], self.held[:hi - lo]
-            left[0], left[1:] = self.last, times[lo:hi - 1]
-            held[0], held[1:] = self.floor, gens[lo:hi - 1]
-            # fmax is maximum on finite input, without NaN tests
-            np.fmax.accumulate(held, out=held)
-            self.floor = max(float(held[-1]), float(gens[hi - 1]))
+            last, floor, first = self.last, self.floor, float(times[lo])
+            chunk[0] = (first - last) * ((last + first) * 0.5 - floor)
+            # segment i >= 1 runs from times[lo + i - 1] to times[lo + i] at
+            # held[i - 1], the running maximum of floor and gens[lo:lo + i]
+            held = self.held[:hi - lo - 1]
+            if held.size:
+                np.maximum(gens[lo + 1:hi - 1], gens[lo:hi - 2], out=held[1:])
+                held[0] = gens[lo]
+                np.maximum(held[:2], floor, out=held[:2])
+                rising = self.rising[:held.size - 1]
+                np.greater_equal(held[1:], held[:-1], out=rising)
+                # each pass makes the levels below 2 * step exact
+                step = 2
+                while not rising.all():
+                    np.maximum(held[step:], held[:-step], out=held[step:])
+                    np.greater_equal(held[1:], held[:-1], out=rising)
+                    step *= 2
+                floor = float(held[-1])
+            self.floor = max(floor, float(gens[hi - 1]))
             self.last = float(times[hi - 1])
             # (right - left) * (0.5 * (left + right) - held), in two buffers
-            np.add(left, right, out=chunk)
-            chunk *= 0.5
-            np.subtract(chunk, held, out=held)
-            np.subtract(right, left, out=chunk)
-            chunk *= held
+            left, right, area = times[lo:hi - 1], times[lo + 1:hi], chunk[1:]
+            np.add(left, right, out=area)
+            area *= 0.5
+            np.subtract(area, held, out=held)
+            np.subtract(right, left, out=area)
+            area *= held
             self.filled += hi - lo
             if self.filled == self.area.size:
                 self.total += float(np.sum(self.area))

@@ -329,6 +329,116 @@ class TestTimeAverageAge:
             assert integral.value() == time_average_age(times, gens, (t0, t1), initial_age)
 
 
+class TestAgeIntegralLevels:
+    """The integral takes each segment's level as the larger of the last two
+    generation times and checks it against the running maximum; the
+    simulators' deliveries always pass that check, and other input falls
+    back to the exact levels, bit for bit with the whole-array oracle."""
+
+    @staticmethod
+    def feed(times, gens, window, initial_age, cuts):
+        integral = des_sim._AgeIntegral(*window)
+        integral.start(window[0] - initial_age)
+        cuts = [0, *cuts, len(times)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            integral.add(times[lo:hi], gens[lo:hi])
+        return integral.value()
+
+    @staticmethod
+    def with_stale_run(rng, times, at, length, floor):
+        """Fresh deliveries with ``length`` stale ones from ``at`` on, each
+        below the level the monitor holds before the run."""
+        gens = times - rng.uniform(0.1, 0.5, times.size)
+        level = max(floor, float(gens[:at].max())) if at else floor
+        gens[at:at + length] = level - rng.uniform(0.0, 2.0, length)
+        return gens
+
+    # chunk edges every 1, 2, 3 or 7 segments fall at, inside and after each
+    # stale run
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_stale_runs_match_whole_array_integration(self, monkeypatch, block):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        n = 12
+        times = 1.0 + np.arange(n) + rng.uniform(0.0, 0.5, n)
+        window = (0.5, float(times[-1]) + 1.0)
+        for length in (2, 3):
+            for at in range(n - length + 1):
+                for initial_age in (0.0, 0.4):
+                    gens = self.with_stale_run(rng, times, at, length, window[0] - initial_age)
+                    expected = integrate_whole(times, gens, window, initial_age)
+                    assert time_average_age(times, gens, window, initial_age) == expected
+                    # a batch starting at the run, an edge inside it, a batch
+                    # of only the run, whose floor lies above every generation
+                    # time in it, and batches of one delivery
+                    for cuts in ([at], [at + 1], [at + length - 1], [at, at + length],
+                                 range(1, n)):
+                        assert self.feed(times, gens, window, initial_age, cuts) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    def test_short_windows_match_whole_array_integration(self, monkeypatch, block, segments):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        rng = np.random.default_rng(10 * block + segments)
+        n = 9
+        times = 1.0 + np.arange(n) + rng.uniform(0.0, 0.5, n)
+        for length in (2, 3):
+            for at in range(n - length + 1):
+                gens = self.with_stale_run(rng, times, at, length, 0.0)
+                # the window holds segments - 1 deliveries, from delivery j on
+                for j in range(n - segments + 1):
+                    window = (float(times[j]) - 0.1, float(times[j + segments - 1]) - 0.05)
+                    inside = np.count_nonzero((times > window[0]) & (times < window[1]))
+                    assert inside == segments - 1
+                    for initial_age in (0.0, 2.0):
+                        expected = integrate_whole(times, gens, window, initial_age)
+                        for cuts in ([], [j], [j + 1], range(1, n)):
+                            assert self.feed(times, gens, window, initial_age, cuts) == expected
+
+    # lambda/mu of 0.05, 1, 4 and 50 at mu = 1, the two sensors sharing
+    # lambda, and one skewed pair of sensors; about 3e4 events each
+    POINTS = {
+        **{f"{model}-{lam:g}": (model, channels)
+           for lam in (0.05, 1.0, 4.0, 50.0)
+           for model, channels in (("mm11", ((lam, 1.0),)), ("mm2p", ((lam, 1.0),)),
+                                   ("two_sensor", ((lam / 2, 1.0), (lam / 2, 1.0))))},
+        "two_sensor-skewed": ("two_sensor", ((0.3, 0.05), (3.0, 1.5))),
+    }
+
+    @pytest.mark.parametrize("block", [64, des_sim._DRAW_BLOCK])
+    @pytest.mark.parametrize("case", sorted(POINTS))
+    def test_simulators_never_deliver_two_stale_updates_in_a_row(
+            self, monkeypatch, case, block):
+        # what the fast path rests on: with no two adjacent stale deliveries
+        # the larger of the last two generation times is the running maximum,
+        # within one merged batch and across the edges between batches
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        model, channels = self.POINTS[case]
+        batches = []
+        add = des_sim._AgeIntegral.add
+
+        def spy(integral, times, gens):
+            batches.append(np.array(gens))  # the merge reuses its buffers
+            add(integral, times, gens)
+
+        monkeypatch.setattr(des_sim._AgeIntegral, "add", spy)
+        lams, mus = zip(*channels)
+        total = sum(lams) + (2 * mus[0] if model == "mm2p" else sum(mus))
+        config = SimConfig(horizon=3e4 / total, num_trials=1, seed=3, warmup=0.0)
+        if model == "mm2p":
+            simulate_mm2_preemptive(*channels[0], config)
+        else:
+            des_sim._simulate_blocking(channels, config, None)
+        gens = np.concatenate(batches)
+        level = np.maximum.accumulate(np.concatenate(([0.0], gens[:-1])))
+        stale = gens <= level
+        assert not (stale[1:] & stale[:-1]).any()
+        # a single blocking channel delivers in generation order
+        assert stale.any() == (model != "mm11")
+        if block == 64:
+            assert len(batches) > 8
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"horizon": 0.0},
