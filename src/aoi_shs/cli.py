@@ -329,6 +329,7 @@ def _cmd_simulate(args, rates) -> str:
             "stderr": result.stderr,
             "ci95_halfwidth": result.ci95_halfwidth,
             "events_processed": result.events_processed,
+            "blocked": list(result.blocked),
         })
     row = (
         model, *rates.values(), config.horizon, config.num_trials, config.seed, config.warmup,

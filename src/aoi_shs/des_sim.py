@@ -38,8 +38,8 @@ each departure the wait for the next *accepted* arrival is Exp(lambda), and
 the accepted updates' generation and delivery instants are the running sum
 of alternating waits and services. The arrivals blocked while the channel is
 busy form a Poisson process on the busy time; they change nothing at the
-monitor and are only counted (and, in a trace, placed), one Poisson count
-per block over that block's busy time. Counts of a Poisson process on
+monitor and are only counted, one Poisson count per block over that
+block's busy time, and have no trace row. Counts of a Poisson process on
 disjoint sets are independent Poisson counts, so this is exact in
 distribution and walks no blocked arrival.
 
@@ -62,12 +62,11 @@ seeded with ``SeedSequence(seed, spawn_key=(trial, stream))``. Channel k
 draws from streams 2k and 2k+1. A blocking channel's stream 2k holds only
 the accepted-arrival waits its trial reaches, as a block may stop short at
 the horizon; each block's blocked count comes from stream 2k jumped once
-(``bit_generator.jumped()``, taken before the first wait), and in a trace
-that block's blocked instants from stream 2k jumped twice. Stream 2k+1
+(``bit_generator.jumped()``, taken before the first wait). Stream 2k+1
 holds its service times. Trial values and delivery and generation instants
 are bit-identical to those of the earlier contracts, which drew one blocked
-count after the last block; event counts and blocked trace rows are
-statistically equivalent to theirs.
+count after the last block; event counts are statistically equivalent to
+theirs.
 The preemptive pair draws its arrival instants from stream 0 and its
 service times from stream 1. Results
 are therefore bit-identical across runs on one platform, a traced run gives
@@ -114,8 +113,9 @@ _DRAW_BLOCK = 1 << 14
 #: So the cap bounds a trial's time and its trace file's size. Measured at
 #: lambda/mu of 0.5, 4 and 50 (mu = 1, one trial): untraced, 0.35 to 15 ns
 #: per processed event at 1e7 expected events, 11.5 to 15 ns at the pair;
-#: traced, 2.3 to 3.4 us and 66 B per trace row at 1e6, one row per event,
-#: so about a minute and 1.3 GB at the cap.
+#: traced, 1.9 to 2.0 us and 66 B per trace row at 1e6, with at most one
+#: row per event (a blocked arrival has none), so at most about a minute
+#: and 1.3 GB at the cap.
 MAX_EXPECTED_EVENTS = 2e7
 
 #: Longest horizon: a trial's age integral is at most horizon**2, which
@@ -127,15 +127,15 @@ _INF = math.inf
 #: The draws ``PCG64.jumped()`` skips, (phi - 1) * 2**128 as numpy documents
 #: it. A blocking channel draws its blocked counts from one kept generator,
 #: set in each trial to its wait stream's state advanced by this, in place of
-#: seeding a new jumped one in every trial. A traced trial places its blocked
-#: arrivals from that state jumped once more, so tracing moves no count.
+#: seeding a new jumped one in every trial.
 _JUMP = 210306068529402873165736369884012333109
 
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
 
-#: Trace row kinds; a trace holds each row's kind as its index here.
-_KINDS = ("arrival", "blocked", "delivery", "preempt")
-_ARRIVAL, _BLOCKED, _DELIVERY, _PREEMPT = range(4)
+#: Trace row kinds by the code a trace holds for each row. A blocked arrival
+#: has no row; code 1 is unused.
+_ARRIVAL, _DELIVERY, _PREEMPT = 0, 2, 3
+_KINDS = {_ARRIVAL: "arrival", _DELIVERY: "delivery", _PREEMPT: "preempt"}
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,16 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """Across-trial summary of the time-averaged monitor age; one trial has
-    no spread to estimate, so its ``stderr`` and ``ci95_halfwidth`` are None."""
+    no spread to estimate, so its ``stderr`` and ``ci95_halfwidth`` are None.
+    ``blocked`` sums, per sensor in channel order, the arrivals dropped by a
+    busy channel, which ``events_processed`` counts too (0 for the pair)."""
 
     mean_aoi: float
     trial_values: tuple[float, ...]
     stderr: float | None
     ci95_halfwidth: float | None
     events_processed: int
+    blocked: tuple[int, ...]
 
 
 def time_average_age(times, gens, window, initial_age: float = 0.0) -> float:
@@ -292,7 +295,8 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
     A channel is called as ``channel(arrival_rng, service_rng, trace)`` and
     returns a generator: it yields ``(deliveries, generations)`` blocks in
     time order, each no earlier than the last delivery yielded before, and
-    returns its arrival count. Channel k gets streams 2k and 2k+1. ``trace``
+    returns its arrival count; its ``blocked`` attribute sums its blocked
+    arrivals over the run. Channel k gets streams 2k and 2k+1. ``trace``
     is None or the trial's :class:`_Trace`, to which every channel appends
     one chunk of row columns ``(times, kind codes, sensors, generation
     times)`` per block before yielding it; no later chunk holds a row before
@@ -329,7 +333,7 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
             if trace is not None:
                 trace.write(_INF)
         values.append(integral.value())
-    return _summarize(values, events)
+    return _summarize(values, events, tuple(channel.blocked for channel in channels))
 
 
 class _Trace(list):
@@ -542,9 +546,7 @@ class _BlockingChannel:
     services, a block of each at a time; deliveries completing past the
     horizon are dropped. Right after each block its blocked arrivals are one
     Poisson count over its busy time up to the horizon, from the wait stream
-    jumped once, and in a trace they are placed uniformly over its busy
-    intervals from that stream jumped twice. The trial keeps only its event
-    count.
+    jumped once, summed in ``blocked``; they have no trace row.
 
     A block is drawn in pieces of :func:`_cycles_due` cycles, so the last
     one stops soon after the horizon. Each piece's first wait carries the
@@ -556,15 +558,14 @@ class _BlockingChannel:
         self.lam, self.mu, self.horizon, self.sensor = lam, mu, horizon, sensor
         self.block, self.draws = np.empty(2 * _DRAW_BLOCK), np.empty(_DRAW_BLOCK)
         self.counts = np.random.Generator(np.random.PCG64(0))
+        self.blocked = 0
 
     def __call__(self, arrival_rng, service_rng, trace):
-        # the blocked counts from the wait stream jumped once, and the blocked
-        # instants of a trace from it jumped twice; the waits reach neither
+        # the blocked counts from the wait stream jumped once, which the waits
+        # never reach
         counts = self.counts
         counts.bit_generator.state = arrival_rng.bit_generator.state
         counts.bit_generator.advance(_JUMP)
-        if trace is not None:
-            places = np.random.Generator(counts.bit_generator.jumped())
         lam, mu, horizon, block, draws = self.lam, self.mu, self.horizon, self.block, self.draws
         wait, service = 1.0 / lam, 1.0 / mu
         gens, deps = block[0::2], block[1::2]
@@ -595,12 +596,12 @@ class _BlockingChannel:
                 part[-1] = horizon - gens[now - 1]
             blocked = int(counts.poisson(lam * float(part.sum())))
             events += now + blocked
+            self.blocked += blocked
             if trace is not None:
-                instants = _busy_uniform(places, gens[:now], part, blocked)
-                times = np.concatenate((gens[:now], deps[:kept], instants))
-                kinds = np.repeat(np.int8([_ARRIVAL, _DELIVERY, _BLOCKED]), (now, kept, blocked))
+                times = np.concatenate((gens[:now], deps[:kept]))
+                kinds = np.repeat(np.int8([_ARRIVAL, _DELIVERY]), (now, kept))
                 trace.append((times, kinds, np.full(times.size, self.sensor, np.int8),
-                              np.concatenate((gens[:now], gens[:kept], instants))))
+                              np.concatenate((gens[:now], gens[:kept]))))
             yield deps[:kept], gens[:kept]
         return events
 
@@ -618,18 +619,6 @@ def _cycles_due(span, cycle, room) -> int:
     return int(due) if due < room else room
 
 
-def _busy_uniform(rng, starts, busy, count):
-    """``count`` sorted instants uniform over the busy intervals
-    ``[starts[i], starts[i] + busy[i])``, in place; ``busy`` is overwritten."""
-    ends = np.cumsum(busy, out=busy)
-    offsets = np.sort(rng.random(count))
-    offsets *= ends[-1] if count else 0.0
-    index = np.searchsorted(ends, offsets, side="right")
-    begins = np.concatenate(((0.0,), ends[:-1]))
-    offsets -= begins[index]
-    return np.add(offsets, starts[index], out=offsets)
-
-
 class _PreemptivePair:
     """One source feeding two preemptive servers, a block of arrivals at a
     time (see the module docstring). Update k is kept iff ``d[k] <=
@@ -637,6 +626,8 @@ class _PreemptivePair:
     busy arrival m after it, if any. A traced block appends its rows
     through :func:`_pair_rows`, from the window's first update, L-1 for the
     last busy arrival L, whose server it carries."""
+
+    blocked = 0  # an arrival finding both servers busy preempts, never blocked
 
     def __init__(self, lam, mu, horizon):
         self.lam, self.mu, self.horizon = lam, mu, horizon
@@ -740,7 +731,7 @@ def _pair_rows(trace, a, d, busy, kept, new, server):
     return servers
 
 
-def _summarize(values, events: int) -> SimResult:
+def _summarize(values, events: int, blocked) -> SimResult:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
@@ -750,6 +741,7 @@ def _summarize(values, events: int) -> SimResult:
         stderr=stderr,
         ci95_halfwidth=None if stderr is None else _t975(arr.size - 1) * stderr,
         events_processed=int(events),
+        blocked=blocked,
     )
 
 

@@ -64,7 +64,9 @@ GRID_SPECS = st.tuples(RATES, RATES, st.integers(1, 30))
 # re-recorded when the blocked counts moved to the jumped wait stream (only
 # events_processed moved); every simulate, compare-fig4 and
 # sweep-fig3 --simulate one re-recorded when the 95 % half-width took
-# Student's t quantile in place of 1.96 (only the ci95 cells moved)
+# Student's t quantile in place of 1.96 (only the ci95 cells moved); every
+# simulate JSON one re-recorded when the output gained the per-sensor
+# "blocked" count (without that key each gives the old bytes)
 PINNED_OUTPUTS = [
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general", "--format", "csv"),
@@ -97,7 +99,7 @@ PINNED_OUTPUTS = [
                  id="simulate-two_sensor-csv"),
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "0.5", "--l2", "0.8",
                   "--m1", "1", "--m2", "1.4", *SIM_SHORT, "--format", "json"),
-                 "de418e21b0af4923e13f4ad6b67ade05b2d75d562fee3ed85cb9f61c9148703a",
+                 "14c13fc78f3e408e727df33e050d869300b2a7d91d481bb06c0dfcdf396aefc8",
                  id="simulate-two_sensor-json"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
                   "--format", "csv"),
@@ -105,7 +107,7 @@ PINNED_OUTPUTS = [
                  id="simulate-mm11-csv"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "1", "--m", "1", *SIM_SHORT,
                   "--format", "json"),
-                 "29ed82339da6a33ae76584575373986be10cc95055fc1fde7a2fcd6b6a18d830",
+                 "541d1fc31f7566c56a20f3b257e9af344246070f09290efce36d0a5ff5145ce6",
                  id="simulate-mm11-json"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
                   "--format", "csv"),
@@ -113,22 +115,22 @@ PINNED_OUTPUTS = [
                  id="simulate-mm2p-csv"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "2", "--m1", "1.5", *SIM_SHORT,
                   "--format", "json"),
-                 "eeb70e18e2f307abff46319191b865e56f148d64c22638a6361619875166b8db",
+                 "98170d49920f14885d6744460ca7d08ff199358ab6ba567f6e9cac47c0f66f88",
                  id="simulate-mm2p-json"),
     # the three models at total rate 4 and mu 1, the saturated benchmark's
     # load, past several draw blocks; recorded before the draws were filled
     # in place into one buffer
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "2", "--l2", "2", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "4ff532fdaa3cee7c8bea49760034c676ea23c7f3cb2822bb66d47512eb982495",
+                 "131e1c4e7cf1a0c059a1672d72185d9f410ea2897c72db92ce821de8bd7c7e4a",
                  id="simulate-two_sensor-saturated-json"),
     pytest.param(("simulate", "--model", "mm11", "--l1", "4", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "61a475c61c8d1d9b09ec6deffb399840cbca76a057f05493d50c00a0ad130309",
+                 "bb138efaacdd4283473228ea46da5ff0afb9a7543757767fff10f77381a40d43",
                  id="simulate-mm11-saturated-json"),
     pytest.param(("simulate", "--model", "mm2p", "--l1", "4", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
-                 "296b13bbb3299bea45effe8f2024218087dcb0c4f2bac91d463bb5b8ea7a0cfc",
+                 "26f15ada0dd50804044849d94a075a501d0fdc1049ed7fdf7f85834069134a8c",
                  id="simulate-mm2p-saturated-json"),
     # the benchmark's simulate commands at its full protocol, 49 draw blocks
     # per trial at the pair at lambda 4; recorded before the pair decided its
@@ -137,17 +139,17 @@ PINNED_OUTPUTS = [
                     "--format", "json"), sha256, id=f"simulate-{name}-full-json")
       for name, rates, sha256 in (
           ("two_sensor-light", "two_sensor --l1 0.5 --l2 0.5",
-           "46ea5cdc96d4814dc96b50f143bdb0174008419f67dd7a2543f086d21ed9a93c"),
+           "d27d5814bfc1a07b7224abda9c0f670c81012a5eec239ac51b3b46bcde134137"),
           ("two_sensor-saturated", "two_sensor --l1 2 --l2 2",
-           "d022e955981124b1e43eb02a4e6f107308b9887389e05804a5c7146c85aa38fc"),
+           "8710ecc439f26bf33c64da6b3600df1215d65b4156046087f182fd00dfc0909d"),
           ("mm11-light", "mm11 --l1 1",
-           "a382627d6893d78c2952b0f2d0314e1301e93143b3130094b4dadfd85f6c576e"),
+           "dc4272dcb27ac51c388ad70962a0af16cfef4a3138c07dc6dbc67ccce9fe0add"),
           ("mm11-saturated", "mm11 --l1 4",
-           "81076491f6c1e5261d46414602690f9ca2f3e5143cc3a4ae58d6a08cbe4cf555"),
+           "3ee19dd6f508c48ccd2c268501d415157f615e2b51e27f5aa2afb29cbf270244"),
           ("mm2p-light", "mm2p --l1 1",
-           "fcbc2ab8fc671dca9f5afd2ec2d0ccb01a50cc8b9f761ef1f16ec9ebee7fb27d"),
+           "0b98d6798de1f46512df7f29b9e1ae3bf03b1a18c5fc52fc5d6faf97d93b7a80"),
           ("mm2p-saturated", "mm2p --l1 4",
-           "0e1f1308c68b496cd72b5acad8e6288e8803ec666d9509086a46e67892672e4c"),
+           "d0ea574cfeed5936e7ed107e8f6dbb1553d6b53d34dc80b1f17cf6d593ad9240"),
       )),
     pytest.param(("export-model", "--l1", "0.4", "--l2", "1.1", "--m1", "0.9", "--m2", "1.6"),
                  "7dc0fa3daa48950f327dcb465648c83d7825903a64970d8f8524f9de1fee6d7e",

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import expm
 
 from aoi_shs import des_sim
 from aoi_shs.des_sim import (
@@ -60,16 +62,18 @@ TRACE_RUNS = {
 }
 # sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at
 # TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form, again
-# when their blocked rows moved to the jumped wait stream, and again when
-# each block placed its blocked rows from the wait stream jumped twice)
+# when their blocked rows moved to the jumped wait stream, again when each
+# block placed its blocked rows from the wait stream jumped twice, and again
+# when the blocked arrivals lost their rows: each file is the one before with
+# its blocked rows deleted)
 TRACE_SHA256 = {
     "two_sensor": (
-        "a687e5a42906c4744054f9a864715d516da049315bf3347fbf491bd753f45f34",
-        "8050a1a7a5af8169e1cab2c4f02cff72e6751d17ffb792584729c6481b784816",
+        "5e61f97a632d7bf5935c54b9621f4c9b8eeab96da4780787c50b16ac13e3f637",
+        "b32ae23ff42480c7b64e730423713316c2063f3d87ca5cecb198161e79488c3f",
     ),
     "mm11": (
-        "9a01c07bdbd11b114997dd28a83bbe2c237fc1bb89acb86d898a8aac6b7912df",
-        "370de08a613dd6b59b24f01d0298ad94eb53188b1f31276b33d50e3b1ba7c07f",
+        "e45a3890cf698a883834f53ef27b1c23c6e5671dc606148bb2dcdf0cdf4eb064",
+        "61740944a82e4f9c6101ca78748b5a02e83e8f26744adf88829e6c765b26cf97",
     ),
     "mm2p": (
         "a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
@@ -90,30 +94,31 @@ LONG_TRACE_RUNS = {
 # LONG_TRACE_RUNS entries, and the TestBlockEdges cases at two block sizes;
 # recorded while each channel still appended its trace after its last block,
 # the two_sensor and mm11 ones re-recorded when each block drew its own
-# blocked count and placed its blocked rows
+# blocked count and placed its blocked rows, and again when the blocked
+# arrivals lost their rows
 LONG_TRACE_SHA256 = {
-    "two_sensor": "7dfa11c5b429128b43d5274263342eaf9d6eefcf85e00bce145d8aa8da86de0e",
-    "mm11": "0e802df12cef6a947e9d829dc3e727abdaaee04fb631bbf7080bf1b1913fef5a",
+    "two_sensor": "9ba9ad5d944597bb74d1fa38a7a391b53e22560dcf2e76c7d0a689b5010faaf2",
+    "mm11": "473e1395eac7c8f6d5979bac799e0fcdd98ded71f73ea73a103ff8ce9d847bcf",
     "mm2p": "151302e3a31b54f219039ff99ac8db5a162c0426c45bcb5a9e7aedcdc217f49a",
 }
 BLOCK_EDGE_TRACE_SHA256 = {
     7: {
-        "mm11-0.01": "89a76fe77cf4885ef395b2f4dbbbc21ff73a1f499ef5adc46c7a0dcf14bb7bad",
-        "mm11-50": "e77977bee706ca16e3adbcc6536acad9c57f5fb40eec6cc763dfe39bc85da232",
+        "mm11-0.01": "ab12aab75e099ce6c4d9122db381e0021d6fa80a29e9f78562c043a716b2bbe9",
+        "mm11-50": "c9fab44e3d59a2c20eb30ca85330e6ca35b4d0dc174f48c9d7dd435d1cb76ad7",
         "mm2p-0.01": "897b49665601ced5e559bae0109ae7db7dc91742caa1a5d1dc52c7802a03ef58",
         "mm2p-1": "4422cad282d7b155c2ea221fe0dedef4c431c53eea8fdf719b7ed0b2517b4f94",
         "mm2p-50": "5bc9176eeb5fa38c059302e0450546d7d06a1bf921f6db02add8a7412b5ff10c",
-        "two_sensor-1": "d970f3bdd2cba2679c36fffd29c4ac71982d173b99bac4eefcd2857240bf6d45",
-        "two_sensor-skewed": "6725b8641d7c742c220f4e8f945977c150974f1b4ac576e774b51c7523c3e9e5",
+        "two_sensor-1": "6f30e91878c4167e91b9d7d2892e35cac576f8d2e7556c9aafa5e1de57c6133d",
+        "two_sensor-skewed": "3a824ad43076206291f79c0911038679a668f03c5fba584cedbad1e81987cb66",
     },
     64: {
-        "mm11-0.01": "1abb3088b3df13049a953016735b2d03afbe05ec3ea16b670b3bda2bea103339",
-        "mm11-50": "1d8f71a9d9ddd5a911b606d196a02b5afabbf1dde75435a590893d4f61b6a289",
+        "mm11-0.01": "d3118470af899fd8e78e3709b5d71b2bb34565f80d2cd439b4ff3255f1239d9a",
+        "mm11-50": "1d91c31f074fe54f4e13f20b7063a5dcee9bf423009fbd7bf3b00e1ec4849c2e",
         "mm2p-0.01": "7b4843dcca162bbf7523204ba0c66b87dae544dfa2ea2806d5b24ad94b669992",
         "mm2p-1": "5ecc5e9373491b930b286fa2de4d17c9375ff3368d90f61475693c86ef93415c",
         "mm2p-50": "1577e48fbc5ed1a9467812c48bd053d7181f29f5de97f109243fa681940ab4f7",
-        "two_sensor-1": "675e5bdbb99329f78103a3bdedc7e6e25edb5d7118b7e2488db896b8b57c2494",
-        "two_sensor-skewed": "72537138f49774caa7052b28eb70af16c8efae425d028e3dc12d09e0023eab5a",
+        "two_sensor-1": "879108326aa388f7b5900f3594eec5659ba6b22e7bf2b73fc92d733d6e87446a",
+        "two_sensor-skewed": "449d64ca2f19e35e88ec08271cc56314d52e927cb9586edbf03a9cba8def895c",
     },
 }
 
@@ -124,6 +129,17 @@ def _trace_digest(trace_dir) -> str:
     for path in sorted(Path(trace_dir).glob("trial_*.csv")):
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _check_rows_and_blocked_make_the_events(result, trace_dir):
+    """A blocking run's trace has one row per accepted arrival and per
+    delivery and none per blocked arrival, so its arrival and delivery rows
+    and its blocked counts add up to its events exactly."""
+    kinds = Counter(line.split(",")[1]
+                    for path in Path(trace_dir).glob("trial_*.csv")
+                    for line in path.read_text().splitlines()[1:])
+    assert set(kinds) == {"arrival", "delivery"}
+    assert kinds["arrival"] + kinds["delivery"] + sum(result.blocked) == result.events_processed
 
 
 @st.composite
@@ -719,9 +735,10 @@ class TestTrace:
         assert rows
         times = [r[0] for r in rows]
         assert times == sorted(times)
-        kinds = {"arrival", "preempt", "delivery"} if model == "mm2p" else {
-            "arrival", "blocked", "delivery"}
-        assert {r[1] for r in rows} <= kinds
+        if model == "mm2p":
+            assert {r[1] for r in rows} <= {"arrival", "preempt", "delivery"}
+        else:
+            assert {r[1] for r in rows} == {"arrival", "delivery"}
         assert {r[2] for r in rows} <= ({1} if model == "mm11" else {1, 2})
         assert any(r[1] == "delivery" for r in rows)
         # recompute the post-event ages with an independent filter walk
@@ -961,24 +978,12 @@ class TestRenewalChannel:
         assert np.array_equal(gens, ref_gens)
         assert n_arrivals == ref_arrivals
 
-    @pytest.mark.parametrize("model", ["mm11", "two_sensor"])
-    def test_blocked_rows_inside_busy_intervals(self, tmp_path, model):
-        TRACE_RUNS[model](tmp_path)
-        for path in sorted(tmp_path.glob("trial_*.csv")):
-            _, rows = TestTrace().parse(path)
-            for sensor in {r[2] for r in rows}:
-                mine = [r for r in rows if r[2] == sensor]
-                starts = [r[0] for r in mine if r[1] == "arrival"]
-                delivered = {r[3]: r[0] for r in mine if r[1] == "delivery"}
-                blocked = [r[0] for r in mine if r[1] == "blocked"]
-                assert blocked
-                for b in blocked:
-                    i = np.searchsorted(starts, b) - 1
-                    assert i >= 0
-                    start = starts[i]
-                    # an update still in service at the horizon has no delivery row
-                    end = delivered.get(start, math.nextafter(TRACE_CONFIG.horizon, math.inf))
-                    assert start < b < end
+    @pytest.mark.parametrize("run", [
+        pytest.param(runs[model], id=f"{name}-{model}")
+        for name, runs in (("short", TRACE_RUNS), ("long", LONG_TRACE_RUNS))
+        for model in ("mm11", "two_sensor")])
+    def test_trace_rows_and_blocked_counts_make_the_events(self, tmp_path, run):
+        _check_rows_and_blocked_make_the_events(run(tmp_path), tmp_path)
 
     @pytest.mark.parametrize("model", sorted(TRACE_RUNS))
     def test_traced_run_matches_untraced(self, tmp_path, model):
@@ -988,55 +993,114 @@ class TestRenewalChannel:
         assert traced.events_processed == untraced.events_processed
 
 
+def _busy_time(lam, mu, horizon):
+    """Expected busy time by ``horizon`` of a blocking channel that starts
+    idle, the channel being busy at t with probability lam / (lam + mu) *
+    (1 - exp(-(lam + mu) t)). Its arrivals while busy are blocked, lam times
+    this in expectation."""
+    rate = lam + mu
+    return lam / rate * (horizon + math.expm1(-rate * horizon) / rate)
+
+
 def _blocking_events(lam, mu, horizon):
     """Expected events, arrivals plus deliveries, of a blocking channel that
     starts idle, by ``horizon``: lam * horizon arrivals, and mu times the
-    expected busy time, the channel being busy at t with probability
-    lam / (lam + mu) * (1 - exp(-(lam + mu) t))."""
-    rate = lam + mu
-    return lam * horizon + mu * lam / rate * (horizon + math.expm1(-rate * horizon) / rate)
+    expected busy time."""
+    return lam * horizon + mu * _busy_time(lam, mu, horizon)
+
+
+def _pair_events(lam, mu, horizon):
+    """Expected events, arrivals plus deliveries, of the preemptive pair
+    that starts idle, by ``horizon``: lam * horizon arrivals, and mu times
+    the expected busy-server time. The busy count is a chain on 0, 1 and 2
+    servers (an arrival at 2 replaces the older update, and 2 stay busy);
+    its expected times in each state by the horizon, from state 0, are the
+    top-right block of expm([[Q, I], [0, 0]] * horizon)."""
+    generator = np.zeros((6, 6))
+    generator[:3, :3] = [[-lam, lam, 0.0], [mu, -(lam + mu), lam], [0.0, 2 * mu, -2 * mu]]
+    generator[:3, 3:] = np.eye(3)
+    occupation = expm(generator * horizon)[0, 3:]
+    return lam * horizon + mu * float(occupation @ [0.0, 1.0, 2.0])
+
+
+SHORT_HORIZON_CASES = {  # (lambda, mu) per channel, horizon; the name leads with the model
+    "mm11-light": (((1.0, 1.0),), 3.0),
+    "mm11-saturated": (((4.0, 1.0),), 2.0),
+    "mm11-sparse": (((0.2, 1.0),), 10.0),
+    "mm11-short": (((1.0, 2.0),), 0.5),
+    "mm11-fast": (((8.0, 4.0),), 10.0),
+    "mm2p-light": (((1.0, 1.0),), 3.0),
+    "mm2p-saturated": (((4.0, 1.0),), 2.0),
+    "mm2p-fast": (((8.0, 4.0),), 10.0),
+    "two_sensor-light": (((1.0, 1.0), (0.5, 2.0)), 4.0),
+    "two_sensor-saturated": (((2.0, 1.0), (2.0, 1.0)), 2.0),
+    "two_sensor-fast": (((6.0, 6.0), (2.0, 8.0)), 5.0),
+}
+# one gate per z: (case, draw block, channel), the channel None for the
+# events of the case's runs and k for the blocked count of their channel k
+SHORT_HORIZON_GATES = [
+    (case, block, channel)
+    for case, block in [*((case, des_sim._DRAW_BLOCK) for case in sorted(SHORT_HORIZON_CASES)),
+                        ("mm11-fast", 7), ("two_sensor-fast", 7)]
+    for channel in (None, *(() if case.startswith("mm2p")
+                            else range(len(SHORT_HORIZON_CASES[case][0]))))
+]
 
 
 class TestShortHorizonEvents:
-    """Mean events per trial of the blocking simulators at short horizons,
-    where the horizon's edge is a large part of each trial, against their
-    exact expectation. Each case runs ``BATCHES`` independently seeded
-    batches of ``TRIALS`` trials; z is the gap of the batch means' mean over
-    its standard error, and must lie inside the two-sided Student-t quantile
+    """Mean events per trial of the simulators, and mean blocked arrivals
+    per trial of each blocking channel, at short horizons, where the
+    horizon's edge is a large part of each trial, against their exact
+    expectation. Each case runs ``BATCHES`` independently seeded batches of
+    ``TRIALS`` trials; z is the gap of the batch means' mean over its
+    standard error, and must lie inside the two-sided Student-t quantile
     for ``BATCHES - 1`` degrees of freedom at a Bonferroni share of a 1 %
     false-alarm rate over all ``GATES``, the rule of
-    tests/test_acceptance.py. The fast cases run at a 7-draw block too,
-    which puts their trials across several block edges, each with its own
-    blocked count; the other cases' trials end inside their first block."""
+    tests/test_acceptance.py. The fast blocking cases run at a 7-draw block
+    too, which puts their trials across several block edges, each with its
+    own blocked count; the other cases' trials end inside their first
+    block. The pair runs at the package's block only: its event counts
+    read the same at a 7-draw block."""
 
-    CASES = {  # (lambda, mu) per channel, horizon
-        "mm11-light": (((1.0, 1.0),), 3.0),
-        "mm11-saturated": (((4.0, 1.0),), 2.0),
-        "mm11-sparse": (((0.2, 1.0),), 10.0),
-        "mm11-short": (((1.0, 2.0),), 0.5),
-        "mm11-fast": (((8.0, 4.0),), 10.0),
-        "two_sensor-light": (((1.0, 1.0), (0.5, 2.0)), 4.0),
-        "two_sensor-saturated": (((2.0, 1.0), (2.0, 1.0)), 2.0),
-        "two_sensor-fast": (((6.0, 6.0), (2.0, 8.0)), 5.0),
-    }
-    GATES = [*((case, des_sim._DRAW_BLOCK) for case in sorted(CASES)),
-             ("mm11-fast", 7), ("two_sensor-fast", 7)]
+    CASES, GATES = SHORT_HORIZON_CASES, SHORT_HORIZON_GATES
     BATCHES, TRIALS = 30, 40
     LIMIT = float(stats.t.ppf(1 - 0.01 / (2 * len(GATES)), BATCHES - 1))
 
-    @pytest.mark.parametrize("case,block", GATES)
-    def test_mean_events_match_theory(self, monkeypatch, case, block):
+    def batches(self, monkeypatch, case, block):
+        """The ``BATCHES`` results of ``case`` at a draw block of ``block``."""
         monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
         channels, horizon = self.CASES[case]
-        means = [
-            _simulate_blocking(channels, SimConfig(
-                horizon=horizon, num_trials=self.TRIALS, seed=seed, warmup=0.0)
-            ).events_processed / self.TRIALS
-            for seed in range(self.BATCHES)
-        ]
-        theory = sum(_blocking_events(lam, mu, horizon) for lam, mu in channels)
-        mean, stderr = _mean_and_stderr(means)
+        configs = [SimConfig(horizon=horizon, num_trials=self.TRIALS, seed=seed, warmup=0.0)
+                   for seed in range(self.BATCHES)]
+        if case.startswith("mm2p"):
+            return [simulate_mm2_preemptive(*channels[0], config) for config in configs]
+        return [_simulate_blocking(channels, config) for config in configs]
+
+    def check(self, totals, theory):
+        mean, stderr = _mean_and_stderr([total / self.TRIALS for total in totals])
         assert abs(mean - theory) <= self.LIMIT * stderr, (mean, theory, stderr)
+
+    @pytest.mark.parametrize("case,block", [(case, block) for case, block, channel in GATES
+                                            if channel is None])
+    def test_mean_events_match_theory(self, monkeypatch, case, block):
+        results = self.batches(monkeypatch, case, block)
+        channels, horizon = self.CASES[case]
+        if case.startswith("mm2p"):
+            assert {result.blocked for result in results} == {(0,)}
+            theory = _pair_events(*channels[0], horizon)
+        else:
+            theory = sum(_blocking_events(lam, mu, horizon) for lam, mu in channels)
+        self.check([result.events_processed for result in results], theory)
+
+    @pytest.mark.parametrize("case,block,channel", [gate for gate in GATES
+                                                    if gate[2] is not None])
+    def test_mean_blocked_match_theory(self, monkeypatch, case, block, channel):
+        results = self.batches(monkeypatch, case, block)
+        channels, horizon = self.CASES[case]
+        assert {len(result.blocked) for result in results} == {len(channels)}
+        lam, mu = channels[channel]
+        self.check([result.blocked[channel] for result in results],
+                   lam * _busy_time(lam, mu, horizon))
 
 
 class TestPeakMemory:
@@ -1180,6 +1244,16 @@ class TestBlockEdges:
         else:
             des_sim._simulate_blocking(channels, config, tmp_path)
         assert _trace_digest(tmp_path) == BLOCK_EDGE_TRACE_SHA256[block][case]
+
+    @pytest.mark.parametrize("block", [3, 7, 64])
+    @pytest.mark.parametrize("case", sorted(case for case in CASES if not case.startswith("mm2p")))
+    def test_trace_rows_and_blocked_counts_make_the_events(self, monkeypatch, tmp_path,
+                                                           case, block):
+        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        _, channels, horizon = self.CASES[case]
+        config = SimConfig(horizon=horizon, num_trials=2, seed=31, warmup=0.05)
+        result = des_sim._simulate_blocking(channels, config, tmp_path)
+        _check_rows_and_blocked_make_the_events(result, tmp_path)
 
     # trials of two or three chunks of areas at the package's block size
     @pytest.mark.parametrize("model,channels,horizon", [
