@@ -341,6 +341,24 @@ class TestConditionGuard:
             f"point 11 (rates {rows[1].tolist()}): stationary balance system is "
             "ill-conditioned (condition estimate inf exceeds 1e+12)")
 
+    @pytest.mark.filterwarnings("error")
+    def test_public_stationary_solve_refuses_the_float_limit_without_warning(self):
+        # the numeric chain's assembly overflows at these rates; the public
+        # solve silences floating-point warnings itself, so the refusal is
+        # the only report
+        model = build_two_sensor_chain(TwoSensorParams(1e308, 1e308, 1e308, 1e308))
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"^point 0 .*: stationary balance system is ill-conditioned"):
+            solve_stationary(model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_public_correlation_solve_refuses_the_float_limit_without_warning(self):
+        pi = solve_stationary(build_two_sensor_chain(TwoSensorParams(1, 1, 1, 1)))
+        model = build_two_sensor_chain(TwoSensorParams(1e308, 1e308, 1e308, 1e308))
+        with pytest.raises(IllConditionedSystemError,
+                           match=r"^point 0 .*: correlation system is ill-conditioned"):
+            solve_correlation(model, pi)
+
 
 class TestMMatrixCertificate:
     def test_z_matrix_that_is_not_an_m_matrix_reads_inf(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -285,6 +286,32 @@ class TestReadOnly:
         pi = solve_stationary(chain)
         assert pi.probs.flags.writeable is False
         assert solve_correlation(chain, pi).vectors.flags.writeable is False
+
+
+def batch_digest(rates) -> str:
+    """sha256 over every float the two theory paths return for ``rates``:
+    per point, the general breakdown's age, probabilities, vectors and both
+    stages' condition numbers and residuals, then the grid's ages, each as
+    little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for row in rates:
+        breakdown = average_aoi_general(TwoSensorParams(*row))
+        stationary, correlations = breakdown.stationary, breakdown.correlations
+        for values in ([breakdown.average_aoi], stationary.probs, correlations.vectors,
+                       [stationary.condition, stationary.residual,
+                        correlations.condition, correlations.residual]):
+            digest.update(np.asarray(values, dtype="<f8").tobytes())
+    digest.update(np.asarray(average_aoi_grid(rates), dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# batch_digest of 256 log-uniform points in the benchmark's range [0.05, 20]^4
+BATCH_SHA256 = "ed0dd86e1f6683503c63f6e4a239df7f7f44087207fa16d846cc9ac5c4a5a66a"
+
+
+class TestBatchPin:
+    def test_theory_points_are_pinned(self):
+        assert batch_digest(log_uniform_rates(37, 256, 0.05, 20.0)) == BATCH_SHA256
 
 
 class TestGrid:
