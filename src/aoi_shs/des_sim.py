@@ -133,9 +133,9 @@ _JUMP = 210306068529402873165736369884012333109
 _TRACE_HEADER = "time,kind,sensor,generation_time,post_event_age"
 
 #: Trace row kinds by the code a trace holds for each row. A blocked arrival
-#: has no row; code 1 is unused.
-_ARRIVAL, _DELIVERY, _PREEMPT = 0, 2, 3
-_KINDS = {_ARRIVAL: "arrival", _DELIVERY: "delivery", _PREEMPT: "preempt"}
+#: has no row.
+_ARRIVAL, _DELIVERY, _PREEMPT = 0, 1, 2
+_KINDS = ("arrival", "delivery", "preempt")
 
 
 @dataclass(frozen=True)

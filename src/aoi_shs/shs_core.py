@@ -54,9 +54,11 @@ normalization; in the correlation stage the condition number, the residual
 and a negative expectation, after which negative entries are clipped to 0.
 The first guard that flags a point raises :class:`IllConditionedSystemError`
 naming the first point it flags. Floating-point warnings are silenced
-inside each stage, one ``np.errstate`` per stage: at rates near the float
-limit the assembly and the guard quantities overflow, and the guard that
-refuses the point is the only report.
+once per solve block, one ``np.errstate`` around both of its stages (and
+around the one stage that :func:`solve_stationary` or
+:func:`solve_correlation` runs): at rates near the float limit the
+assembly and the guard quantities overflow, and the guard that refuses
+the point is the only report.
 
 All functions are pure and the returned arrays are read-only, so values can
 be shared freely across threads.
@@ -367,7 +369,9 @@ def _passes(quantities, ceilings) -> bool:
     """A stage's one check over a block: each guard quantity (B,) at or below
     its ceiling at every point; NaN fails. Callers pass the tolerances as
     they read them at the call, as the guards do."""
-    return bool((np.array(quantities) <= np.array(ceilings)[:, None]).all())
+    within = np.array(quantities) <= np.array(ceilings)[:, None]
+    # counting costs one call where .all() is a reduction through a wrapper
+    return np.count_nonzero(within) == within.size
 
 
 def _no_negative_ceiling() -> float:
@@ -398,13 +402,14 @@ def _condition_check(cond: np.ndarray, label: str):
                       f"(condition estimate {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e})")
 
 
-def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, rhs: np.ndarray):
+def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, both: np.ndarray):
     """Solve a stack of Z-matrices (no positive entry off the diagonal), the
     form of every correlation system, certify each a nonsingular M-matrix
-    and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``
-    (``rhs`` (B, L, k)). With ``w > 0`` and the certificate's own residual
-    ``|A w - 1|`` below 1/2, ``A w > 0`` for a positive ``w``. Then
-    ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
+    and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``:
+    ``both`` (B, L, k + 1) holds the right-hand sides ``rhs`` and, last,
+    the certificate's column of ones. With ``w > 0`` and the certificate's
+    own residual ``|A w - 1|`` below 1/2, ``A w > 0`` for a positive ``w``.
+    Then ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
     condition number is ``|A|_inf max(w)``, exact up to round-off, at no
     cost beyond a second right-hand side (Berman & Plemmons, Nonnegative
     Matrices in the Mathematical Sciences, ch. 6). ``norm`` (B,) holds each
@@ -420,8 +425,6 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, rhs:
     and raise for the first flagged point, after which entries below 0 are
     clipped to 0. Returns ``x`` (B, L, k), its largest residuals and the
     condition numbers, both (B,)."""
-    both = np.ones((*rhs.shape[:-1], rhs.shape[-1] + 1))
-    both[..., :-1] = rhs
     try:
         solution = np.linalg.solve(systems, both)
     except np.linalg.LinAlgError:
@@ -454,7 +457,6 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, rhs:
     return x, residual, cond
 
 
-@np.errstate(all="ignore")
 def _stationary(model: ShsModel, rates: np.ndarray, offset: int):
     """Stationary stage of :func:`solve_stationary` for a block of points:
     ``rates`` (B, k) holds each point's rates, one per rate column of the
@@ -468,7 +470,7 @@ def _stationary(model: ShsModel, rates: np.ndarray, offset: int):
     below :data:`_TINY_NEGATIVE` before the clip, then a sum off 1 by more
     than :data:`NORMALIZATION_TOL`) to raise for the first flagged point.
     Returns the probabilities (B, n), condition numbers and max absolute
-    balance residuals (B,).
+    balance residuals (B,). The caller silences floating-point warnings.
     """
     n = model.num_states
     balance = (rates @ model.balance).reshape(-1, n, n)
@@ -510,7 +512,6 @@ def _stationary(model: ShsModel, rates: np.ndarray, offset: int):
     return probs, cond, residual
 
 
-@np.errstate(all="ignore")
 def _correlation(model: ShsModel, rates: np.ndarray, probs: np.ndarray, offset: int):
     """Correlation stage of :func:`solve_correlation` for a block of points,
     given as for :func:`_stationary`, and their stationary probabilities
@@ -518,16 +519,18 @@ def _correlation(model: ShsModel, rates: np.ndarray, probs: np.ndarray, offset: 
     :func:`_certify_m_matrix` and returns the vectors (B, n, c), zero off
     the live set, condition numbers and max residuals (B,). With no live
     unknown there is no system: every vector is 0, each condition number 1
-    (that of the empty system, as of an identity) and residual 0.
+    (that of the empty system, as of an identity) and residual 0. The caller
+    silences floating-point warnings.
     """
     n, c = model.num_states, model.num_components
     live = model.live
     if not len(live):
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
     system = (rates @ model.correlation).reshape(-1, len(live), len(live))
-    rhs = (probs[:, model.live_states] * model.live_slopes)[..., None]
+    both = np.ones((len(rates), len(live), 2))
+    both[..., 0] = probs[:, model.live_states] * model.live_slopes
     norm = (rates @ model.correlation_norm).max(axis=1)
-    x, residual, cond = _certify_m_matrix(system, norm, rates, offset, rhs)
+    x, residual, cond = _certify_m_matrix(system, norm, rates, offset, both)
     vectors = np.zeros((len(rates), n * c))
     vectors[:, live] = x[..., 0]
     return vectors.reshape(len(rates), n, c), cond, residual
@@ -551,8 +554,10 @@ def _solve(model: ShsModel, rates: np.ndarray):
     """
     for start in range(0, len(rates), BATCH_BLOCK):
         rows = rates[start:start + BATCH_BLOCK]
-        stationary = _stationary(model, rows, start)
-        yield stationary, _correlation(model, rows, stationary[0], start)
+        with np.errstate(all="ignore"):
+            stationary = _stationary(model, rows, start)
+            correlation = _correlation(model, rows, stationary[0], start)
+        yield stationary, correlation
 
 
 def _first_point(result, stage):
@@ -574,7 +579,9 @@ def solve_stationary(model: ShsModel) -> StationaryDistribution:
     is re-checked afterwards. A named chain has no rates to solve at, and
     ``ValueError`` names its first transition and rate name.
     """
-    return _first_point(StationaryDistribution, _stationary(model, _model_rates(model), 0))
+    rates = _model_rates(model)
+    with np.errstate(all="ignore"):
+        return _first_point(StationaryDistribution, _stationary(model, rates, 0))
 
 
 def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> CorrelationVectors:
@@ -593,7 +600,9 @@ def solve_correlation(model: ShsModel, pi: StationaryDistribution) -> Correlatio
     :func:`solve_stationary`.
     """
     probs = np.asarray(pi.probs, dtype=float)[None, :]
-    return _first_point(CorrelationVectors, _correlation(model, _model_rates(model), probs, 0))
+    rates = _model_rates(model)
+    with np.errstate(all="ignore"):
+        return _first_point(CorrelationVectors, _correlation(model, rates, probs, 0))
 
 
 def average_age(v: CorrelationVectors, component: int = 0) -> float:

@@ -155,11 +155,13 @@ def _reset_map(kept) -> np.ndarray:
     return amap
 
 
-# Both chains, with the rate names as rates: their rate columns are _RATE_NAMES.
+# Both chains, with the rate names as rates: their rate columns are _RATE_NAMES,
+# the field order of TwoSensorParams, in which average_aoi_general writes a point.
 _CHAIN, _GRID_CHAIN = (
     build_model(len(slopes), NUM_COMPONENTS,
                 [(frm, to, name, _reset_map(kept)) for frm, to, name, kept in table], slopes)
     for table, slopes in ((_TRANSITIONS, _SLOPES), (_GRID_TRANSITIONS, _GRID_SLOPES)))
+assert _CHAIN.rate_names == _GRID_CHAIN.rate_names == _RATE_NAMES
 
 
 def build_two_sensor_chain(params: TwoSensorParams) -> ShsModel:
@@ -203,7 +205,7 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     adds its per-state solver output and diagnostics to the age, which
     :func:`average_aoi_grid` matches to about 1e-15 relative.
     """
-    rates = np.array([[getattr(params, name) for name in _CHAIN.rate_names]])
+    rates = np.array([[params.lambda1, params.lambda2, params.mu1, params.mu2]])
     [(stationary, correlation)] = _solve(_CHAIN, rates)
     return AoiBreakdown(
         average_aoi=float(_monitor_ages(correlation)[0]),

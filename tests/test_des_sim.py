@@ -784,8 +784,8 @@ class TestTrace:
         def chunk(times, kinds, sensors, gens):
             return np.array(times), np.int8(kinds), np.int8(sensors), np.array(gens)
 
-        early = chunk([0.5, bound, below, 3.0], [0, 2, 2, 0], [1, 1, 2, 2], [0.5, 0.25, 0.5, 3.0])
-        later = chunk([bound, 2.5, bound], [2, 0, 0], [2, 1, 2], [1.5, 2.5, 2.0])
+        early = chunk([0.5, bound, below, 3.0], [0, 1, 1, 0], [1, 1, 2, 2], [0.5, 0.25, 0.5, 3.0])
+        later = chunk([bound, 2.5, bound], [1, 0, 0], [2, 1, 2], [1.5, 2.5, 2.0])
         out, added = io.StringIO(), []
         trace = des_sim._Trace(out, lambda deps, gens: added.append(deps.tolist()))
         trace.append(early)
@@ -799,7 +799,7 @@ class TestTrace:
                       key=lambda row: row[0])
         held, lines = 0.0, [des_sim._TRACE_HEADER]
         for t, kind, sensor, gen in rows:
-            if kind == 2:
+            if kind == 1:
                 held = max(held, gen)
             lines.append(f"{t!r},{des_sim._KINDS[kind]},{sensor},{gen!r},{t - held!r}")
         assert out.getvalue().splitlines() == lines
@@ -1309,7 +1309,7 @@ class TestMerge:
         assert events == len(times) + sum(range(1, len(streams) + 1))
 
 
-TRACE_KIND_CODES = {"arrival": 0, "delivery": 2, "preempt": 3}
+TRACE_KIND_CODES = {"arrival": 0, "delivery": 1, "preempt": 2}
 
 
 def _time_sorted(columns):

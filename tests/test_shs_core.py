@@ -370,14 +370,14 @@ class TestMMatrixCertificate:
                            match=r"point 0 \(rates \[1\.0, .*condition estimate inf "
                                  r"exceeds 1e\+12"):
             _certify_m_matrix(systems, np.abs(systems).sum(axis=-1).max(axis=-1), rates, 0,
-                              np.ones((1, 2, 1)))
+                              np.ones((1, 2, 2)))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_member_of_correlation_stack_is_named(self):
         rng = np.random.default_rng(12)
         rates = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(BATCH_BLOCK, 4)))
         systems = (rates @ _CHAIN.correlation).reshape(BATCH_BLOCK, 21, 21)
-        rhs = np.ones((BATCH_BLOCK, 21, 1))
+        rhs = np.ones((BATCH_BLOCK, 21, 2))
         norm = np.abs(systems).sum(axis=-1).max(axis=-1)
         _, _, condition = _certify_m_matrix(systems, norm, rates, 0, rhs)
         assert np.isfinite(condition).all()
