@@ -63,10 +63,7 @@ draws from streams 2k and 2k+1. A blocking channel's stream 2k holds only
 the accepted-arrival waits its trial reaches, as a block may stop short at
 the horizon; each block's blocked count comes from stream 2k jumped once
 (``bit_generator.jumped()``, taken before the first wait). Stream 2k+1
-holds its service times. Trial values and delivery and generation instants
-are bit-identical to those of the earlier contracts, which drew one blocked
-count after the last block; event counts are statistically equivalent to
-theirs.
+holds its service times.
 The preemptive pair draws its arrival instants from stream 0 and its
 service times from stream 1. Results
 are therefore bit-identical across runs on one platform, a traced run gives

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_by_cells
-from test_des_sim import TRACE_SHA256
+from test_des_sim import TRACE_PINS
 
 import aoi_shs
 from aoi_shs import des_sim
@@ -33,13 +33,6 @@ from aoi_shs.shs_core import (
 )
 from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general, average_aoi_grid
 
-# sha256 of the default sweep-fig3 CSV, re-recorded when grids moved from the
-# nine-state chain to the five-state fake-update chain (56 of 81 ages moved
-# in the last bit, by at most 4.2e-16 relative), and again when the solver
-# dropped the correlation unknowns that are always zero and took pi from the
-# balance inverse (36 of 81 ages moved, by at most 3.7e-16 relative)
-FIG3_DEFAULT_SHA256 = "e2b22ea1a5067ee6dafac067a764e8a0564f9e020a400cb18ee6cdba804617c0"
-
 FIG4_HEADER = ("lambda,theory_two_sensor,sim_two_sensor,ci_two_sensor,"
                "sim_mm11,ci_mm11,sim_mm2p,ci_mm2p")
 
@@ -51,22 +44,9 @@ SIM_FULL = ("--horizon", "2e5", "--trials", "10", "--warmup", "0.01", "--seed", 
 RATES = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
 GRID_SPECS = st.tuples(RATES, RATES, st.integers(1, 30))
 
-# sha256 of the stdout of valid invocations, recorded before the rate flags
-# each variant reads were declared in one table; the two_sensor, mm11 and
-# compare-fig4 ones re-recorded when the blocking channels moved to renewal
-# form, and theory-general-json when its diagnostics' condition numbers moved
-# from the 2-norm to the 1-norm, and again when the correlation condition came
-# from the M-matrix certificate instead of the inverse (its last digit moved);
-# the theory-general and sweep-fig3 ones re-recorded when the solver dropped
-# the correlation unknowns that are always zero (ages moved by at most 5.3e-16
-# relative) and the correlation condition became the infinity-norm number of
-# the live system; the six simulate-two_sensor and simulate-mm11 ones
-# re-recorded when the blocked counts moved to the jumped wait stream (only
-# events_processed moved); every simulate, compare-fig4 and
-# sweep-fig3 --simulate one re-recorded when the 95 % half-width took
-# Student's t quantile in place of 1.96 (only the ci95 cells moved); every
-# simulate JSON one re-recorded when the output gained the per-sensor
-# "blocked" count (without that key each gives the old bytes)
+# each pinned command: its argv and the sha256 of its stdout. TestPinnedOutputs
+# runs every one through main; CI runs every one through the installed
+# aoi-shs script
 PINNED_OUTPUTS = [
     pytest.param(("theory", "--l1", "0.5", "--l2", "0.8", "--m1", "1", "--m2", "1.4",
                   "--method", "general", "--format", "csv"),
@@ -118,8 +98,7 @@ PINNED_OUTPUTS = [
                  "98170d49920f14885d6744460ca7d08ff199358ab6ba567f6e9cac47c0f66f88",
                  id="simulate-mm2p-json"),
     # the three models at total rate 4 and mu 1, the saturated benchmark's
-    # load, past several draw blocks; recorded before the draws were filled
-    # in place into one buffer
+    # load, past several draw blocks
     pytest.param(("simulate", "--model", "two_sensor", "--l1", "2", "--l2", "2", "--m", "1",
                   "--horizon", "2e4", "--trials", "2", "--format", "json"),
                  "131e1c4e7cf1a0c059a1672d72185d9f410ea2897c72db92ce821de8bd7c7e4a",
@@ -133,8 +112,7 @@ PINNED_OUTPUTS = [
                  "26f15ada0dd50804044849d94a075a501d0fdc1049ed7fdf7f85834069134a8c",
                  id="simulate-mm2p-saturated-json"),
     # the benchmark's simulate commands at its full protocol, 49 draw blocks
-    # per trial at the pair at lambda 4; recorded before the pair decided its
-    # kept updates from consecutive busy arrivals
+    # per trial at the pair at lambda 4
     *(pytest.param(("simulate", "--model", *rates.split(), "--m", "1", *SIM_FULL,
                     "--format", "json"), sha256, id=f"simulate-{name}-full-json")
       for name, rates, sha256 in (
@@ -157,7 +135,9 @@ PINNED_OUTPUTS = [
     pytest.param(("compare-fig4", "--grid-lambda", "0.5", "2", "2", *SIM_SHORT),
                  "f9072741dc31b69da28175b08435037855ddb97b922572b8db0e265100900953",
                  id="compare-fig4"),
-    # recorded before sweep-fig3's CSV was built from per-column text
+    pytest.param(("sweep-fig3",),
+                 "e2b22ea1a5067ee6dafac067a764e8a0564f9e020a400cb18ee6cdba804617c0",
+                 id="sweep-fig3-default"),
     pytest.param(("sweep-fig3", "--grid-l1", "0.3", "0.7", "2", "--grid-m2", "1", "1.5", "3",
                   "--format", "json"),
                  "c9a05e7b8c88709348289b2ac7c6d4e5ce173612e089e8259c0b5b980b67b107",
@@ -324,20 +304,14 @@ class TestSimulate:
                          "--m", "1", "--warmup", "1.5")
         assert code == 2
 
-    def test_trace_dir(self, capsys, tmp_path):
-        # the TRACE_RUNS runs of test_des_sim, through the command line
-        for model, rates in (("mm2p", ("--l1", "3", "--m", "1")),
-                             ("two_sensor", ("--l1", "0.6", "--l2", "0.9",
-                                             "--m1", "1.0", "--m2", "1.2"))):
-            trace = tmp_path / model
-            code, _, _ = run(capsys, "simulate", "--model", model, *rates, "--horizon", "200",
-                             "--trials", "2", "--seed", "9", "--warmup", "0",
-                             "--trace-dir", str(trace))
-            assert code == 0
-            files = sorted(trace.glob("*.csv"))
-            assert [p.name for p in files] == ["trial_000.csv", "trial_001.csv"]
-            assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
-                         for p in files) == TRACE_SHA256[model]
+    @pytest.mark.parametrize("argv, digests",
+                             [pytest.param(*pin, id=name) for name, pin in TRACE_PINS.items()])
+    def test_trace_dir(self, capsys, tmp_path, argv, digests):
+        code, _, err = run(capsys, *argv, "--trace-dir", str(tmp_path))
+        assert code == 0, err
+        files = sorted(tmp_path.glob("*.csv"))
+        assert [p.name for p in files] == [f"trial_{i:03d}.csv" for i in range(len(digests))]
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == digests
 
     def test_trace_dir_on_a_file_fails_before_any_trial(self, capsys, tmp_path):
         # the directory is made before the first trial, so no trial runs
@@ -413,11 +387,6 @@ class TestSweep:
         at = data.draw(st.integers(0, len(keys) - 1))
         with pytest.raises(ValueError, match="not JSON compliant"):
             _table("json", ",".join(keys), [(*row[:at], bad, *row[at + 1:])])
-
-    def test_default_csv_is_pinned(self, capsys):
-        code, out, _ = run(capsys, "sweep-fig3")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == FIG3_DEFAULT_SHA256
 
     @settings(max_examples=60, deadline=None)
     @given(l1_spec=GRID_SPECS, m2_spec=GRID_SPECS, l2=RATES, m1=RATES, simulate=st.booleans())
@@ -657,15 +626,12 @@ class TestSharedParser:
         assert (code, out) == (0, "")
         assert target.read_text().splitlines()[-1] == "1.0,1.0,1.0,1.0,eq17,1.609375"
 
-        code, out, _ = run(capsys, "sweep-fig3")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == FIG3_DEFAULT_SHA256
-        assert all(line.endswith(",,") for line in out.splitlines()[1:])
-
-        (argv, sha256), = [p.values for p in PINNED_OUTPUTS if p.id == "theory-general-json"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        pins = {p.id: p.values for p in PINNED_OUTPUTS}
+        for pin in ("sweep-fig3-default", "theory-general-json"):
+            argv, sha256 = pins[pin]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestPinnedOutputs:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
-from aoi_shs import des_sim
+from aoi_shs import cli, des_sim
 from aoi_shs.des_sim import (
     SimConfig,
     simulate_mm11,
@@ -41,66 +41,65 @@ from oracles import (
 MM2P_REFERENCE = 1.170391540727024
 MM2P_CONFIG = SimConfig(horizon=2e4, num_trials=5, seed=999, warmup=0.01)
 
-# recorded when the blocking channels moved to renewal form, after they
-# matched the per-arrival scan of tests/oracles.py; at this horizon the
-# accepted-update draws of sensor 1 and of the single queue each run past
-# one draw block. The event counts were re-recorded when the blocked counts
-# moved to the jumped wait stream, and again when each block drew its own
-# blocked count; the trial values did not move
+# recorded after the blocking channels matched the per-arrival scan of
+# tests/oracles.py; at this horizon the accepted-update draws of sensor 1 and
+# of the single queue each run past one draw block
 PIN_CONFIG = SimConfig(horizon=2e4, num_trials=2, seed=77, warmup=0.02)
 TWO_SENSOR_PIN = ((0.917302689681813, 0.9214665474039285), 235374)
 MM11_PIN = ((0.899917682916618, 0.8979810116847353), 220772)
 # recorded from the per-arrival loop, before the pair ran on arrays
 MM2P_PIN = ((0.5275269043362499, 0.5275937053441493), 266618)
 
-TRACE_CONFIG = SimConfig(horizon=200.0, num_trials=2, seed=9, warmup=0.0)
-TRACE_RUNS = {
-    "two_sensor": lambda trace_dir: simulate_two_sensor(
-        TwoSensorParams(0.6, 0.9, 1.0, 1.2), TRACE_CONFIG, trace_dir),
-    "mm11": lambda trace_dir: simulate_mm11(0.9, 1.2, TRACE_CONFIG, trace_dir),
-    "mm2p": lambda trace_dir: simulate_mm2_preemptive(3.0, 1.0, TRACE_CONFIG, trace_dir),
-}
-# sha256 of trial_000.csv and trial_001.csv of each TRACE_RUNS entry at
-# TRACE_CONFIG (two_sensor and mm11 re-recorded with the renewal form, again
-# when their blocked rows moved to the jumped wait stream, again when each
-# block placed its blocked rows from the wait stream jumped twice, and again
-# when the blocked arrivals lost their rows: each file is the one before with
-# its blocked rows deleted)
-TRACE_SHA256 = {
-    "two_sensor": (
-        "5e61f97a632d7bf5935c54b9621f4c9b8eeab96da4780787c50b16ac13e3f637",
-        "b32ae23ff42480c7b64e730423713316c2063f3d87ca5cecb198161e79488c3f",
-    ),
-    "mm11": (
-        "e45a3890cf698a883834f53ef27b1c23c6e5671dc606148bb2dcdf0cdf4eb064",
-        "61740944a82e4f9c6101ca78748b5a02e83e8f26744adf88829e6c765b26cf97",
-    ),
-    "mm2p": (
-        "a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
-        "e37e477f97c91eb4c75f1836e420c9def42dc41e46c25be1a976a7db09ed7605",
-    ),
-}
-
+_SHORT_TRACE = ("--horizon", "200", "--trials", "2", "--seed", "9", "--warmup", "0")
 # one trial past the first draw block of each channel: about 17600 cycles of
 # sensor 1 and of the single queue, 22000 arrivals at the pair
-LONG_TRACE_CONFIG = SimConfig(horizon=2.2e4, num_trials=1, seed=5, warmup=0.0)
-LONG_TRACE_RUNS = {
-    "two_sensor": lambda trace_dir: simulate_two_sensor(
-        TwoSensorParams(1.0, 0.5, 4.0, 1.0), LONG_TRACE_CONFIG, trace_dir),
-    "mm11": lambda trace_dir: simulate_mm11(1.0, 4.0, LONG_TRACE_CONFIG, trace_dir),
-    "mm2p": lambda trace_dir: simulate_mm2_preemptive(1.0, 1.0, LONG_TRACE_CONFIG, trace_dir),
+_LONG_TRACE = ("--horizon", "2.2e4", "--trials", "1", "--seed", "5", "--warmup", "0")
+# each pinned traced run: its command line, and the sha256 of each trial
+# file it writes, in trial order. tests/test_cli.py runs every one through
+# main; CI runs every one through the installed aoi-shs script
+TRACE_PINS = {
+    "two_sensor": (
+        ("simulate", "--model", "two_sensor", "--l1", "0.6", "--l2", "0.9",
+         "--m1", "1.0", "--m2", "1.2", *_SHORT_TRACE),
+        ("5e61f97a632d7bf5935c54b9621f4c9b8eeab96da4780787c50b16ac13e3f637",
+         "b32ae23ff42480c7b64e730423713316c2063f3d87ca5cecb198161e79488c3f")),
+    "mm11": (
+        ("simulate", "--model", "mm11", "--l1", "0.9", "--m", "1.2", *_SHORT_TRACE),
+        ("e45a3890cf698a883834f53ef27b1c23c6e5671dc606148bb2dcdf0cdf4eb064",
+         "61740944a82e4f9c6101ca78748b5a02e83e8f26744adf88829e6c765b26cf97")),
+    "mm2p": (
+        ("simulate", "--model", "mm2p", "--l1", "3", "--m", "1", *_SHORT_TRACE),
+        ("a51c93f41bfdb1179fd45e623290fb7dc2f5f3389b5b234aeba9d082790bf1f5",
+         "e37e477f97c91eb4c75f1836e420c9def42dc41e46c25be1a976a7db09ed7605")),
+    "long-two_sensor": (
+        ("simulate", "--model", "two_sensor", "--l1", "1", "--l2", "0.5",
+         "--m1", "4", "--m2", "1", *_LONG_TRACE),
+        ("9ba9ad5d944597bb74d1fa38a7a391b53e22560dcf2e76c7d0a689b5010faaf2",)),
+    "long-mm11": (
+        ("simulate", "--model", "mm11", "--l1", "1", "--m", "4", *_LONG_TRACE),
+        ("473e1395eac7c8f6d5979bac799e0fcdd98ded71f73ea73a103ff8ce9d847bcf",)),
+    "long-mm2p": (
+        ("simulate", "--model", "mm2p", "--l1", "1", "--m", "1", *_LONG_TRACE),
+        ("151302e3a31b54f219039ff99ac8db5a162c0426c45bcb5a9e7aedcdc217f49a",)),
 }
-# sha256 of the trial files of one run, joined in trial order: the
-# LONG_TRACE_RUNS entries, and the TestBlockEdges cases at two block sizes;
-# recorded while each channel still appended its trace after its last block,
-# the two_sensor and mm11 ones re-recorded when each block drew its own
-# blocked count and placed its blocked rows, and again when the blocked
-# arrivals lost their rows
-LONG_TRACE_SHA256 = {
-    "two_sensor": "9ba9ad5d944597bb74d1fa38a7a391b53e22560dcf2e76c7d0a689b5010faaf2",
-    "mm11": "473e1395eac7c8f6d5979bac799e0fcdd98ded71f73ea73a103ff8ce9d847bcf",
-    "mm2p": "151302e3a31b54f219039ff99ac8db5a162c0426c45bcb5a9e7aedcdc217f49a",
-}
+
+
+def _api_run(argv):
+    """The simulator call that ``aoi-shs *argv`` makes, as a function of
+    its trace directory."""
+    args = cli._PARSER.parse_args(argv)
+    rates, config = cli._rates(args), cli._sim_config(args)
+    if args.model == "two_sensor":
+        params = TwoSensorParams(*rates.values())
+        return lambda trace_dir: simulate_two_sensor(params, config, trace_dir)
+    runner = simulate_mm11 if args.model == "mm11" else simulate_mm2_preemptive
+    return lambda trace_dir: runner(rates["l1"], rates["m1"], config, trace_dir)
+
+
+TRACE_RUNS = {model: _api_run(TRACE_PINS[model][0]) for model in ("two_sensor", "mm11", "mm2p")}
+LONG_TRACE_RUNS = {model: _api_run(TRACE_PINS[f"long-{model}"][0]) for model in TRACE_RUNS}
+# sha256 of the trial files of one TestBlockEdges case at two block sizes,
+# joined in trial order
 BLOCK_EDGE_TRACE_SHA256 = {
     7: {
         "mm11-0.01": "ab12aab75e099ce6c4d9122db381e0021d6fa80a29e9f78562c043a716b2bbe9",
@@ -617,17 +616,8 @@ class TestReproducibility:
         result = simulate_mm2_preemptive(4.0, 2.5, PIN_CONFIG)
         assert (result.trial_values, result.events_processed) == MM2P_PIN
 
-    @pytest.mark.parametrize("model", sorted(TRACE_RUNS))
-    def test_trace_files_pinned(self, tmp_path, model):
-        TRACE_RUNS[model](tmp_path)
-        digests = tuple(
-            hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.glob("trial_*.csv"))
-        )
-        assert digests == TRACE_SHA256[model]
-
     @pytest.mark.parametrize("model", sorted(LONG_TRACE_RUNS))
-    def test_multi_block_trace_files_pinned(self, tmp_path, model):
+    def test_long_trace_runs_pass_one_draw_block(self, tmp_path, model):
         LONG_TRACE_RUNS[model](tmp_path)
         text = (tmp_path / "trial_000.csv").read_text()
         rows = [line.split(",") for line in text.splitlines()[1:]]
@@ -635,7 +625,6 @@ class TestReproducibility:
         firsts = [row for row in rows
                   if row[1] in ("arrival", "preempt") and (model == "mm2p" or row[2] == "1")]
         assert len(firsts) > des_sim._DRAW_BLOCK
-        assert _trace_digest(tmp_path) == LONG_TRACE_SHA256[model]
 
     def test_ci_quantile_matches_student_t(self):
         # the table's range, the expansion's, and its large-dof limit

@@ -11,11 +11,16 @@ grids), each at N = 1 and N = ``BATCH_BLOCK`` points log-uniform in
 [0.05, 20]^4, it times per point:
 
 * ``solve``: ``shs_core._solve``, both stages of one block;
+* ``stages``: both stages inside one ``np.errstate``, as ``_solve`` runs a
+  block, without its generator;
 * ``stationary`` and ``correlation``: each stage alone;
 * ``stationary.inv`` and ``correlation.solve``: the stage's LAPACK call,
   ``np.linalg.inv`` or ``np.linalg.solve``, on the stage's own systems;
 * ``stationary.rest`` and ``correlation.rest``: the stage less its LAPACK
   call, taken within each round;
+* ``solve.generator``: ``solve`` less ``stages``, the generator's own cost;
+* ``stages.errstate``: ``stages`` less ``stationary`` and ``correlation``,
+  the cost of entering and leaving the ``np.errstate``;
 
 and, for one nine-state point, ``average_aoi_general`` and its
 ``average_aoi_general.wrapping``, the call less ``_solve``.
@@ -70,7 +75,7 @@ def _timer(call, loops: int, points: int):
 
 def measurements(chain, rates):
     """The timed calls of one chain at one block of ``rates`` (N, 4), by
-    name, and the differences ``(name, whole, part)`` taken from them."""
+    name, and the differences ``(name, whole, *parts)`` taken from them."""
     n, live = chain.num_states, len(chain.live)
     system = (rates @ chain.balance).reshape(-1, n, n)
     system[:, -1, :] = 1.0
@@ -79,15 +84,24 @@ def measurements(chain, rates):
     both = np.ones((len(rates), live, 2))
     both[..., 0] = probs[:, chain.live_states] * chain.live_slopes
     loops, points = LOOPS[len(rates)], len(rates)
+
+    def stages():
+        with np.errstate(all="ignore"):
+            stationary = shs_core._stationary(chain, rates, 0)
+            shs_core._correlation(chain, rates, stationary[0], 0)
+
     calls = {
         "solve": lambda: list(shs_core._solve(chain, rates)),
+        "stages": stages,
         "stationary": lambda: shs_core._stationary(chain, rates, 0),
         "stationary.inv": lambda: np.linalg.inv(system),
         "correlation": lambda: shs_core._correlation(chain, rates, probs, 0),
         "correlation.solve": lambda: np.linalg.solve(correlation, both),
     }
     differences = [("stationary.rest", "stationary", "stationary.inv"),
-                   ("correlation.rest", "correlation", "correlation.solve")]
+                   ("correlation.rest", "correlation", "correlation.solve"),
+                   ("solve.generator", "solve", "stages"),
+                   ("stages.errstate", "stages", "stationary", "correlation")]
     if chain is two_sensor._CHAIN and points == 1:
         params = two_sensor.TwoSensorParams(*rates[0])
         calls["average_aoi_general"] = lambda: two_sensor.average_aoi_general(params)
@@ -134,8 +148,8 @@ def run(rounds: int) -> dict:
     chains = {}
     for label, points, timers, differences in cases:
         rows = {name: samples[label, points, name] for name in timers}
-        for name, whole, part in differences:
-            rows[name] = [a - b for a, b in zip(rows[whole], rows[part])]
+        for name, whole, *parts in differences:
+            rows[name] = [a - sum(b) for a, *b in zip(rows[whole], *(rows[p] for p in parts))]
         chains.setdefault(label, {})[str(points)] = {
             name: quartiles(values) for name, values in rows.items()}
     return {
