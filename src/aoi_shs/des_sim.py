@@ -11,14 +11,15 @@ update that has ever been delivered):
   update was generated earlier.
 
 Each system is a list of channels run by one trial runner: the two-sensor
-system and the single queue are the two- and one-channel runs of one
-blocking simulator, and the preemptive pair is one channel holding both
-servers. Horizon times the total rate (lambda1+lambda2+mu1+mu2, lambda+mu
-and lambda+2mu respectively) may not exceed ``MAX_EXPECTED_EVENTS``.
-
-A trial runs as a stream of blocks. Each channel yields its deliveries in
-time order, one block of at most ``_DRAW_BLOCK`` draws per stream at a
-time; the runner merges the channels' blocks and integrates the age as the
+system and the single queue are two and one blocking channels, and the
+preemptive pair is one channel holding both servers. Blocks go out and
+counters stay on the channel: each channel yields its deliveries in time
+order, one block of at most ``_DRAW_BLOCK`` draws per stream at a time, and
+keeps its ``rate`` (lambda+mu for a blocking channel, lambda+2mu for the
+pair), and its ``events`` (arrivals, blocked ones included, plus deliveries
+by the horizon) and ``blocked`` arrivals summed over the run's trials.
+Horizon times the sum of the rates may not exceed ``MAX_EXPECTED_EVENTS``.
+The runner merges the channels' blocks and integrates the age as the
 deliveries come, through buffers allocated once per run and reused across
 blocks and trials. The age integral's areas are a running sum over chunks
 of ``_DRAW_BLOCK`` terms, counted from the window's first segment, and each
@@ -230,15 +231,16 @@ def simulate_two_sensor(
     """
     if not isinstance(params, TwoSensorParams):
         params = TwoSensorParams(*params)
-    rates = ((params.lambda1, params.mu1), (params.lambda2, params.mu2))
-    return _simulate_blocking(rates, config, trace_dir)
+    channels = [_BlockingChannel(params.lambda1, params.mu1, config.horizon, 1),
+                _BlockingChannel(params.lambda2, params.mu2, config.horizon, 2)]
+    return _run_trials(config, trace_dir, channels)
 
 
 def simulate_mm11(lam: float, mu: float, config: SimConfig, trace_dir=None) -> SimResult:
     """Single blocking channel; deliveries arrive in generation order, so the
     staleness filter never rejects anything."""
     _require_positive(lam=lam, mu=mu)
-    return _simulate_blocking(((lam, mu),), config, trace_dir)
+    return _run_trials(config, trace_dir, [_BlockingChannel(lam, mu, config.horizon, 1)])
 
 
 def simulate_mm2_preemptive(
@@ -254,20 +256,10 @@ def simulate_mm2_preemptive(
     draws and results are those of a per-arrival walk, bit for bit.
     """
     _require_positive(lam=lam, mu=mu)
-    channel = _PreemptivePair(lam, mu, config.horizon)
-    return _run_trials(config, trace_dir, lam + 2 * mu, [channel])
+    return _run_trials(config, trace_dir, [_PreemptivePair(lam, mu, config.horizon)])
 
 
 # -- internals ---------------------------------------------------------------
-
-
-def _simulate_blocking(rates, config: SimConfig, trace_dir) -> SimResult:
-    """Blocking channels at ``rates``, ``(lam, mu)`` pairs; channel k is sensor
-    k+1. The total rate sums the lams, then the mus, in channel order."""
-    lams, mus = zip(*rates)
-    channels = [_BlockingChannel(lam, mu, config.horizon, k + 1)
-                for k, (lam, mu) in enumerate(rates)]
-    return _run_trials(config, trace_dir, sum(lams + mus), channels)
 
 
 def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -286,24 +278,25 @@ def _room(buf, used: int, size: int):
     return grown
 
 
-def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult:
+def _run_trials(config: SimConfig, trace_dir, channels) -> SimResult:
     """Run every channel of every trial and average the merged deliveries.
 
-    A channel is called as ``channel(arrival_rng, service_rng, trace)`` and
-    returns a generator: it yields ``(deliveries, generations)`` blocks in
-    time order, each no earlier than the last delivery yielded before, and
-    returns its arrival count; its ``blocked`` attribute sums its blocked
-    arrivals over the run. Channel k gets streams 2k and 2k+1. ``trace``
-    is None or the trial's :class:`_Trace`, to which every channel appends
-    one chunk of row columns ``(times, kind codes, sensors, generation
-    times)`` per block before yielding it; no later chunk holds a row before
-    that block's last delivery. The preemptive pair's chunk starts at update
-    L-1, for the last busy arrival L before the block, and carries that
-    update's server. Events processed are arrivals plus deliveries; a run is
-    refused when it expects more than ``MAX_EXPECTED_EVENTS``, ``horizon *
-    total_rate``.
+    Blocks go out, counters stay on the channel. A channel is called as
+    ``channel(arrival_rng, service_rng, trace)`` and returns an iterator of
+    ``(deliveries, generations)`` blocks in time order, each no earlier than
+    the last delivery yielded before; it adds its arrivals and deliveries to
+    its ``events`` and its blocked arrivals to its ``blocked`` as it goes.
+    Channel k gets streams 2k and 2k+1. ``trace`` is None or the trial's
+    :class:`_Trace`, to which every channel appends one chunk of row columns
+    ``(times, kind codes, sensors, generation times)`` per block before
+    yielding it; no later chunk holds a row before that block's last
+    delivery. The preemptive pair's chunk starts at update L-1, for the last
+    busy arrival L before the block, and carries that update's server. Events
+    processed sum the channels' ``events``; a run is refused when it expects
+    more than ``MAX_EXPECTED_EVENTS``, horizon times the sum of the channels'
+    ``rate``.
     """
-    expected = config.horizon * total_rate
+    expected = config.horizon * sum(channel.rate for channel in channels)
     if expected > MAX_EXPECTED_EVENTS:
         raise ValueError(
             f"event budget exceeded: horizon * total rate = {expected:.3e} "
@@ -315,7 +308,6 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     values = []
-    events = 0
     for trial in range(config.num_trials):
         name = f"trial_{trial:03d}.csv"
         with nullcontext() if trace_dir is None else open(trace_dir / name, "w") as out:
@@ -326,11 +318,12 @@ def _run_trials(config: SimConfig, trace_dir, total_rate, channels) -> SimResult
             # the monitor age is zero at time zero, hence equals t0 at the window
             # start: the held generation time is 0
             integral.start(0.0)
-            events += merge(streams, integral.add if trace is None else trace.sink)
+            merge(streams, integral.add if trace is None else trace.sink)
             if trace is not None:
                 trace.write(_INF)
         values.append(integral.value())
-    return _summarize(values, events, tuple(channel.blocked for channel in channels))
+    return _summarize(values, sum(channel.events for channel in channels),
+                      tuple(channel.blocked for channel in channels))
 
 
 class _Trace(list):
@@ -465,8 +458,8 @@ class _AgeIntegral:
 
 
 class _Merge:
-    """Feeds ``sink`` the deliveries of all channel streams in time order and
-    returns the events processed, arrivals plus deliveries.
+    """Feeds ``sink`` the deliveries of all channel streams in time order.
+    Only blocks pass through it; each channel counts its own events.
 
     Each channel holds one block of deliveries at a time. Let F be the
     earliest of the blocks' last deliveries and c the first channel whose
@@ -486,24 +479,16 @@ class _Merge:
     def __init__(self):
         self.out = []
 
-    def __call__(self, streams, sink) -> int:
-        events = 0
+    def __call__(self, streams, sink) -> None:
         held = {}  # channel: its block's deliveries not yet released, never empty
         live = set(range(len(streams)))
 
         def draw(k):
-            nonlocal events
-            while True:
-                try:
-                    deps, gens = next(streams[k])
-                except StopIteration as stop:
-                    events += stop.value
-                    live.remove(k)
-                    return
-                events += deps.size
+            for deps, gens in streams[k]:
                 if deps.size:
                     held[k] = deps, gens
                     return
+            live.remove(k)
 
         for k in range(len(streams)):
             draw(k)
@@ -534,7 +519,6 @@ class _Merge:
                 sink(deps, gens)
             for k in sorted(live - held.keys()):
                 draw(k)
-        return events
 
 
 class _BlockingChannel:
@@ -543,7 +527,8 @@ class _BlockingChannel:
     services, a block of each at a time; deliveries completing past the
     horizon are dropped. Right after each block its blocked arrivals are one
     Poisson count over its busy time up to the horizon, from the wait stream
-    jumped once, summed in ``blocked``; they have no trace row.
+    jumped once, summed in ``blocked``; they have no trace row. ``events``
+    sums its arrivals and deliveries.
 
     A block is drawn in pieces of :func:`_cycles_due` cycles, so the last
     one stops soon after the horizon. Each piece's first wait carries the
@@ -555,7 +540,7 @@ class _BlockingChannel:
         self.lam, self.mu, self.horizon, self.sensor = lam, mu, horizon, sensor
         self.block, self.draws = np.empty(2 * _DRAW_BLOCK), np.empty(_DRAW_BLOCK)
         self.counts = np.random.Generator(np.random.PCG64(0))
-        self.blocked = 0
+        self.rate, self.events, self.blocked = lam + mu, 0, 0
 
     def __call__(self, arrival_rng, service_rng, trace):
         # the blocked counts from the wait stream jumped once, which the waits
@@ -567,7 +552,6 @@ class _BlockingChannel:
         wait, service = 1.0 / lam, 1.0 / mu
         gens, deps = block[0::2], block[1::2]
         base = 0.0
-        events = 0
         while base <= horizon:
             size, partial = 0, 0.0  # the block's cycles drawn and their sum
             while size < draws.size and base + partial <= horizon:
@@ -592,7 +576,7 @@ class _BlockingChannel:
             if now > kept:
                 part[-1] = horizon - gens[now - 1]
             blocked = int(counts.poisson(lam * float(part.sum())))
-            events += now + blocked
+            self.events += now + blocked + kept
             self.blocked += blocked
             if trace is not None:
                 times = np.concatenate((gens[:now], deps[:kept]))
@@ -600,7 +584,6 @@ class _BlockingChannel:
                 trace.append((times, kinds, np.full(times.size, self.sensor, np.int8),
                               np.concatenate((gens[:now], gens[:kept]))))
             yield deps[:kept], gens[:kept]
-        return events
 
 
 def _cycles_due(span, cycle, room) -> int:
@@ -622,12 +605,14 @@ class _PreemptivePair:
     horizon`` and, if arrival k+1 is busy, ``d[k] <= a[m]`` for the next
     busy arrival m after it, if any. A traced block appends its rows
     through :func:`_pair_rows`, from the window's first update, L-1 for the
-    last busy arrival L, whose server it carries."""
+    last busy arrival L, whose server it carries. ``events`` sums its
+    arrivals and deliveries."""
 
     blocked = 0  # an arrival finding both servers busy preempts, never blocked
 
     def __init__(self, lam, mu, horizon):
         self.lam, self.mu, self.horizon = lam, mu, horizon
+        self.rate, self.events = lam + 2 * mu, 0
         # the undecided updates, then the block: arrival and delivery instants,
         # busy arrivals and kept updates
         self.buffers = [np.empty(2 * _DRAW_BLOCK, dtype) for dtype in (float, float, bool, bool)]
@@ -635,7 +620,7 @@ class _PreemptivePair:
     def __call__(self, arrival_rng, service_rng, trace):
         lam, mu, horizon = self.lam, self.mu, self.horizon
         base = 0.0
-        first, pending, server = 0, 0, 1  # a[0]'s update index, undecided count, a[0]'s server
+        pending, server = 0, 1  # the undecided updates, a[0]'s server
         while base <= horizon:
             self.buffers = [_room(buf, pending, pending + _DRAW_BLOCK) for buf in self.buffers]
             a, d, busy, keep = self.buffers
@@ -678,12 +663,11 @@ class _PreemptivePair:
             # nonnegative and NaN-free, so their bits order as their values
             order = np.argsort(d.take(kept).view(np.int64), kind="stable")
             kept = kept[order]
+            self.events += end - pending + kept.size
             yield d.take(kept), a.take(kept)
             a[:end - decided] = a[decided:end]
             d[:end - decided] = d[decided:end]
-            first, pending = first + decided, end - decided
-        # the last block decides every update, so first counts the arrivals
-        return first
+            pending = end - decided
 
 
 def _pair_rows(trace, a, d, busy, kept, new, server):

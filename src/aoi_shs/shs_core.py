@@ -105,7 +105,7 @@ _TINY_NEGATIVE = -1e-12
 #: Points solved together; bounds the memory of the stacked systems and of
 #: the balance inverses. Only the five-state grid chain (11 x 11 live
 #: correlation systems) is solved in batches larger than one, so the size is
-#: chosen for it: ``_solve`` on 500 such points (best of 5 calls, medians of
+#: chosen for it: 500 such points solved in blocks (best of 5 calls, medians of
 #: 15 interleaved rounds, one BLAS thread on a shared 2-CPU host) took
 #: 4.43-4.61, 4.11-4.15, 3.74-3.83 and 3.58-3.62 ms at blocks of 64, 128,
 #: 256 and 512 (two runs, with the norms from the model's norm rows). In 10
@@ -224,7 +224,7 @@ class CorrelationVectors:
     """Per-state stationary age expectations, shape (num_states, num_components).
 
     Row ``q`` is the expectation of the age vector restricted to state ``q``;
-    summing a column over all states yields that component's time average.
+    summing a column over all states gives that component's time average.
     Entries off the model's live set are exactly 0. ``condition``
     (infinity-norm, exact, of the system on the live unknowns, from the
     M-matrix certificate, ``inf`` when it fails) and ``residual`` diagnose
@@ -536,28 +536,26 @@ def _correlation(model: ShsModel, rates: np.ndarray, probs: np.ndarray, offset: 
     return vectors.reshape(len(rates), n, c), cond, residual
 
 
-def _solve(model: ShsModel, rates: np.ndarray):
-    """Both solves for every row of an (N, k) rate array, N >= 1, in blocks.
+def _solve(model: ShsModel, rates: np.ndarray, offset: int = 0):
+    """Both solves for one block of points: a (B, k) rate array, 1 <= B <=
+    :data:`BATCH_BLOCK`, under one ``np.errstate``.
 
     Column k of ``rates`` is the model's rate column k, ``rate_names[k]``
     in a named chain or transition k's rate in a numeric one, so a chain
     whose transitions share a few named rates is solved, and its guard
     messages are written, in those rates. Rates must already be positive and
-    finite. Yields, for each block of at most :data:`BATCH_BLOCK` rows in
-    order, the block's two stages, each ``(values, condition, residual)``
-    with one entry per row; callers keep what they need of a block before
-    asking for the next. Each stage guards a block with one check and, only
-    when it fails, runs its guards in order: a point that fails one raises
-    :class:`IllConditionedSystemError` naming its index and rates, the
-    first flagged point of the first failing guard of the first failing
-    stage, before any later block is solved.
+    finite. ``offset`` is the index of the block's first point, which guard
+    messages count from; a caller with more points solves their blocks in
+    order. Returns the two stages, each ``(values, condition, residual)``
+    with one entry per row. Each stage guards the block with one check and,
+    only when it fails, runs its guards in order: a point that fails one
+    raises :class:`IllConditionedSystemError` naming its index and rates,
+    the first flagged point of the first failing guard of the first failing
+    stage.
     """
-    for start in range(0, len(rates), BATCH_BLOCK):
-        rows = rates[start:start + BATCH_BLOCK]
-        with np.errstate(all="ignore"):
-            stationary = _stationary(model, rows, start)
-            correlation = _correlation(model, rows, stationary[0], start)
-        yield stationary, correlation
+    with np.errstate(all="ignore"):
+        stationary = _stationary(model, rates, offset)
+        return stationary, _correlation(model, rates, stationary[0], offset)
 
 
 def _first_point(result, stage):

@@ -31,6 +31,7 @@ import numpy as np
 # stay names of this module: perfbench/tracer.py patches them on two_sensor as
 # well as on shs_core, and tests/test_perfbench_tracer.py requires them
 from .shs_core import (  # noqa: F401
+    BATCH_BLOCK,
     CorrelationVectors,
     ShsModel,
     StationaryDistribution,
@@ -206,7 +207,7 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     :func:`average_aoi_grid` matches to about 1e-15 relative.
     """
     rates = np.array([[params.lambda1, params.lambda2, params.mu1, params.mu2]])
-    [(stationary, correlation)] = _solve(_CHAIN, rates)
+    stationary, correlation = _solve(_CHAIN, rates)
     return AoiBreakdown(
         average_aoi=float(_monitor_ages(correlation)[0]),
         stationary=_first_point(StationaryDistribution, stationary),
@@ -256,8 +257,9 @@ def average_aoi_grid(rates) -> np.ndarray:
         # the entries as given, as TwoSensorParams shows them
         for point, column in np.argwhere(bad):
             _require_positive(**{f"point {point}: {_RATE_NAMES[column]}": given[point, column]})
-    return np.concatenate([_monitor_ages(correlation)
-                           for _, correlation in _solve(_GRID_CHAIN, rates)])
+    return np.concatenate([
+        _monitor_ages(_solve(_GRID_CHAIN, rates[start:start + BATCH_BLOCK], start)[1])
+        for start in range(0, len(rates), BATCH_BLOCK)])
 
 
 def _monitor_ages(correlation) -> np.ndarray:

@@ -11,15 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from aoi_shs import des_sim
-from aoi_shs.shs_core import ShsModel, _solve, build_model
+from aoi_shs.shs_core import BATCH_BLOCK, ShsModel, _solve, build_model
 
 
 def solve_joined(model: ShsModel, rates):
-    """Both stages of ``shs_core._solve`` over every row of ``rates``, each
-    ``(values, condition, residual)`` joined across the blocks it yields."""
-    blocks = list(_solve(model, rates))
+    """Both stages of ``shs_core._solve`` over every row of ``rates``, solved
+    in blocks of ``BATCH_BLOCK`` in order, each ``(values, condition,
+    residual)`` joined across the blocks."""
+    blocks = [_solve(model, rates[start:start + BATCH_BLOCK], start)
+              for start in range(0, len(rates), BATCH_BLOCK)]
     return tuple(tuple(map(np.concatenate, zip(*stage))) for stage in zip(*blocks))
 
 
@@ -198,11 +201,12 @@ def preemptive_pair_model(lam: float, mu: float) -> ShsModel:
     return build_model(2, 3, transitions, [[1, 1, 1], [1, 1, 1]])
 
 
-def stage_systems(model: ShsModel, rates=None):
+def stage_systems(model: ShsModel, rates=None, normalize=True):
     """The stationary and correlation stages' matrices, written out entry by
     entry from the transitions: the balance rows ``sum over transitions
     leaving q of rate * pi_q - sum over transitions entering q of rate *
-    pi_src`` with the last row replaced by normalization, and the equations
+    pi_src`` with the last row replaced by normalization (kept when
+    ``normalize`` is false), and the equations
     ``v_q * (total outgoing rate of q) - sum over incoming transitions of
     rate * (v_src @ A) = slope_q * pi_q`` over the stacked unknown
     ``v[q * c + j]``. ``rates`` holds one rate per transition in place of the
@@ -221,8 +225,36 @@ def stage_systems(model: ShsModel, rates=None):
             for i in range(c):
                 if t.reset_map[i, j]:
                     correlation[t.to_state * c + j, t.from_state * c + i] -= rate
-    balance[n - 1, :] = 1
+    if normalize:
+        balance[n - 1, :] = 1
     return balance, correlation
+
+
+def finite_horizon_age(model: ShsModel, horizon: float, warmup: float = 0.0) -> float:
+    """The expected trial value of a simulator whose age process ``model``
+    describes, from state 0 with every age 0: the monitor age (component 0)
+    averaged over ``(warmup * horizon, horizon)``. The first moments obey
+    the linear ODE of Yates & Kaul (IEEE Trans. IT 65(3), 2019, Theorem 1),
+    ``d/dt [pi; v] = K [pi; v]`` with ``K = [[-B, 0], [S, -C]]``: B and C
+    are :func:`stage_systems`' balance (not normalized) and correlation
+    systems, and S puts ``slope * pi_q`` on unknown (q, j). The integral of
+    ``e^{Kt} x0`` from 0 to t is the top-right block of ``expm([[K, I], [0,
+    0]] * t)`` applied to x0."""
+    n, c = model.num_states, model.num_components
+    balance, correlation = stage_systems(model, normalize=False)
+    size = n + n * c
+    generator = np.zeros((2 * size, 2 * size))
+    generator[:n, :n] = -balance
+    generator[n:size, n:size] = -correlation
+    generator[np.arange(n, size), np.repeat(np.arange(n), c)] = model.slopes.ravel()
+    generator[:size, size:] = np.eye(size)
+
+    def integral(t):  # of [pi; v] from 0 to t, from state 0
+        return expm(generator * t)[:size, size]
+
+    t0 = warmup * horizon
+    monitor = (integral(horizon) - integral(t0))[n::c]
+    return float(monitor.sum()) / (horizon - t0)
 
 
 def gauss_jordan(matrix, rhs) -> list:

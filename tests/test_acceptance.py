@@ -30,18 +30,21 @@ from aoi_shs.two_sensor import (
     zero_wait_limit,
 )
 from oracles import (
+    finite_horizon_age,
     nine_state_residual,
     preemptive_pair_model,
     sawtooth_average_walk,
     single_queue_model,
 )
+from test_des_sim import FINITE_HORIZON_EXPECTED, simulated_system
 
 BASE_SEED = 12345
 
 #: Sim-versus-theory comparisons under the z-gate, over both tiers: the
 #: 3x3 sweep grid, three single-queue points, five preemptive-pair points,
-#: the 81 cells of the full sweep and the long-horizon run.
-GATED_COMPARISONS = 9 + 3 + 5 + 81 + 1
+#: the 81 cells of the full sweep, the long-horizon run and the ten
+#: finite-horizon rows (``FINITE_HORIZON_EXPECTED`` in tests/test_des_sim.py).
+GATED_COMPARISONS = 9 + 3 + 5 + 81 + 1 + 10
 FAMILY_ALPHA = 0.01
 
 
@@ -347,4 +350,27 @@ def test_long_horizon_convergence():
         f"and |z| <= {limit:.2f}",
         abs(gap) < 0.005 and abs(z) <= limit,
         f"rel gap {gap:+.4%}, z {z:+.2f}, {elapsed:.1f}s",
+    )
+
+
+@slow_tier
+def test_finite_horizon_ages_match_simulation():
+    start = time.perf_counter()
+    trials = 10000
+    gaps, zs = [], []
+    for row, (model, rates, horizon, warmup, _) in enumerate(FINITE_HORIZON_EXPECTED):
+        simulate, chain = simulated_system(model, rates)
+        result = simulate(SimConfig(horizon=horizon, num_trials=trials, seed=BASE_SEED + row,
+                                    warmup=warmup))
+        gap, z = gap_and_z(result.mean_aoi, finite_horizon_age(chain, horizon, warmup),
+                           result.stderr)
+        gaps.append(gap)
+        zs.append(z)
+    elapsed = time.perf_counter() - start
+    limit = z_limit(trials)
+    report(
+        f"all three simulators at {len(FINITE_HORIZON_EXPECTED)} short horizons land within "
+        f"2% and |z| <= {limit:.2f} of their exact finite-horizon mean age",
+        max(map(abs, gaps)) < 0.02 and max(map(abs, zs)) <= limit and elapsed < 120.0,
+        f"worst rel gap {worst(gaps):+.3%}, worst z {worst(zs):+.2f}, {elapsed:.1f}s",
     )

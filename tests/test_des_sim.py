@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -22,12 +23,18 @@ from aoi_shs.des_sim import (
     simulate_two_sensor,
     time_average_age,
 )
-from aoi_shs.shs_core import average_age, solve_correlation, solve_stationary
-from aoi_shs.two_sensor import TwoSensorParams, average_aoi_general
+from aoi_shs.shs_core import average_age, build_model, solve_correlation, solve_stationary
+from aoi_shs.two_sensor import (
+    _GRID_CHAIN,
+    TwoSensorParams,
+    average_aoi_general,
+    build_two_sensor_chain,
+)
 from oracles import (
     blocking_channel_loop,
     blocking_system_trial,
     exact_solve,
+    finite_horizon_age,
     integrate_whole,
     preemptive_pair_model,
     preemptive_pair_scan,
@@ -35,6 +42,7 @@ from oracles import (
     sawtooth_average_grid,
     sawtooth_average_walk,
     single_queue_average_age,
+    single_queue_model,
 )
 
 # recorded from the first verified run at this exact configuration
@@ -443,7 +451,7 @@ class TestAgeIntegralLevels:
         if model == "mm2p":
             simulate_mm2_preemptive(*channels[0], config)
         else:
-            des_sim._simulate_blocking(channels, config, None)
+            _simulate_blocking(channels, config)
         gens = np.concatenate(batches)
         level = np.maximum.accumulate(np.concatenate(([0.0], gens[:-1])))
         stale = gens <= level
@@ -819,26 +827,26 @@ ORACLE_WARMUP = 0.01
 ORACLE_SEED = 2024
 
 
-def _simulate_blocking(channels, config):
+def _simulate_blocking(channels, config, trace_dir=None):
+    """The blocking simulator of one or two channels, ``(lam, mu)`` each."""
     if len(channels) == 1:
-        return simulate_mm11(*channels[0], config)
+        return simulate_mm11(*channels[0], config, trace_dir)
     (l1, m1), (l2, m2) = channels
-    return simulate_two_sensor(TwoSensorParams(l1, l2, m1, m2), config)
+    return simulate_two_sensor(TwoSensorParams(l1, l2, m1, m2), config, trace_dir)
 
 
-def _drain(stream):
-    """A channel's blocks joined, and its arrival count; checks that each
-    block starts no earlier than the last delivery before it."""
+def _drain(channel, arrival_rng, service_rng, trace=None):
+    """One trial of ``channel``: its blocks joined, and its arrival count,
+    its events less its deliveries; checks that each block starts no earlier
+    than the last delivery before it."""
     deps, gens, last = [], [], -math.inf
-    while True:
-        try:
-            block_deps, block_gens = next(stream)
-        except StopIteration as stop:
-            return np.concatenate(deps), np.concatenate(gens), stop.value
+    for block_deps, block_gens in channel(arrival_rng, service_rng, trace):
         assert (np.diff(block_deps, prepend=last) >= 0).all()
         last = block_deps[-1] if block_deps.size else last
         deps.append(block_deps.copy())
         gens.append(block_gens.copy())
+    deps, gens = np.concatenate(deps), np.concatenate(gens)
+    return deps, gens, channel.events - deps.size
 
 
 class _DrawCounter:
@@ -891,8 +899,7 @@ class TestRenewalChannel:
         # the accepted updates run past two draw blocks
         horizon = 2.5 * des_sim._DRAW_BLOCK * (1.0 / lam + 1.0 / mu)
         streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
-        deps, gens, n_arrivals = _drain(
-            des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
+        deps, gens, n_arrivals = _drain(des_sim._BlockingChannel(lam, mu, horizon, 1), *streams)
         streams = [des_sim._rng(5, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
             lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)
@@ -917,8 +924,8 @@ class TestRenewalChannel:
         with mock.patch.object(des_sim, "_DRAW_BLOCK", block), \
                 mock.patch.object(des_sim, "_cycles_due", pieces):
             streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
-            deps, gens, n_arrivals = _drain(
-                des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
+            channel = des_sim._BlockingChannel(lam, mu, horizon, 1)
+            deps, gens, n_arrivals = _drain(channel, *streams)
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
             lam, mu, horizon, *streams, block=block)
@@ -939,8 +946,7 @@ class TestRenewalChannel:
         horizon = (deps[block - 1] if cycles == 0
                    else (gens[block + cycles - 1] + deps[block + cycles - 1]) / 2)
         streams = [des_sim._rng(4, 0, s) for s in (0, 1)]
-        deps, gens, n_arrivals = _drain(
-            des_sim._BlockingChannel(lam, mu, horizon, 1)(*streams, None))
+        deps, gens, n_arrivals = _drain(des_sim._BlockingChannel(lam, mu, horizon, 1), *streams)
         streams = [des_sim._rng(4, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
             lam, mu, horizon, *streams, block=block)
@@ -957,8 +963,7 @@ class TestRenewalChannel:
         lam, mu = 2.0, 1.0
         horizon = cycles * (1.0 / lam + 1.0 / mu)
         spies = [_DrawCounter(des_sim._rng(seed, 0, s)) for s in (0, 1)]
-        deps, gens, n_arrivals = _drain(
-            des_sim._BlockingChannel(lam, mu, horizon, 1)(*spies, None))
+        deps, gens, n_arrivals = _drain(des_sim._BlockingChannel(lam, mu, horizon, 1), *spies)
         assert [spy.drawn <= 2 * cycles + 50 for spy in spies] == [True, True]
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals = blocking_channel_loop(
@@ -1025,71 +1030,192 @@ SHORT_HORIZON_CASES = {  # (lambda, mu) per channel, horizon; the name leads wit
     "two_sensor-saturated": (((2.0, 1.0), (2.0, 1.0)), 2.0),
     "two_sensor-fast": (((6.0, 6.0), (2.0, 8.0)), 5.0),
 }
-# one gate per z: (case, draw block, channel), the channel None for the
-# events of the case's runs and k for the blocked count of their channel k
-SHORT_HORIZON_GATES = [
-    (case, block, channel)
+
+
+def _short_horizon_gates():
+    """One gate per z: (case, draw block, channel, counter). The channel is
+    None for the events of the case's runs, and k for a counter of their
+    channel k: its events in a run of two channels (in a run of one they
+    are the run's), its blocked count in a blocking run."""
+    gates = []
     for case, block in [*((case, des_sim._DRAW_BLOCK) for case in sorted(SHORT_HORIZON_CASES)),
-                        ("mm11-fast", 7), ("two_sensor-fast", 7)]
-    for channel in (None, *(() if case.startswith("mm2p")
-                            else range(len(SHORT_HORIZON_CASES[case][0]))))
-]
+                        ("mm11-fast", 7), ("two_sensor-fast", 7)]:
+        count = len(SHORT_HORIZON_CASES[case][0])
+        gates.append((case, block, None, "events"))
+        for k in range(count):
+            if count > 1:
+                gates.append((case, block, k, "events"))
+            if not case.startswith("mm2p"):
+                gates.append((case, block, k, "blocked"))
+    return gates
 
 
 class TestShortHorizonEvents:
-    """Mean events per trial of the simulators, and mean blocked arrivals
-    per trial of each blocking channel, at short horizons, where the
+    """Mean events per trial of the simulators, and mean events and blocked
+    arrivals per trial of each channel, at short horizons, where the
     horizon's edge is a large part of each trial, against their exact
-    expectation. Each case runs ``BATCHES`` independently seeded batches of
-    ``TRIALS`` trials; z is the gap of the batch means' mean over its
-    standard error, and must lie inside the two-sided Student-t quantile
-    for ``BATCHES - 1`` degrees of freedom at a Bonferroni share of a 1 %
-    false-alarm rate over all ``GATES``, the rule of
-    tests/test_acceptance.py. The fast blocking cases run at a 7-draw block
-    too, which puts their trials across several block edges, each with its
-    own blocked count; the other cases' trials end inside their first
-    block. The pair runs at the package's block only: its event counts
-    read the same at a 7-draw block."""
+    expectation. The channels are built by hand and run through
+    ``des_sim._run_trials``, so that their counters can be read. Each case
+    runs ``BATCHES`` independently seeded batches of ``TRIALS`` trials; z is
+    the gap of the batch means' mean over its standard error, and must lie
+    inside the two-sided Student-t quantile for ``BATCHES - 1`` degrees of
+    freedom at a Bonferroni share of a 1 % false-alarm rate over all
+    ``GATES``, the rule of tests/test_acceptance.py. The fast blocking cases
+    run at a 7-draw block too, which puts their trials across several block
+    edges, each with its own blocked count; the other cases' trials end
+    inside their first block. The pair runs at the package's block only:
+    its event counts read the same at a 7-draw block."""
 
-    CASES, GATES = SHORT_HORIZON_CASES, SHORT_HORIZON_GATES
+    CASES, GATES = SHORT_HORIZON_CASES, _short_horizon_gates()
     BATCHES, TRIALS = 30, 40
     LIMIT = float(stats.t.ppf(1 - 0.01 / (2 * len(GATES)), BATCHES - 1))
 
-    def batches(self, monkeypatch, case, block):
-        """The ``BATCHES`` results of ``case`` at a draw block of ``block``."""
-        monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
-        channels, horizon = self.CASES[case]
-        configs = [SimConfig(horizon=horizon, num_trials=self.TRIALS, seed=seed, warmup=0.0)
-                   for seed in range(self.BATCHES)]
-        if case.startswith("mm2p"):
-            return [simulate_mm2_preemptive(*channels[0], config) for config in configs]
-        return [_simulate_blocking(channels, config) for config in configs]
+    @classmethod
+    @functools.cache
+    def batches(cls, case, block):
+        """The ``BATCHES`` runs of ``case`` at a draw block of ``block``, run
+        once for all the case's gates: each its result and its channels'
+        ``events`` and ``blocked`` counters, one tuple each."""
+        channels, horizon = cls.CASES[case]
+        runs = []
+        with mock.patch.object(des_sim, "_DRAW_BLOCK", block):
+            for seed in range(cls.BATCHES):
+                if case.startswith("mm2p"):
+                    built = [des_sim._PreemptivePair(*channels[0], horizon)]
+                else:
+                    built = [des_sim._BlockingChannel(lam, mu, horizon, k + 1)
+                             for k, (lam, mu) in enumerate(channels)]
+                config = SimConfig(horizon=horizon, num_trials=cls.TRIALS, seed=seed, warmup=0.0)
+                result = des_sim._run_trials(config, None, built)
+                runs.append((result, tuple(channel.events for channel in built),
+                             tuple(channel.blocked for channel in built)))
+        return tuple(runs)
 
     def check(self, totals, theory):
         mean, stderr = _mean_and_stderr([total / self.TRIALS for total in totals])
         assert abs(mean - theory) <= self.LIMIT * stderr, (mean, theory, stderr)
 
-    @pytest.mark.parametrize("case,block", [(case, block) for case, block, channel in GATES
-                                            if channel is None])
-    def test_mean_events_match_theory(self, monkeypatch, case, block):
-        results = self.batches(monkeypatch, case, block)
+    def events(self, case, channel):
+        """The expected events of ``channel`` of ``case`` by its horizon."""
         channels, horizon = self.CASES[case]
         if case.startswith("mm2p"):
-            assert {result.blocked for result in results} == {(0,)}
-            theory = _pair_events(*channels[0], horizon)
-        else:
-            theory = sum(_blocking_events(lam, mu, horizon) for lam, mu in channels)
-        self.check([result.events_processed for result in results], theory)
+            return _pair_events(*channels[channel], horizon)
+        return _blocking_events(*channels[channel], horizon)
 
-    @pytest.mark.parametrize("case,block,channel", [gate for gate in GATES
-                                                    if gate[2] is not None])
-    def test_mean_blocked_match_theory(self, monkeypatch, case, block, channel):
-        results = self.batches(monkeypatch, case, block)
+    @pytest.mark.parametrize("case,block", [(case, block) for case, block, channel, _ in GATES
+                                            if channel is None])
+    def test_mean_events_match_theory(self, case, block):
+        runs = self.batches(case, block)
+        channels, _ = self.CASES[case]
+        for result, events, blocked in runs:
+            assert (result.events_processed, result.blocked) == (sum(events), blocked)
+        if case.startswith("mm2p"):
+            assert {result.blocked for result, _, _ in runs} == {(0,)}
+        self.check([result.events_processed for result, _, _ in runs],
+                   sum(self.events(case, k) for k in range(len(channels))))
+
+    @pytest.mark.parametrize("case,block,channel", [
+        (case, block, channel) for case, block, channel, counter in GATES
+        if channel is not None and counter == "events"])
+    def test_channel_events_match_theory(self, case, block, channel):
+        runs = self.batches(case, block)
+        self.check([events[channel] for _, events, _ in runs], self.events(case, channel))
+
+    @pytest.mark.parametrize("case,block,channel", [
+        (case, block, channel) for case, block, channel, counter in GATES
+        if counter == "blocked"])
+    def test_mean_blocked_match_theory(self, case, block, channel):
+        runs = self.batches(case, block)
         channels, horizon = self.CASES[case]
-        assert {len(result.blocked) for result in results} == {len(channels)}
         lam, mu = channels[channel]
-        self.check([result.blocked[channel] for result in results],
+        self.check([blocked[channel] for _, _, blocked in runs],
                    lam * _busy_time(lam, mu, horizon))
+
+
+def simulated_system(model, rates):
+    """The simulator of ``model`` at ``rates``, a function of its config,
+    and the chain whose first moments from state 0 give its expected trial
+    value: ``(lam, mu)`` for ``mm11`` and ``mm2p``, ``(lambda1, lambda2,
+    mu1, mu2)`` for ``two_sensor``."""
+    if model == "mm11":
+        return lambda config: simulate_mm11(*rates, config), single_queue_model(*rates)
+    if model == "mm2p":
+        return (lambda config: simulate_mm2_preemptive(*rates, config),
+                preemptive_pair_model(*rates))
+    params = TwoSensorParams(*rates)
+    return lambda config: simulate_two_sensor(params, config), build_two_sensor_chain(params)
+
+
+# model, rates, horizon, warmup and the expected trial value to its printed
+# places; the first seven rows are ROADMAP item 21's table. The slow tier of
+# tests/test_acceptance.py gates every row against simulation
+FINITE_HORIZON_EXPECTED = [
+    ("mm11", (1.0, 1.0), 3.0, 0.0, "1.1736933"),
+    ("mm11", (0.2, 1.0), 10.0, 0.0, "3.38017"),
+    ("mm11", (1.0, 1.0), 50.0, 0.01, "2.42681"),
+    ("mm11", (4.0, 1.0), 2.0, 0.0, "0.81225"),
+    ("two_sensor", (1.0, 0.5, 1.0, 2.0), 4.0, 0.0, "1.1013255"),
+    ("two_sensor", (2.0, 2.0, 1.0, 1.0), 2.0, 0.0, "0.715107"),
+    ("two_sensor", (0.3, 3.0, 0.7, 1.5), 6.0, 0.0, "1.099098"),
+    ("mm2p", (1.0, 1.0), 3.0, 0.0, "1.0485477"),
+    ("mm2p", (4.0, 1.0), 2.0, 0.0, "0.5898250"),
+    ("mm2p", (1.0, 1.0), 50.0, 0.01, "1.71974"),
+]
+
+
+class TestFiniteHorizonAge:
+    """The simulators' mean age at short horizons, where a trial's start
+    from idle channels and age 0 is a large part of it, against its exact
+    expectation, ``oracles.finite_horizon_age`` on the system's chain. Each
+    row runs ``TRIALS`` trials, and its z must lie inside the two-sided
+    Student-t quantile for ``TRIALS - 1`` degrees of freedom at a Bonferroni
+    share of a 1 % false-alarm rate over the ``ROWS``, the rule of
+    tests/test_acceptance.py in a family of its own. The rows at a 7-draw
+    block run each trial across several block edges. The slow tier of
+    tests/test_acceptance.py gates more rows at more trials."""
+
+    ROWS = {  # model, rates, horizon, warmup, draw block (None: the package's), seed
+        "mm11-light": ("mm11", (1.0, 1.0), 3.0, 0.0, None, 1),
+        "mm11-warmup-7": ("mm11", (1.0, 1.0), 50.0, 0.01, 7, 2),
+        "two_sensor-light": ("two_sensor", (1.0, 0.5, 1.0, 2.0), 4.0, 0.0, None, 3),
+        "two_sensor-warmup-7": ("two_sensor", (1.0, 0.5, 1.0, 2.0), 50.0, 0.01, 7, 4),
+        "mm2p-light": ("mm2p", (1.0, 1.0), 3.0, 0.0, None, 5),
+        "mm2p-saturated": ("mm2p", (4.0, 1.0), 2.0, 0.0, None, 6),
+    }
+    TRIALS = 800
+    LIMIT = float(stats.t.ppf(1 - 0.01 / (2 * len(ROWS)), TRIALS - 1))
+
+    @pytest.mark.parametrize("model,rates,horizon,warmup,printed", FINITE_HORIZON_EXPECTED)
+    def test_oracle_values(self, model, rates, horizon, warmup, printed):
+        _, chain = simulated_system(model, rates)
+        places = len(printed.split(".")[1])
+        assert f"{finite_horizon_age(chain, horizon, warmup):.{places}f}" == printed
+
+    def test_oracle_agrees_with_the_stationary_solves(self):
+        # the five-state fake-update chain tracks the same monitor age as the
+        # nine-state chain at any horizon; past the transient, the window's
+        # mean is the stationary age
+        params = TwoSensorParams(0.3, 3.0, 0.7, 1.5)
+        grid = build_model(5, 3, [t._replace(rate=getattr(params, t.rate))
+                                  for t in _GRID_CHAIN.transitions], _GRID_CHAIN.slopes)
+        nine = build_two_sensor_chain(params)
+        assert finite_horizon_age(grid, 6.0) == pytest.approx(
+            finite_horizon_age(nine, 6.0), rel=1e-13)
+        for chain in (nine, single_queue_model(4.0, 1.0), preemptive_pair_model(2.0, 1.0)):
+            stationary = average_age(solve_correlation(chain, solve_stationary(chain)))
+            assert finite_horizon_age(chain, 200.0, 0.5) == pytest.approx(stationary, rel=1e-12)
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_simulation_matches_oracle(self, monkeypatch, row):
+        model, rates, horizon, warmup, block, seed = self.ROWS[row]
+        if block is not None:
+            monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
+        simulate, chain = simulated_system(model, rates)
+        result = simulate(SimConfig(horizon=horizon, num_trials=self.TRIALS, seed=seed,
+                                    warmup=warmup))
+        theory = finite_horizon_age(chain, horizon, warmup)
+        z = (result.mean_aoi - theory) / result.stderr
+        assert abs(z) <= self.LIMIT, (result.mean_aoi, theory, z)
 
 
 class TestPeakMemory:
@@ -1214,7 +1340,7 @@ class TestBlockEdges:
                 return simulate_mm2_preemptive(*channels[0], config, trace_dir)
         else:
             def run(trace_dir):
-                return des_sim._simulate_blocking(channels, config, trace_dir)
+                return _simulate_blocking(channels, config, trace_dir)
         result = run(None)
         expected = [_oracle_trial(model, channels, config, trial) for trial in range(2)]
         assert result.trial_values == tuple(value for value, _ in expected)
@@ -1231,7 +1357,7 @@ class TestBlockEdges:
         if model == "mm2p":
             simulate_mm2_preemptive(*channels[0], config, tmp_path)
         else:
-            des_sim._simulate_blocking(channels, config, tmp_path)
+            _simulate_blocking(channels, config, tmp_path)
         assert _trace_digest(tmp_path) == BLOCK_EDGE_TRACE_SHA256[block][case]
 
     @pytest.mark.parametrize("block", [3, 7, 64])
@@ -1241,7 +1367,7 @@ class TestBlockEdges:
         monkeypatch.setattr(des_sim, "_DRAW_BLOCK", block)
         _, channels, horizon = self.CASES[case]
         config = SimConfig(horizon=horizon, num_trials=2, seed=31, warmup=0.05)
-        result = des_sim._simulate_blocking(channels, config, tmp_path)
+        result = _simulate_blocking(channels, config, tmp_path)
         _check_rows_and_blocked_make_the_events(result, tmp_path)
 
     # trials of two or three chunks of areas at the package's block size
@@ -1255,7 +1381,7 @@ class TestBlockEdges:
         if model == "mm2p":
             (value,) = simulate_mm2_preemptive(*channels[0], config).trial_values
         else:
-            (value,) = des_sim._simulate_blocking(channels, config, None).trial_values
+            (value,) = _simulate_blocking(channels, config).trial_values
         deps, gens, _ = _oracle_deliveries(model, channels, config, 0)
         window = (config.warmup * config.horizon, config.horizon)
         assert ((deps > window[0]) & (deps < window[1])).sum() > des_sim._DRAW_BLOCK
@@ -1264,11 +1390,10 @@ class TestBlockEdges:
         assert value == pytest.approx(whole, rel=1e-13, abs=0.0)
 
 
-def _stream(times, gens, cuts, arrivals):
+def _stream(times, gens, cuts):
     """A channel stream yielding ``times`` and ``gens`` split at ``cuts``."""
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         yield np.array(times[lo:hi], dtype=float), np.array(gens[lo:hi], dtype=float)
-    return arrivals
 
 
 class TestMerge:
@@ -1285,17 +1410,16 @@ class TestMerge:
             cuts = sorted([0, len(mine), *data.draw(st.lists(st.integers(0, len(mine)),
                                                              max_size=5))])
             named = [100.0 * k + i for i in range(len(mine))]
-            streams.append(_stream(mine, named, cuts, arrivals=k + 1))
+            streams.append(_stream(mine, named, cuts))
             times += mine
             gens += named
         batches = []
-        events = des_sim._Merge()(streams, lambda d, g: batches.append((d.copy(), g.copy())))
+        des_sim._Merge()(streams, lambda d, g: batches.append((d.copy(), g.copy())))
         order = np.argsort(times, kind="stable")
         merged = np.concatenate([d for d, _ in batches] or [np.empty(0)])
         assert np.array_equal(merged, np.asarray(times)[order])
         assert np.array_equal(np.concatenate([g for _, g in batches] or [np.empty(0)]),
                               np.asarray(gens)[order])
-        assert events == len(times) + sum(range(1, len(streams) + 1))
 
 
 TRACE_KIND_CODES = {"arrival": 0, "delivery": 1, "preempt": 2}
@@ -1313,8 +1437,8 @@ class TestPreemptivePair:
     def check(self, lam, mu, horizon, seed):
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         trace = []
-        deps, gens, n_arrivals = _drain(
-            des_sim._PreemptivePair(lam, mu, horizon)(*streams, trace))
+        deps, gens, n_arrivals = _drain(des_sim._PreemptivePair(lam, mu, horizon), *streams,
+                                        trace)
         streams = [des_sim._rng(seed, 0, s) for s in (0, 1)]
         ref_deps, ref_gens, ref_arrivals, rows = preemptive_pair_scan(
             lam, mu, horizon, *streams, block=des_sim._DRAW_BLOCK)

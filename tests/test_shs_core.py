@@ -222,7 +222,7 @@ class TestBuildModel:
             with pytest.raises(ValueError) as exc:
                 solve()
             assert str(exc.value) == "transition 0 (0->1): rate 'lam' is a name, not a number"
-        [(_, correlation)] = shs_core._solve(model, np.array([[1.0, 1.0]]))
+        _, correlation = shs_core._solve(model, np.array([[1.0, 1.0]]))
         assert average_age(solve_correlation(single_queue_model(1.0, 1.0), pi)) \
             == correlation[0][0, :, 0].sum()
 

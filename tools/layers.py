@@ -10,16 +10,14 @@ solve) and the five-state chain (``two_sensor._GRID_CHAIN``, the rate
 grids), each at N = 1 and N = ``BATCH_BLOCK`` points log-uniform in
 [0.05, 20]^4, it times per point:
 
-* ``solve``: ``shs_core._solve``, both stages of one block;
-* ``stages``: both stages inside one ``np.errstate``, as ``_solve`` runs a
-  block, without its generator;
+* ``solve``: ``shs_core._solve``, both stages of one block inside one
+  ``np.errstate``;
 * ``stationary`` and ``correlation``: each stage alone;
 * ``stationary.inv`` and ``correlation.solve``: the stage's LAPACK call,
   ``np.linalg.inv`` or ``np.linalg.solve``, on the stage's own systems;
 * ``stationary.rest`` and ``correlation.rest``: the stage less its LAPACK
   call, taken within each round;
-* ``solve.generator``: ``solve`` less ``stages``, the generator's own cost;
-* ``stages.errstate``: ``stages`` less ``stationary`` and ``correlation``,
+* ``solve.errstate``: ``solve`` less ``stationary`` and ``correlation``,
   the cost of entering and leaving the ``np.errstate``;
 
 and, for one nine-state point, ``average_aoi_general`` and its
@@ -84,15 +82,8 @@ def measurements(chain, rates):
     both = np.ones((len(rates), live, 2))
     both[..., 0] = probs[:, chain.live_states] * chain.live_slopes
     loops, points = LOOPS[len(rates)], len(rates)
-
-    def stages():
-        with np.errstate(all="ignore"):
-            stationary = shs_core._stationary(chain, rates, 0)
-            shs_core._correlation(chain, rates, stationary[0], 0)
-
     calls = {
-        "solve": lambda: list(shs_core._solve(chain, rates)),
-        "stages": stages,
+        "solve": lambda: shs_core._solve(chain, rates),
         "stationary": lambda: shs_core._stationary(chain, rates, 0),
         "stationary.inv": lambda: np.linalg.inv(system),
         "correlation": lambda: shs_core._correlation(chain, rates, probs, 0),
@@ -100,8 +91,7 @@ def measurements(chain, rates):
     }
     differences = [("stationary.rest", "stationary", "stationary.inv"),
                    ("correlation.rest", "correlation", "correlation.solve"),
-                   ("solve.generator", "solve", "stages"),
-                   ("stages.errstate", "stages", "stationary", "correlation")]
+                   ("solve.errstate", "solve", "stationary", "correlation")]
     if chain is two_sensor._CHAIN and points == 1:
         params = two_sensor.TwoSensorParams(*rates[0])
         calls["average_aoi_general"] = lambda: two_sensor.average_aoi_general(params)
