@@ -360,10 +360,11 @@ def _cmd_sweep_fig3(args, rates) -> str:
 
 def _fig3_csv(l1s, l2, m1, m2s, ages, sims) -> str:
     """The sweep-fig3 CSV, run by run over ``l1``: the fixed ``l2,m1`` pair,
-    each ``l1`` and each ``m2`` are formatted once, each age and simulated
-    cell once per row; ``ages`` and ``sims`` are in ``l1``-major order, and
-    ``sims`` is None without ``--simulate``, whose empty pair is formatted
-    once."""
+    each ``l1`` and each ``m2`` are formatted once, each simulated cell once
+    per row, and each age, a Python float, by ``repr`` inside its row, as
+    :func:`_fmt` writes a float; ``ages`` and ``sims`` are in ``l1``-major
+    order, and ``sims`` is None without ``--simulate``, whose empty pair is
+    formatted once."""
     fixed = f"{_fmt(l2)},{_fmt(m1)},"
     m2_cells = [_fmt(m2) for m2 in m2s]
     if sims is None:
@@ -374,7 +375,7 @@ def _fig3_csv(l1s, l2, m1, m2s, ages, sims) -> str:
     for start, l1 in zip(range(0, len(ages), len(m2s)), l1s):
         lead = f"{_fmt(l1)},{fixed}"
         stop = start + len(m2s)
-        lines.extend(f"{lead}{m2},{_fmt(age)},{tail}"
+        lines.extend(f"{lead}{m2},{age!r},{tail}"
                      for m2, age, tail in zip(m2_cells, ages[start:stop], tails[start:stop]))
     return "\n".join(lines) + "\n"
 

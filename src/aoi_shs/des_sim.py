@@ -97,10 +97,10 @@ DEFAULT_SEED = 12345
 #: and so the bits, of every instant. It also fixes the summation order, and
 #: so the bits, of every trial value: the age integral sums its areas in
 #: chunks this long. A blocking channel draws one blocked count per block,
-#: so the size also sets which busy time each count covers. It draws a block
-#: in pieces, the last one only as far as the horizon needs; each piece
-#: carries the block's running sum, so the bits are those of the whole
-#: block. The trace writer's row batches are as long too; their length
+#: so the size also sets which busy time each count covers. Every channel
+#: draws a block in pieces, the last one only as far as the horizon needs;
+#: each piece carries the block's running sum, so the bits are those of the
+#: whole block. The trace writer's row batches are as long too; their length
 #: changes no byte.
 _DRAW_BLOCK = 1 << 14
 
@@ -587,13 +587,15 @@ class _BlockingChannel:
 
 
 def _cycles_due(span, cycle, room) -> int:
-    """How many wait-and-service cycles of mean length ``cycle`` a blocking
-    channel draws next when its horizon lies ``span`` past its last instant
-    and its block has ``room`` cycles left: the cycles the span needs on
+    """How many cycles of mean length ``cycle`` a channel draws next when its
+    horizon lies ``span`` past its last instant and its block has ``room``
+    cycles left; a cycle is a blocking channel's wait and service, or one
+    arrival gap of the preemptive pair. That is the cycles the span needs on
     average plus four standard deviations and eight more, so that one piece
     almost always passes the horizon, or the whole room when that is fewer.
-    A cycle's standard deviation is at most its mean, so the count of
-    cycles in the span has a variance of at most its mean."""
+    A cycle's standard deviation is at most its mean (an exponential gap's
+    equals it), so the count of cycles in the span has a variance of at
+    most its mean."""
     due = span / cycle
     due += 4.0 * math.sqrt(due) + 8.0
     return int(due) if due < room else room
@@ -606,7 +608,8 @@ class _PreemptivePair:
     busy arrival m after it, if any. A traced block appends its rows
     through :func:`_pair_rows`, from the window's first update, L-1 for the
     last busy arrival L, whose server it carries. ``events`` sums its
-    arrivals and deliveries."""
+    arrivals and deliveries. A block's arrival gaps are drawn in pieces of
+    :func:`_cycles_due` gaps, as a blocking channel draws its cycles."""
 
     blocked = 0  # an arrival finding both servers busy preempts, never blocked
 
@@ -621,15 +624,23 @@ class _PreemptivePair:
         lam, mu, horizon = self.lam, self.mu, self.horizon
         base = 0.0
         pending, server = 0, 1  # the undecided updates, a[0]'s server
+        gap = 1.0 / lam
         while base <= horizon:
             self.buffers = [_room(buf, pending, pending + _DRAW_BLOCK) for buf in self.buffers]
             a, d, busy, keep = self.buffers
-            block = a[pending:pending + _DRAW_BLOCK]
-            arrival_rng.standard_exponential(out=block)
-            block *= 1.0 / lam
-            np.cumsum(block, out=block)
+            size, partial = 0, 0.0  # the block's gaps drawn and their sum
+            while size < _DRAW_BLOCK and base + partial <= horizon:
+                count = _cycles_due(horizon - (base + partial), gap, _DRAW_BLOCK - size)
+                piece = a[pending + size:pending + size + count]
+                arrival_rng.standard_exponential(out=piece)
+                piece *= gap
+                piece[0] += partial
+                np.cumsum(piece, out=piece)
+                partial = float(piece[-1])
+                size += count
+            block = a[pending:pending + size]
             block += base
-            base = float(block[-1])
+            base += partial
             end = pending + int(np.searchsorted(block, horizon, side="right"))
             new = d[pending:end]
             service_rng.standard_exponential(out=new)

@@ -66,6 +66,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -114,6 +115,11 @@ _TINY_NEGATIVE = -1e-12
 #: against 5.11 ms), not clearly enough to change the size; 64 and 128 were
 #: slower in at least 8 of 10.
 BATCH_BLOCK = 256
+
+#: The stages' reductions, each its ufunc's ``reduce`` bound once: ``ndarray.max``,
+#: ``.min`` and ``.sum`` reach the same reduce through numpy's Python wrappers,
+#: and on one point's arrays the lookups cost a tenth of a reduction.
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 
 class IllConditionedSystemError(RuntimeError):
@@ -369,9 +375,18 @@ def _passes(quantities, ceilings) -> bool:
     """A stage's one check over a block: each guard quantity (B,) at or below
     its ceiling at every point; NaN fails. Callers pass the tolerances as
     they read them at the call, as the guards do."""
-    within = np.array(quantities) <= np.array(ceilings)[:, None]
+    within = np.array(quantities) <= _column(ceilings)
     # counting costs one call where .all() is a reduction through a wrapper
     return np.count_nonzero(within) == within.size
+
+
+@functools.lru_cache(maxsize=4)
+def _column(ceilings) -> np.ndarray:
+    """``ceilings``, a tuple of floats, as a read-only column; each stage
+    passes the same tuple at every call while the tolerances stay put."""
+    column = np.array(ceilings)[:, None]
+    column.setflags(write=False)
+    return column
 
 
 def _no_negative_ceiling() -> float:
@@ -406,8 +421,8 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, both
     """Solve a stack of Z-matrices (no positive entry off the diagonal), the
     form of every correlation system, certify each a nonsingular M-matrix
     and guard the solutions, in one batched call ``A [x, w] = [rhs, 1]``:
-    ``both`` (B, L, k + 1) holds the right-hand sides ``rhs`` and, last,
-    the certificate's column of ones. With ``w > 0`` and the certificate's
+    ``both`` (B, L, 2) holds the right-hand side ``rhs`` and then the
+    certificate's column of ones. With ``w > 0`` and the certificate's
     own residual ``|A w - 1|`` below 1/2, ``A w > 0`` for a positive ``w``.
     Then ``A^-1 >= 0``, so ``|A^-1|_inf = max(w)`` and the infinity-norm
     condition number is ``|A|_inf max(w)``, exact up to round-off, at no
@@ -423,19 +438,26 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, both
     does one :func:`_guard` scan run them in order (condition, residual,
     negative entry below :data:`_TINY_NEGATIVE` times ``max(1, max |x|)``)
     and raise for the first flagged point, after which entries below 0 are
-    clipped to 0. Returns ``x`` (B, L, k), its largest residuals and the
+    clipped to 0. Returns ``x`` (B, L), its largest residuals and the
     condition numbers, both (B,)."""
     try:
         solution = np.linalg.solve(systems, both)
     except np.linalg.LinAlgError:
         _guard(rates, offset, [_condition_check(np.linalg.cond(systems, 1), "correlation")])
         raise
+    return _certificate_guards(systems, norm, rates, offset, both, solution)
+
+
+def _certificate_guards(systems, norm, rates, offset, both, solution):
+    """The guards of :func:`_certify_m_matrix` on its ``solution`` of
+    ``systems [x, w] = both``; returns as that function does."""
     residual = np.abs(systems @ solution - both)
-    w = solution[..., -1]
-    w_lowest, w_residual = w.min(axis=1), residual[..., -1].max(axis=1)
-    cond = norm * w.max(axis=1)
-    x, residual = solution[..., :-1], residual[..., :-1].max(axis=(1, 2))
-    lowest = x.min(axis=(1, 2))
+    x, w = solution[..., 0], solution[..., 1]
+    w_lowest = _min(w, 1)
+    w_residual = _max(residual[..., 1], 1)
+    cond = norm * _max(w, 1)
+    residual = _max(residual[..., 0], 1)
+    lowest = _min(x, 1)
     # the certificate's strict bounds as ceilings: -min(w) at most minus the
     # least positive float is min(w) > 0, and |A w - 1| below 1/2 is at most
     # the float just below it
@@ -443,7 +465,7 @@ def _certify_m_matrix(systems: np.ndarray, norm: np.ndarray, rates, offset, both
                    (-math.ulp(0.0), math.nextafter(0.5, 0.0), CONDITION_LIMIT,
                     CORRELATION_RESIDUAL_TOL, _no_negative_ceiling())):
         cond = np.where((w_lowest > 0.0) & (w_residual < 0.5), cond, np.inf)
-        scale = np.maximum(1.0, np.abs(x).max(axis=(1, 2)))
+        scale = np.maximum(1.0, _max(np.abs(x), 1))
         _guard(rates, offset, (
             _condition_check(cond, "correlation"),
             (residual > CORRELATION_RESIDUAL_TOL,
@@ -472,32 +494,46 @@ def _stationary(model: ShsModel, rates: np.ndarray, offset: int):
     Returns the probabilities (B, n), condition numbers and max absolute
     balance residuals (B,). The caller silences floating-point warnings.
     """
-    n = model.num_states
-    balance = (rates @ model.balance).reshape(-1, n, n)
-    system = balance.copy()
-    system[:, -1, :] = 1.0
+    balance, system = _balance_systems(model, rates)
     try:
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
         _guard(rates, offset, [_condition_check(np.linalg.cond(system, 1), "stationary balance")])
         raise
+    return _stationary_guards(model, rates, offset, balance, inverse)
+
+
+def _balance_systems(model: ShsModel, rates: np.ndarray):
+    """The assembly of :func:`_stationary`: the block's balance systems
+    (B, n, n), and the systems it inverts, their last row replaced by the
+    normalization row of ones."""
+    n = model.num_states
+    balance = (rates @ model.balance).reshape(-1, n, n)
+    system = balance.copy()
+    system[:, -1, :] = 1.0
+    return balance, system
+
+
+def _stationary_guards(model: ShsModel, rates, offset, balance, inverse):
+    """The guards of :func:`_stationary` on the block's balance systems and
+    the ``inverse`` of the systems it inverts; returns as that stage does."""
     # |A|_1 |A^-1|_1 as np.linalg.cond(system, 1) reads it, up to a few ulps:
     # |A|_1 from the model's norm rows plus the row of ones, |A^-1|_1 from
     # this inverse
-    norm = (rates @ model.balance_norm + 1.0).max(axis=1)
-    cond = norm * np.abs(inverse).sum(axis=-2).max(axis=-1)
+    norm = _max(rates @ model.balance_norm + 1.0, 1)
+    cond = norm * _max(_sum(np.abs(inverse), 1), 1)
     # the right-hand side is the last unit vector, so pi is the last column
     probs = inverse[:, :, -1:]
-    residual = np.abs(balance @ probs).max(axis=(1, 2))
+    residual = _max(np.abs(balance @ probs), (1, 2))
     probs = probs[..., 0]
-    lowest = probs.min(axis=1)
-    total = probs.sum(axis=1)
+    lowest = _min(probs, 1)
+    total = _sum(probs, 1)
     relative = residual / norm
     if not _passes((cond, relative, -lowest, np.abs(total - 1.0)),
                    (CONDITION_LIMIT, BALANCE_RESIDUAL_TOL, _no_negative_ceiling(),
                     NORMALIZATION_TOL)):
         probs[probs < 0.0] = 0.0
-        total = probs.sum(axis=1)
+        total = _sum(probs, 1)
         _guard(rates, offset, (
             _condition_check(cond, "stationary balance"),
             (relative > BALANCE_RESIDUAL_TOL,
@@ -526,14 +562,24 @@ def _correlation(model: ShsModel, rates: np.ndarray, probs: np.ndarray, offset: 
     live = model.live
     if not len(live):
         return np.zeros((len(rates), n, c)), np.ones(len(rates)), np.zeros(len(rates))
-    system = (rates @ model.correlation).reshape(-1, len(live), len(live))
-    both = np.ones((len(rates), len(live), 2))
-    both[..., 0] = probs[:, model.live_states] * model.live_slopes
-    norm = (rates @ model.correlation_norm).max(axis=1)
+    system, norm, both = _correlation_systems(model, rates, probs)
     x, residual, cond = _certify_m_matrix(system, norm, rates, offset, both)
-    vectors = np.zeros((len(rates), n * c))
-    vectors[:, live] = x[..., 0]
-    return vectors.reshape(len(rates), n, c), cond, residual
+    vectors = np.zeros((len(rates), n, c))
+    vectors.reshape(len(rates), n * c)[:, live] = x
+    return vectors, cond, residual
+
+
+def _correlation_systems(model: ShsModel, rates: np.ndarray, probs: np.ndarray):
+    """The assembly of :func:`_correlation`, what it hands to
+    :func:`_certify_m_matrix`: the block's systems on the live unknowns
+    (B, L, L), their infinity norms (B,) from the model's norm rows, and the
+    right-hand sides (B, L, 2), slope times probability and then a 1."""
+    live = len(model.live)
+    system = (rates @ model.correlation).reshape(-1, live, live)
+    both = np.empty((len(rates), live, 2))
+    np.multiply(probs.take(model.live_states, 1), model.live_slopes, out=both[..., 0])
+    both[..., 1] = 1.0
+    return system, _max(rates @ model.correlation_norm, 1), both
 
 
 def _solve(model: ShsModel, rates: np.ndarray, offset: int = 0):

@@ -38,6 +38,7 @@ from .shs_core import (  # noqa: F401
     _first_point,
     _require_positive,
     _solve,
+    _sum,
     average_age,
     build_model,
     solve_correlation,
@@ -208,11 +209,9 @@ def average_aoi_general(params: TwoSensorParams) -> AoiBreakdown:
     """
     rates = np.array([[params.lambda1, params.lambda2, params.mu1, params.mu2]])
     stationary, correlation = _solve(_CHAIN, rates)
-    return AoiBreakdown(
-        average_aoi=float(_monitor_ages(correlation)[0]),
-        stationary=_first_point(StationaryDistribution, stationary),
-        correlations=_first_point(CorrelationVectors, correlation),
-    )
+    return AoiBreakdown(float(_monitor_ages(correlation)[0]),
+                        _first_point(StationaryDistribution, stationary),
+                        _first_point(CorrelationVectors, correlation))
 
 
 def average_aoi_grid(rates) -> np.ndarray:
@@ -263,7 +262,7 @@ def average_aoi_grid(rates) -> np.ndarray:
 
 
 def _monitor_ages(correlation) -> np.ndarray:
-    return correlation[0][:, :, MONITOR_COMPONENT].sum(axis=1)
+    return _sum(correlation[0][..., MONITOR_COMPONENT], 1)
 
 
 def average_aoi_equal_service(lambda1: float, lambda2: float, mu: float) -> float:

@@ -1477,6 +1477,41 @@ class TestPreemptivePair:
         assert n_arrivals == n
         assert {"arrival", "preempt", "delivery"} <= set(rows[1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_split_of_a_block_matches_per_arrival_loop(self, data):
+        # pieces of any size in place of the horizon's estimate give the
+        # instants, deliveries and trace rows of whole-block draws, bit for bit
+        lam = data.draw(st.sampled_from([1.0, 4.0, 0.3]))
+        block = data.draw(st.integers(1, 16))
+        horizon = data.draw(st.floats(0.01, 3.0)) * block / lam
+        seed = data.draw(st.integers(0, 2**32))
+
+        def pieces(span, cycle, room):
+            return data.draw(st.integers(1, room))
+
+        with mock.patch.object(des_sim, "_DRAW_BLOCK", block), \
+                mock.patch.object(des_sim, "_cycles_due", pieces):
+            self.check(lam, 1.0, horizon, seed)
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0])
+    def test_short_trial_draws_only_as_far_as_its_horizon(self, monkeypatch, lam):
+        # a trial of about 3 * lam expected arrivals draws O(3 * lam) arrival
+        # gaps, not a whole block of them
+        spies, rng = [], des_sim._rng
+
+        def counted(seed, trial, stream):
+            generator = rng(seed, trial, stream)
+            if stream == 0:
+                spies.append(_DrawCounter(generator))
+                return spies[-1]
+            return generator
+
+        monkeypatch.setattr(des_sim, "_rng", counted)
+        des_sim.simulate_mm2_preemptive(lam, 1.0, SimConfig(horizon=3.0, num_trials=1, seed=5))
+        assert len(spies) == 1
+        assert spies[0].drawn <= 2 * 3 * lam + 50
+
     CHUNKS = [1, 2, 3, 7, 64]
 
     # small draw blocks put many block edges inside one short run
